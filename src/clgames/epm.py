@@ -6,12 +6,20 @@ interpretation -- which is exactly what makes a winning strategy uniform.
 The environment may make (at most) one move per permission grant; the
 simulator checks environment moves for legality itself, so an illegal
 environment move ends the play with an immediate machine win.
+
+One play stepper runs this protocol for both random play (`simulate`) and
+exhaustive search (`wins_against_all`): the machine acts until it grants
+permission, the environment answers with at most one checked move, and a
+step budget bounds the whole play.  A machine that raises ends the play as
+a machine loss, an environment that raises as a machine win; either way
+the diagnostic carries a short traceback.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -95,18 +103,6 @@ class Strategy:
     @property
     def settled(self) -> bool:
         return self.started and not self.queue and self.machine.settled
-
-    def snapshot(self):
-        return copy.deepcopy(
-            (self.machine, self.cursor, tuple(self.queue), self.started, self.ctx))
-
-    def restore(self, snap) -> None:
-        machine, cursor, queue, started, ctx = copy.deepcopy(snap)
-        self.machine = machine
-        self.cursor = cursor
-        self.queue = deque(queue)
-        self.started = started
-        self.ctx = ctx
 
     def clone(self) -> "Strategy":
         return copy.deepcopy(self)
@@ -192,6 +188,8 @@ class HaltReason(str, enum.Enum):
     BUDGET = "budget"
     ENV_ILLEGAL = "env_illegal"
     MACHINE_ILLEGAL = "machine_illegal"
+    MACHINE_FAULT = "machine_fault"
+    ENV_FAULT = "env_fault"
 
 
 @dataclass
@@ -217,67 +215,117 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
+def _fault(who: str, exc: Exception) -> str:
+    frames = "".join(traceback.format_tb(exc.__traceback__, limit=-2))
+    return f"{who} raised {type(exc).__name__}: {exc}\n{frames}".rstrip()
+
+
+class _Play:
+    """One play in progress: the strategy, the run, the event log and the
+    step/grant counters, stepped through the permission protocol."""
+
+    def __init__(self, strategy: Strategy, game: GameRef, budget: int):
+        self.strategy = strategy
+        self.game = game
+        self.budget = budget
+        self.run: list[Labmove] = []
+        self.events: list = []
+        self.steps = 0
+        self.grants = 0
+        self.halted: Optional[HaltReason] = None
+        self.diagnostic = ""
+
+    def halt(self, reason: HaltReason, diagnostic: str = "") -> None:
+        self.halted = reason
+        self.diagnostic = diagnostic
+
+    def machine_turn(self) -> bool:
+        """Let the machine act until it grants permission (True), or until
+        the play ends: an illegal move, a fault or the step budget (False)."""
+        while self.steps < self.budget:
+            try:
+                action = self.strategy.next(tuple(self.run))
+            except Exception as exc:
+                self.halt(HaltReason.MACHINE_FAULT, _fault("machine", exc))
+                return False
+            self.steps += 1
+            if action.kind is ActionKind.MOVE:
+                lm = Labmove(T, action.payload)
+                status = classify_move(self.game, tuple(self.run), lm)
+                self.run.append(lm)
+                self.events.append(("move", "T", action.payload))
+                if status is MoveStatus.ILLEGAL:
+                    self.halt(HaltReason.MACHINE_ILLEGAL,
+                              f"machine made illegal move {action.payload!r}")
+                    return False
+            elif action.kind is ActionKind.GRANT:
+                self.grants += 1
+                self.events.append(("grant",))
+                return True
+            else:
+                self.events.append(("idle",))
+        self.halt(HaltReason.BUDGET)
+        return False
+
+    def env_move(self, mv: str) -> bool:
+        """Apply an environment move; an illegal one ends the play (False)."""
+        lm = Labmove(B, mv)
+        if classify_move(self.game, tuple(self.run), lm) is MoveStatus.ILLEGAL:
+            self.halt(HaltReason.ENV_ILLEGAL,
+                      f"environment attempted illegal move {mv!r}")
+            return False
+        self.run.append(lm)
+        self.events.append(("move", "B", mv))
+        return True
+
+    def fork(self, mv: str) -> "_Play":
+        """An independent copy of this play in which the environment has
+        answered the grant with `mv`, a move already known to be legal."""
+        other = copy.copy(self)
+        other.strategy = self.strategy.clone()
+        other.run = self.run + [Labmove(B, mv)]
+        other.events = self.events + [("move", "B", mv)]
+        return other
+
+    def transcript(self) -> Transcript:
+        if self.halted in (HaltReason.ENV_ILLEGAL, HaltReason.ENV_FAULT):
+            verdict = T
+        elif self.halted is HaltReason.MACHINE_FAULT:
+            verdict = B
+        else:
+            verdict = winner(self.game, tuple(self.run))
+        return Transcript(tuple(self.run), verdict, self.steps, self.grants,
+                          self.halted, self.events, self.diagnostic)
+
+
 def simulate(strategy: Strategy, env: Environment, game: GameRef,
              budget: int = 4000,
-             on_step: Optional[Callable[[Run], None]] = None,
              on_grant: Optional[Callable[[Run], None]] = None) -> Transcript:
     """Alternating play loop; see module docstring for the contract.
 
-    on_step fires after every appended labmove; on_grant fires at each
-    permission point, i.e. when the machine has flushed its responses.
+    on_grant fires at each permission point, i.e. when the machine has
+    flushed its responses.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    ctx = PlayContext(game.valuation, game.interp.signature)
-    strategy.init(ctx)
-    run: list[Labmove] = []
-    events: list = []
-    steps = 0
-    grants = 0
-    reason = HaltReason.BUDGET
-    diagnostic = ""
-    while steps < budget:
-        action = strategy.next(tuple(run))
-        steps += 1
-        if action.kind is ActionKind.MOVE:
-            lm = Labmove(T, action.payload)
-            status = classify_move(game, tuple(run), lm)
-            run.append(lm)
-            events.append(("move", "T", action.payload))
-            if on_step:
-                on_step(tuple(run))
-            if status is MoveStatus.ILLEGAL:
-                reason = HaltReason.MACHINE_ILLEGAL
-                diagnostic = f"machine made illegal move {action.payload!r}"
+    strategy.init(PlayContext(game.valuation, game.interp.signature))
+    play = _Play(strategy, game, budget)
+    while play.machine_turn():
+        if on_grant:
+            on_grant(tuple(play.run))
+        try:
+            mv = env.on_permission(game, tuple(play.run))
+        except Exception as exc:
+            play.halt(HaltReason.ENV_FAULT, _fault("environment", exc))
+            break
+        if mv is None:
+            if strategy.settled:
+                play.halt(HaltReason.QUIESCENT)
                 break
-        elif action.kind is ActionKind.GRANT:
-            grants += 1
-            events.append(("grant",))
-            if on_grant:
-                on_grant(tuple(run))
-            mv = env.on_permission(game, tuple(run))
-            if mv is None:
-                if strategy.settled:
-                    reason = HaltReason.QUIESCENT
-                    break
-                continue
-            lm = Labmove(B, mv)
-            if classify_move(game, tuple(run), lm) is MoveStatus.ILLEGAL:
-                reason = HaltReason.ENV_ILLEGAL
-                diagnostic = f"environment attempted illegal move {mv!r}"
-                break
-            run.append(lm)
-            events.append(("move", "B", mv))
-            if on_step:
-                on_step(tuple(run))
-        else:
-            events.append(("idle",))
-    if reason is HaltReason.ENV_ILLEGAL:
-        verdict = T
-    else:
-        verdict = winner(game, tuple(run))
-    return Transcript(tuple(run), verdict, steps, grants, reason, events,
-                      diagnostic)
+            continue
+        if not play.env_move(mv):
+            break
+    return play.transcript()
 
 
 def check_fairness(t: Transcript, window: int) -> bool:
@@ -306,72 +354,38 @@ class BudgetExceeded(RuntimeError):
 
 def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
                      ccap: int = 3, budget: int = 2000,
-                     max_leaves: int = 100_000,
-                     on_step: Optional[Callable[[Run], None]] = None) -> SearchResult:
+                     max_leaves: int = 100_000) -> SearchResult:
     """Exhaustively explore environment behaviors with <= depth env moves.
 
-    At each grant the environment either stays silent (ending the play,
-    since the strategies settle) or makes any legal move from the bounded
-    candidate alphabet.  Strategy snapshots drive the backtracking.
+    Each play runs the same steps as `simulate`.  At each grant the
+    environment either stays silent (ending the play, since the strategies
+    settle) or makes any legal move from the bounded candidate alphabet;
+    every such move continues a forked copy of the play.  A lost play is
+    returned as the counterexample transcript.
     """
-    ctx = PlayContext(game.valuation, game.interp.signature)
     leaves = 0
 
-    def adjudicate(run: Run) -> Optional[Transcript]:
+    def explore(play: _Play, decisions: int) -> Optional[Transcript]:
         nonlocal leaves
+        if not play.machine_turn():
+            t = play.transcript()
+            return t if t.verdict is not T else None
+        # silent option: play stops here
         leaves += 1
         if leaves > max_leaves:
             raise BudgetExceeded(f"exhaustive search exceeded {max_leaves} leaves")
-        v = winner(game, run)
-        if v is not T:
-            return Transcript(run, v, 0, 0, HaltReason.QUIESCENT)
-        return None
-
-    def advance(strat: Strategy, run: list[Labmove], steps: int):
-        """Run machine actions until it grants; returns updated steps or a
-        counterexample transcript."""
-        while steps < budget:
-            action = strat.next(tuple(run))
-            steps += 1
-            if action.kind is ActionKind.MOVE:
-                lm = Labmove(T, action.payload)
-                status = classify_move(game, tuple(run), lm)
-                run.append(lm)
-                if on_step:
-                    on_step(tuple(run))
-                if status is MoveStatus.ILLEGAL:
-                    return None, Transcript(
-                        tuple(run), B, steps, 0, HaltReason.MACHINE_ILLEGAL,
-                        diagnostic=f"illegal machine move {action.payload!r}")
-            else:
-                return steps, None
-        return None, Transcript(tuple(run), winner(game, tuple(run)), steps, 0,
-                                HaltReason.BUDGET,
-                                diagnostic="step budget exhausted mid-branch")
-
-    def explore(strat: Strategy, run: list[Labmove], steps: int,
-                decisions: int) -> Optional[Transcript]:
-        steps2, bad = advance(strat, run, steps)
-        if bad is not None:
-            return bad if bad.verdict is not T else None
-        # silent option: play stops here
-        cex = adjudicate(tuple(run))
-        if cex is not None:
-            return cex
+        if winner(game, tuple(play.run)) is not T:
+            play.halt(HaltReason.QUIESCENT)
+            return play.transcript()
         if decisions >= depth:
             return None
-        for mv in candidate_moves(game, tuple(run), B, ccap):
-            branch_strat = strat.clone()
-            branch_run = list(run)
-            branch_run.append(Labmove(B, mv))
-            if on_step:
-                on_step(tuple(branch_run))
-            cex = explore(branch_strat, branch_run, steps2, decisions + 1)
+        for mv in candidate_moves(game, tuple(play.run), B, ccap):
+            cex = explore(play.fork(mv), decisions + 1)
             if cex is not None:
                 return cex
         return None
 
     root = strategy.clone()
-    root.init(ctx)
-    cex = explore(root, [], 0, 0)
+    root.init(PlayContext(game.valuation, game.interp.signature))
+    cex = explore(_Play(root, game, budget), 0)
     return SearchResult(cex is None, leaves, cex)

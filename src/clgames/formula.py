@@ -597,7 +597,7 @@ def _identity_deepcopy(self, memo):
 
 
 # Formulas and terms are immutable; share them across deepcopies (strategy
-# snapshots copy their state graphs, which often embed formulas).
+# clones copy their state graphs, which often embed formulas).
 for _cls in (Var, Const, Atom, Elem, Top, Bot, Dollar, Neg, ParConj, ParDisj,
              Implies, ChoiceConj, ChoiceDisj, ChoiceAll, ChoiceExists, Bang,
              Sequent):

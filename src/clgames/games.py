@@ -341,63 +341,104 @@ def prefixation(g: GameRef, pos: Run) -> GameRef:
 
 
 # ---------------------------------------------------------------------------
-# Legality
+# Legality and winner
 
 def position_legal(g: GameRef, run: Run) -> bool:
     """Whole-run legality; prefix-closed by construction of the clauses."""
+    return _judge_run(g, g.prefix + tuple(run)) is not None
+
+
+def winner(g: GameRef, run: Run) -> Player:
+    """Total adjudication: offender loses on illegal runs."""
     full = g.prefix + tuple(run)
+    verdict = _judge_run(g, full)
+    if verdict is not None:
+        return verdict
+    for k in range(1, len(full) + 1):
+        if _judge_run(g, full[:k]) is None:
+            return full[k - 1].player.opponent
+    raise AssertionError("run is legal; no offender")
+
+
+def _judge_run(g: GameRef, full: Run) -> Optional[Player]:
     if any(SPADE in lm.move for lm in full):
-        return False
-    return _legal(g.formula, g.interp, g.valuation, full)
+        return None
+    return _judge(g.formula, g.interp, g.valuation, full)
 
 
-def _legal(f: Formula, itp: Interpretation, val: Valuation, run: Run) -> bool:
+def _judge(f: Formula, itp: Interpretation, val: Valuation,
+           run: Run) -> Optional[Player]:
+    """The winner of `run` in the game of `f`, or None if `run` is illegal.
+
+    Each connective splits the run into the runs of its components, checks
+    the split is well formed, and combines the components' verdicts.
+    """
     if isinstance(f, Atom):
         game = itp.letter_game(f.letter, tuple(val.term(t) for t in f.args))
-        return game.walk(run) is not None
+        node = game.walk(run)
+        return node.winner if node is not None else None
     if isinstance(f, (Top, Bot)):
-        return len(run) == 0
+        if run:
+            return None
+        return T if isinstance(f, Top) else B
     if isinstance(f, Dollar):
         if not run:
-            return True
+            return T
         first = run[0]
         m = _numeral(first.move)
         if first.player is not B or m is None:
-            return False
+            return None
         component = itp.dollar_component(m)
-        return component is not None and component.walk(run[1:]) is not None
+        node = component.walk(run[1:]) if component is not None else None
+        return node.winner if node is not None else None
     if isinstance(f, Neg):
-        return _legal(f.body, itp, val, negate_run(run))
+        inner = _judge(f.body, itp, val, negate_run(run))
+        return inner.opponent if inner is not None else None
     if isinstance(f, (ParConj, ParDisj, Implies)):
         comps = _components(f)
         projs = _split_parallel(run, len(comps))
         if projs is None:
-            return False
-        return all(_legal(c, itp, val, p) for c, p in zip(comps, projs))
+            return None
+        # /\ is won unless a component is lost; \/ and -> are lost unless
+        # a component is won
+        verdict = unit = T if isinstance(f, ParConj) else B
+        for c, p in zip(comps, projs):
+            o = _judge(c, itp, val, p)
+            if o is None:
+                return None
+            if o is not unit:
+                verdict = o
+        return verdict
     if isinstance(f, (ChoiceConj, ChoiceDisj)):
         chooser = B if isinstance(f, ChoiceConj) else T
         if not run:
-            return True
+            return chooser.opponent
         first = run[0]
         i = _numeral(first.move)
         if first.player is not chooser or i is None or i > len(f.parts):
-            return False
-        return _legal(f.parts[i - 1], itp, val, run[1:])
+            return None
+        return _judge(f.parts[i - 1], itp, val, run[1:])
     if isinstance(f, (ChoiceAll, ChoiceExists)):
         chooser = B if isinstance(f, ChoiceAll) else T
         if not run:
-            return True
+            return chooser.opponent
         first = run[0]
         c = _numeral(first.move)
         if first.player is not chooser or c is None:
-            return False
-        return _legal(f.body, itp, val.override(f.var, c), run[1:])
+            return None
+        return _judge(f.body, itp, val.override(f.var, c), run[1:])
     if isinstance(f, Bang):
         ok, tree = prelegal_and_tree(run)
         if not ok:
-            return False
-        return all(_legal(f.body, itp, val, subrun_upto(run, w))
-                   for w in tree_leaves(tree))
+            return None
+        verdict = T
+        for w in tree_leaves(tree):
+            o = _judge(f.body, itp, val, subrun_upto(run, w))
+            if o is None:
+                return None
+            if o is B:
+                verdict = B
+        return verdict
     if isinstance(f, Elem):
         raise ValueError("elementary atoms have no game semantics")
     raise TypeError(f"unknown formula node {f!r}")
@@ -418,74 +459,6 @@ def _split_parallel(run: Run, n: int) -> Optional[list[Run]]:
             return None
         projs[i - 1].append(Labmove(lm.player, rest))
     return [tuple(p) for p in projs]
-
-
-# ---------------------------------------------------------------------------
-# Winner
-
-def winner(g: GameRef, run: Run) -> Player:
-    """Total adjudication: offender loses on illegal runs."""
-    full = g.prefix + tuple(run)
-    if not _legal_checked(g, full):
-        off = _first_offender(g, full)
-        return off.opponent
-    return _win(g.formula, g.interp, g.valuation, full)
-
-
-def _legal_checked(g: GameRef, full: Run) -> bool:
-    if any(SPADE in lm.move for lm in full):
-        return False
-    return _legal(g.formula, g.interp, g.valuation, full)
-
-
-def _first_offender(g: GameRef, full: Run) -> Player:
-    for k in range(1, len(full) + 1):
-        seg = full[:k]
-        if any(SPADE in lm.move for lm in seg) or \
-                not _legal(g.formula, g.interp, g.valuation, seg):
-            return full[k - 1].player
-    raise AssertionError("run is legal; no offender")
-
-
-def _win(f: Formula, itp: Interpretation, val: Valuation, run: Run) -> Player:
-    if isinstance(f, Atom):
-        game = itp.letter_game(f.letter, tuple(val.term(t) for t in f.args))
-        return game.walk(run).winner
-    if isinstance(f, Top):
-        return T
-    if isinstance(f, Bot):
-        return B
-    if isinstance(f, Dollar):
-        if not run:
-            return T
-        m = _numeral(run[0].move)
-        return itp.dollar_component(m).walk(run[1:]).winner
-    if isinstance(f, Neg):
-        return _win(f.body, itp, val, negate_run(run)).opponent
-    if isinstance(f, (ParConj, ParDisj, Implies)):
-        comps = _components(f)
-        projs = _split_parallel(run, len(comps))
-        outcomes = [_win(c, itp, val, p) for c, p in zip(comps, projs)]
-        if isinstance(f, ParConj):
-            return T if all(o is T for o in outcomes) else B
-        return T if any(o is T for o in outcomes) else B
-    if isinstance(f, (ChoiceConj, ChoiceDisj)):
-        if not run:
-            return T if isinstance(f, ChoiceConj) else B
-        i = _numeral(run[0].move)
-        return _win(f.parts[i - 1], itp, val, run[1:])
-    if isinstance(f, (ChoiceAll, ChoiceExists)):
-        if not run:
-            return T if isinstance(f, ChoiceAll) else B
-        c = _numeral(run[0].move)
-        return _win(f.body, itp, val.override(f.var, c), run[1:])
-    if isinstance(f, Bang):
-        _, tree = prelegal_and_tree(run)
-        for w in tree_leaves(tree):
-            if _win(f.body, itp, val, subrun_upto(run, w)) is B:
-                return B
-        return T
-    raise TypeError(f"unknown formula node {f!r}")
 
 
 class MoveStatus(str, enum.Enum):

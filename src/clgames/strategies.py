@@ -17,13 +17,7 @@ from . import formula as fm
 from .epm import Machine, PlayContext, Strategy
 from .formula import (Atom, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies)
-from .games import bits_leq, grounded_atom_index, split_bang_move
-
-
-def _numeral(s: str) -> Optional[int]:
-    if s.isdigit() and not s.startswith("0"):
-        return int(s)
-    return None
+from .games import _numeral, bits_leq, grounded_atom_index, split_bang_move
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +156,28 @@ class L6cMachine(Machine):
 # Choice-shuffling strategies
 
 class _DelegatingMachine(Machine):
-    """Base for strategies that finish by handing over to another machine."""
+    """Base for strategies that finish by handing over to another machine.
+
+    start() keeps the play context for a later handover; once the delegate
+    has taken over, it receives every environment move, and until then
+    _react() answers them.
+    """
 
     def __init__(self):
         self.delegate: Optional[Machine] = None
+        self.ctx: Optional[PlayContext] = None
+
+    def start(self, ctx: PlayContext) -> list[str]:
+        self.ctx = ctx
+        return []
+
+    def on_env(self, move: str) -> list[str]:
+        if self.delegate is not None:
+            return self.delegate.on_env(move)
+        return self._react(move)
+
+    def _react(self, move: str) -> list[str]:
+        return []
 
     def _handover(self, machine: Machine, ctx: PlayContext) -> list[str]:
         self.delegate = machine
@@ -190,9 +202,6 @@ class L11aMachine(_DelegatingMachine):
     def start(self, ctx):
         return [f"1..{self.i}"] + self._handover(CcsMachine(), ctx)
 
-    def on_env(self, move):
-        return self.delegate.on_env(move)
-
 
 class L11bMachine(_DelegatingMachine):
     """Wins !@x.G(x) -> !G(t): reads the value of t off the valuation,
@@ -206,9 +215,6 @@ class L11bMachine(_DelegatingMachine):
         c = ctx.valuation.term(self.t)
         return [f"1..{c}"] + self._handover(CcsMachine(), ctx)
 
-    def on_env(self, move):
-        return self.delegate.on_env(move)
-
 
 class L11cMachine(_DelegatingMachine):
     """Wins !(F1 + ... + Fn) -> !F1 + ... + !Fn: waits for the environment's
@@ -220,15 +226,8 @@ class L11cMachine(_DelegatingMachine):
         if n < 2:
             raise ValueError("need n >= 2")
         self.n = n
-        self.ctx = None
 
-    def start(self, ctx):
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         if move.startswith("1.."):
             j = _numeral(move[3:])
             if j is not None and j <= self.n:
@@ -240,17 +239,7 @@ class L11dMachine(_DelegatingMachine):
     """Wins !?x.G(x) -> ?x.!G(x): waits for the environment's antecedent
     constant, repeats it in the consequent, then copy-cat."""
 
-    def __init__(self):
-        super().__init__()
-        self.ctx = None
-
-    def start(self, ctx):
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         if move.startswith("1.."):
             c = _numeral(move[3:])
             if c is not None:
@@ -263,17 +252,7 @@ class Oct5aMachine(_DelegatingMachine):
     environment's constant in the consequent, repeats it in the other two
     quantified components, then copy-cat."""
 
-    def __init__(self):
-        super().__init__()
-        self.ctx = None
-
-    def start(self, ctx):
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         if move.startswith("2.2."):
             c = _numeral(move[4:])
             if c is not None:
@@ -293,9 +272,6 @@ class Oct5bMachine(_DelegatingMachine):
         c = ctx.valuation.term(self.t)
         return [f"2.{c}"] + self._handover(CcsMachine(), ctx)
 
-    def on_env(self, move):
-        return self.delegate.on_env(move)
-
 
 class Oct5cMachine(_DelegatingMachine):
     """Wins F -> @x.F when F has no free x: waits for the environment's
@@ -305,15 +281,8 @@ class Oct5cMachine(_DelegatingMachine):
     def __init__(self):
         super().__init__()
         self.buffered: list[str] = []
-        self.ctx = None
 
-    def start(self, ctx):
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         if move.startswith("1."):
             self.buffered.append(move[2:])
             return []
@@ -337,15 +306,8 @@ class Oct5dMachine(_DelegatingMachine):
         if n < 0:
             raise ValueError("need n >= 0")
         self.n = n
-        self.ctx = None
 
-    def start(self, ctx):
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         trigger = "2.1." if self.n == 0 else f"2.1.{self.n + 1}."
         if move.startswith(trigger):
             c = _numeral(move[len(trigger):])
@@ -364,15 +326,8 @@ class ExistsDropMachine(_DelegatingMachine):
     def __init__(self):
         super().__init__()
         self.buffered: list[str] = []
-        self.ctx = None
 
-    def start(self, ctx):
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         if move.startswith("2."):
             self.buffered.append(move[2:])
             return []
@@ -408,7 +363,6 @@ class L6bMachine(_DelegatingMachine):
         if not fm.is_int_formula(k):
             raise ValueError(f"not in the sublanguage: {fm.render(k)}")
         self.k = k
-        self.ctx = None
         self.waiting = False
 
     def start(self, ctx):
@@ -436,9 +390,7 @@ class L6bMachine(_DelegatingMachine):
             return []
         raise ValueError(f"unsupported head in {fm.render(k)}")
 
-    def on_env(self, move):
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
+    def _react(self, move):
         if not self.waiting or not move.startswith("2."):
             return []
         c = _numeral(move[2:])

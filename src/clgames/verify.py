@@ -18,7 +18,7 @@ from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
                       ParDisj, Top, par_conj)
 from .games import (B, FiniteGame, GameRef, Labmove, Run, T, Valuation,
-                    candidate_moves, classify_move, negate_run,
+                    bits_leq, candidate_moves, classify_move, negate_run,
                     position_legal, prelegal_and_tree, project,
                     random_interpretation, subrun_upto, tree_leaves, winner)
 from .strategies import (Expr, blue_content, build_strategy,
@@ -416,8 +416,8 @@ def verify_lemma10(max_len: int = 4) -> Report:
             if not _pair_embeddable(wv, uv):
                 continue
             r.count("pairs")
-            if bits_leq_str(blue_content(wv), blue_content(uv)) and \
-                    bits_leq_str(yellow_content(wv), yellow_content(uv)):
+            if bits_leq(blue_content(wv), blue_content(uv)) and \
+                    bits_leq(yellow_content(wv), yellow_content(uv)):
                 if not _is_prefix_tuple(wv, uv):
                     r.fail(f"branch-order violation: {wv} vs {uv}")
     # plus literal enumeration of all colored trees of depth <= 3
@@ -429,15 +429,11 @@ def verify_lemma10(max_len: int = 4) -> Report:
         branches = sorted(tree, key=content)
         for wv in branches:
             for uv in branches:
-                if bits_leq_str(blue_content(wv), blue_content(uv)) and \
-                        bits_leq_str(yellow_content(wv), yellow_content(uv)):
+                if bits_leq(blue_content(wv), blue_content(uv)) and \
+                        bits_leq(yellow_content(wv), yellow_content(uv)):
                     if not _is_prefix_tuple(wv, uv):
                         r.fail(f"branch-order violation in tree: {wv} vs {uv}")
     return r
-
-
-def bits_leq_str(w: str, u: str) -> bool:
-    return u.startswith(w)
 
 
 def _is_prefix_tuple(wv, uv) -> bool:

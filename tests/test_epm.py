@@ -1,10 +1,13 @@
 from clgames import formula as fm
-from clgames.epm import (HaltReason, Machine, PlayContext, RandomEnv,
-                         ScriptEnv, SilentEnv, Strategy, check_fairness,
-                         simulate, wins_against_all)
+import pytest
+
+from clgames.epm import (Environment, HaltReason, Machine, PlayContext,
+                         RandomEnv, ScriptEnv, SilentEnv, Strategy,
+                         check_fairness, move_action, simulate,
+                         wins_against_all)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation, T,
                            Valuation, labmoves, position_legal)
-from clgames.strategies import build_strategy
+from clgames.strategies import MpMachine, build_strategy
 
 
 def interp_a():
@@ -122,6 +125,13 @@ class TestExhaustive:
         assert not res.won_all
         assert res.counterexample is not None
         assert res.counterexample.verdict is not T
+        # search and simulate step the same play: replaying the
+        # environment's moves gives the very same transcript
+        cex = res.counterexample
+        script = [("move", lm.move) for lm in cex.run if lm.player is B]
+        replay = simulate(Strategy(Wrong()), ScriptEnv(script + ["stop"]),
+                          game())
+        assert replay == cex
 
     def test_silence_wins_when_the_environment_must_move(self):
         # both components are elementary wins: whether or not the
@@ -135,19 +145,13 @@ class TestExhaustive:
 
 
 class TestSnapshots:
-    def test_snapshot_restore_replays_identically(self):
-        g = game()
+    def test_clone_replays_identically(self):
         s = build_strategy("ccs")
-        env = ScriptEnv([("move", "2.a"), ("move", "1.b"), "stop"])
-        ctx = PlayContext(Valuation(), ())
-        s.init(ctx)
+        s.init(PlayContext(Valuation(), ()))
         s.next(())                     # start the machine
-        snap = s.snapshot()
+        fork = s.clone()
         run = labmoves(("B", "2.a"))
-        a1 = s.next(run)
-        s.restore(snap)
-        a2 = s.next(run)
-        assert a1 == a2
+        assert s.next(run) == fork.next(run) == move_action("1.a")
 
     def test_clone_is_independent(self):
         s = build_strategy("l6c")
@@ -156,6 +160,64 @@ class TestSnapshots:
         c = s.clone()
         assert c.next(labmoves(("B", "2.1.a"))) == \
             s.next(labmoves(("B", "2.1.a")))
+
+
+class Crashing(Machine):
+    def on_env(self, move):
+        raise KeyError(move)
+
+
+class Bouncer(Machine):
+    """Sends every move it sees back into the antecedent."""
+
+    def on_env(self, move):
+        return ["1." + move[2:]]
+
+
+class Echo(Machine):
+    def on_env(self, move):
+        return [move]
+
+
+class TestFaults:
+    def test_raising_machine_loses_with_a_traceback(self):
+        env = ScriptEnv([("move", "2.a"), "stop"])
+        t = simulate(Strategy(Crashing()), env, game())
+        assert t.halted_reason is HaltReason.MACHINE_FAULT
+        assert t.verdict is B
+        assert t.run == labmoves(("B", "2.a"))
+        assert t.diagnostic.startswith("machine raised KeyError")
+        assert "in on_env" in t.diagnostic          # the faulting frame
+
+    def test_search_reports_a_raising_machine_as_a_counterexample(self):
+        res = wins_against_all(Strategy(Crashing()), game(), depth=2)
+        assert not res.won_all
+        assert res.counterexample.halted_reason is HaltReason.MACHINE_FAULT
+        assert res.counterexample.verdict is B
+        assert "KeyError" in res.counterexample.diagnostic
+
+    def test_relay_loop_in_a_composition_is_a_machine_loss(self):
+        machine = MpMachine([Echo()], Bouncer())
+        t = simulate(Strategy(machine), ScriptEnv([("move", "2.a")]), game())
+        assert t.halted_reason is HaltReason.MACHINE_FAULT
+        assert t.verdict is B
+        assert "relay loop" in t.diagnostic
+
+    def test_raising_environment_is_a_machine_win(self):
+        class Broken(Environment):
+            def on_permission(self, game, run):
+                raise ValueError("no move")
+        t = simulate(build_strategy("ccs"), Broken(), game())
+        assert t.halted_reason is HaltReason.ENV_FAULT
+        assert t.verdict is T
+        assert "ValueError: no move" in t.diagnostic
+
+    def test_quitting_environment_still_exits(self):
+        class Quit(Environment):
+            def on_permission(self, game, run):
+                raise SystemExit(0)
+        with pytest.raises(SystemExit):
+            simulate(build_strategy("ccs"), Quit(), game())
 
 
 class TestUniformity:
