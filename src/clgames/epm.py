@@ -10,7 +10,9 @@ environment move ends the play with an immediate machine win.
 One play stepper runs this protocol for both random play (`simulate`) and
 exhaustive search (`wins_against_all`): the machine acts until it grants
 permission, the environment answers with at most one checked move, and a
-step budget bounds the whole play.  A machine that raises ends the play as
+step budget bounds the whole play.  The stepper carries the game state
+after the run, so checking a move is one `step` of it and the verdict is
+its `outcome()`.  A machine that raises ends the play as
 a machine loss, an environment that raises as a machine win; either way
 the diagnostic carries a short traceback.
 """
@@ -24,8 +26,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .games import (B, GameRef, Labmove, MoveStatus, Player, Run, Signature,
-                    T, Valuation, candidate_moves, classify_move, winner)
+from .games import (B, GameRef, Labmove, Player, Run, Signature, State, T,
+                    Valuation, advance, candidate_moves, game_state,
+                    successors)
 
 
 @dataclass(frozen=True)
@@ -221,14 +224,15 @@ def _fault(who: str, exc: Exception) -> str:
 
 
 class _Play:
-    """One play in progress: the strategy, the run, the event log and the
-    step/grant counters, stepped through the permission protocol."""
+    """One play in progress: the strategy, the run and the game state after
+    it, the event log and the step/grant counters, stepped through the
+    permission protocol."""
 
     def __init__(self, strategy: Strategy, game: GameRef, budget: int):
         self.strategy = strategy
-        self.game = game
         self.budget = budget
         self.run: list[Labmove] = []
+        self.state: State = game_state(game)
         self.events: list = []
         self.steps = 0
         self.grants = 0
@@ -251,13 +255,14 @@ class _Play:
             self.steps += 1
             if action.kind is ActionKind.MOVE:
                 lm = Labmove(T, action.payload)
-                status = classify_move(self.game, tuple(self.run), lm)
+                nxt = advance(self.state, lm)
                 self.run.append(lm)
                 self.events.append(("move", "T", action.payload))
-                if status is MoveStatus.ILLEGAL:
+                if nxt is None:
                     self.halt(HaltReason.MACHINE_ILLEGAL,
                               f"machine made illegal move {action.payload!r}")
                     return False
+                self.state = nxt
             elif action.kind is ActionKind.GRANT:
                 self.grants += 1
                 self.events.append(("grant",))
@@ -269,31 +274,48 @@ class _Play:
 
     def env_move(self, mv: str) -> bool:
         """Apply an environment move; an illegal one ends the play (False)."""
-        lm = Labmove(B, mv)
-        if classify_move(self.game, tuple(self.run), lm) is MoveStatus.ILLEGAL:
+        nxt = advance(self.state, Labmove(B, mv))
+        if nxt is None:
             self.halt(HaltReason.ENV_ILLEGAL,
                       f"environment attempted illegal move {mv!r}")
             return False
-        self.run.append(lm)
+        self.run.append(Labmove(B, mv))
         self.events.append(("move", "B", mv))
+        self.state = nxt
         return True
 
-    def fork(self, mv: str) -> "_Play":
-        """An independent copy of this play in which the environment has
-        answered the grant with `mv`, a move already known to be legal."""
+    def fork(self, mv: Optional[str] = None,
+             state: Optional[State] = None) -> "_Play":
+        """An independent copy of this play, sharing its game state; with
+        `mv`, the environment answers the grant with that legal move, which
+        leads to `state`."""
         other = copy.copy(self)
         other.strategy = self.strategy.clone()
-        other.run = self.run + [Labmove(B, mv)]
-        other.events = self.events + [("move", "B", mv)]
+        other.run = list(self.run)
+        other.events = list(self.events)
+        if mv is not None:
+            other.run.append(Labmove(B, mv))
+            other.events.append(("move", "B", mv))
+            other.state = state
         return other
+
+    def until_settled(self) -> "Transcript":
+        """Finish the play with a silent environment, as `simulate` does:
+        the machine runs on until it settles at a grant, or the play ends."""
+        while not self.strategy.settled:
+            if not self.machine_turn():
+                return self.transcript()
+        self.halt(HaltReason.QUIESCENT)
+        return self.transcript()
 
     def transcript(self) -> Transcript:
         if self.halted in (HaltReason.ENV_ILLEGAL, HaltReason.ENV_FAULT):
             verdict = T
-        elif self.halted is HaltReason.MACHINE_FAULT:
+        elif self.halted in (HaltReason.MACHINE_FAULT,
+                             HaltReason.MACHINE_ILLEGAL):
             verdict = B
         else:
-            verdict = winner(self.game, tuple(self.run))
+            verdict = self.state.outcome()
         return Transcript(tuple(self.run), verdict, self.steps, self.grants,
                           self.halted, self.events, self.diagnostic)
 
@@ -358,10 +380,10 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
     """Exhaustively explore environment behaviors with <= depth env moves.
 
     Each play runs the same steps as `simulate`.  At each grant the
-    environment either stays silent (ending the play, since the strategies
-    settle) or makes any legal move from the bounded candidate alphabet;
-    every such move continues a forked copy of the play.  A lost play is
-    returned as the counterexample transcript.
+    environment either stays silent from then on (the machine runs on until
+    it settles, as in `simulate`) or makes any legal move from the bounded
+    candidate alphabet; every such move continues a forked copy of the
+    play.  A lost play is returned as the counterexample transcript.
     """
     leaves = 0
 
@@ -370,17 +392,20 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
         if not play.machine_turn():
             t = play.transcript()
             return t if t.verdict is not T else None
-        # silent option: play stops here
+        # silent option: the environment never moves again
         leaves += 1
         if leaves > max_leaves:
             raise BudgetExceeded(f"exhaustive search exceeded {max_leaves} leaves")
-        if winner(game, tuple(play.run)) is not T:
-            play.halt(HaltReason.QUIESCENT)
-            return play.transcript()
+        if not play.strategy.settled:
+            t = play.fork().until_settled()
+            if t.verdict is not T:
+                return t
+        elif play.state.outcome() is not T:
+            return play.until_settled()
         if decisions >= depth:
             return None
-        for mv in candidate_moves(game, tuple(play.run), B, ccap):
-            cex = explore(play.fork(mv), decisions + 1)
+        for mv, nxt in successors(play.state, B, ccap):
+            cex = explore(play.fork(mv, nxt), decisions + 1)
             if cex is not None:
                 return cex
         return None

@@ -15,6 +15,11 @@ denote games compositionally:
 Moves are plain strings.  Inside a recurrence the empty bit string is
 serialized as an empty token, so a move at the root branch looks like
 ".alpha" and a root replication is ":".
+
+The engine evaluates a game by stepping a persistent `State` one labmove
+at a time.  Legality is prefix-closed and the recurrence clause is stated
+over prelegal runs and their trees, so stepping decides legality and
+winners exactly.  `oracle.py` judges whole runs instead, as a cross-check.
 """
 
 from __future__ import annotations
@@ -179,7 +184,8 @@ ELEMENTARY_LOSS = FiniteGame(B)
 
 
 def _numeral(s: str) -> Optional[int]:
-    if s.isdigit() and not s.startswith("0"):
+    """The value of an ASCII numeral [1-9][0-9]*, else None."""
+    if s.isascii() and s.isdigit() and s[0] != "0":
         return int(s)
     return None
 
@@ -341,124 +347,252 @@ def prefixation(g: GameRef, pos: Run) -> GameRef:
 
 
 # ---------------------------------------------------------------------------
-# Legality and winner
+# Game states: legality, winners and candidate moves, one labmove at a time
 
-def position_legal(g: GameRef, run: Run) -> bool:
-    """Whole-run legality; prefix-closed by construction of the clauses."""
-    return _judge_run(g, g.prefix + tuple(run)) is not None
+class State:
+    """A game after a legal run.
 
-
-def winner(g: GameRef, run: Run) -> Player:
-    """Total adjudication: offender loses on illegal runs."""
-    full = g.prefix + tuple(run)
-    verdict = _judge_run(g, full)
-    if verdict is not None:
-        return verdict
-    for k in range(1, len(full) + 1):
-        if _judge_run(g, full[:k]) is None:
-            return full[k - 1].player.opponent
-    raise AssertionError("run is legal; no offender")
-
-
-def _judge_run(g: GameRef, full: Run) -> Optional[Player]:
-    if any(SPADE in lm.move for lm in full):
-        return None
-    return _judge(g.formula, g.interp, g.valuation, full)
-
-
-def _judge(f: Formula, itp: Interpretation, val: Valuation,
-           run: Run) -> Optional[Player]:
-    """The winner of `run` in the game of `f`, or None if `run` is illegal.
-
-    Each connective splits the run into the runs of its components, checks
-    the split is well formed, and combines the components' verdicts.
+    `step(lm)` is the state after `lm`, or None when `lm` is illegal here;
+    `outcome()` is the winner of a run that ends here; `candidates(ccap,
+    structural)` is a bounded set of moves, of either player, that may be
+    legal here: choices of constants stop at `ccap`, and with `structural`
+    moves inside an interpreted atom's own game tree are left out.  States
+    are persistent: `step` never changes a state, so forked plays and
+    replicated recurrence branches share them freely.
     """
-    if isinstance(f, Atom):
-        game = itp.letter_game(f.letter, tuple(val.term(t) for t in f.args))
-        node = game.walk(run)
-        return node.winner if node is not None else None
-    if isinstance(f, (Top, Bot)):
-        if run:
+    __slots__ = ()
+
+
+class _AtomState(State):
+    """An interpreted atom, or top/bot (a game with no moves)."""
+    __slots__ = ("node",)
+
+    def __init__(self, node: FiniteGame):
+        self.node = node
+
+    def step(self, lm):
+        child = self.node.moves.get(lm)          # keyed by (player, move)
+        return _AtomState(child) if child is not None else None
+
+    def outcome(self):
+        return self.node.winner
+
+    def candidates(self, ccap, structural):
+        return [] if structural else [m for _, m in self.node.moves]
+
+
+class _FlipState(State):
+    """Negation: the body's game with the players' roles swapped."""
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: State):
+        self.inner = inner
+
+    def step(self, lm):
+        nxt = self.inner.step(Labmove(lm.player.opponent, lm.move))
+        return _FlipState(nxt) if nxt is not None else None
+
+    def outcome(self):
+        return self.inner.outcome().opponent
+
+    def candidates(self, ccap, structural):
+        return self.inner.candidates(ccap, structural)
+
+
+class _ParState(State):
+    """Parallel components, addressed by "i."-prefixed moves."""
+    __slots__ = ("parts", "conjunctive")
+
+    def __init__(self, parts: tuple[State, ...], conjunctive: bool):
+        self.parts = parts
+        self.conjunctive = conjunctive
+
+    def step(self, lm):
+        head, dot, rest = lm.move.partition(".")
+        i = _numeral(head) if dot else None
+        if i is None or i > len(self.parts):
             return None
-        return T if isinstance(f, Top) else B
-    if isinstance(f, Dollar):
-        if not run:
-            return T
-        first = run[0]
-        m = _numeral(first.move)
-        if first.player is not B or m is None:
+        nxt = self.parts[i - 1].step(Labmove(lm.player, rest))
+        if nxt is None:
             return None
-        component = itp.dollar_component(m)
-        node = component.walk(run[1:]) if component is not None else None
-        return node.winner if node is not None else None
-    if isinstance(f, Neg):
-        inner = _judge(f.body, itp, val, negate_run(run))
-        return inner.opponent if inner is not None else None
-    if isinstance(f, (ParConj, ParDisj, Implies)):
-        comps = _components(f)
-        projs = _split_parallel(run, len(comps))
-        if projs is None:
-            return None
+        return _ParState(self.parts[:i - 1] + (nxt,) + self.parts[i:],
+                         self.conjunctive)
+
+    def outcome(self):
         # /\ is won unless a component is lost; \/ and -> are lost unless
         # a component is won
-        verdict = unit = T if isinstance(f, ParConj) else B
-        for c, p in zip(comps, projs):
-            o = _judge(c, itp, val, p)
-            if o is None:
+        unit = T if self.conjunctive else B
+        for p in self.parts:
+            if p.outcome() is not unit:
+                return unit.opponent
+        return unit
+
+    def candidates(self, ccap, structural):
+        return [f"{i}.{m}" for i, p in enumerate(self.parts, start=1)
+                for m in p.candidates(ccap, structural)]
+
+
+class _ChoiceState(State):
+    """A choice of `chooser` among `options` components (0: any positive
+    numeral) not yet made.  `make(i)` is the i-th component's initial state,
+    or None if there is none; the chosen component is the rest of the game."""
+    __slots__ = ("chooser", "options", "make")
+
+    def __init__(self, chooser: Player, options: int,
+                 make: Callable[[int], Optional[State]]):
+        self.chooser = chooser
+        self.options = options
+        self.make = make
+
+    def step(self, lm):
+        if lm.player is not self.chooser:
+            return None
+        i = _numeral(lm.move)
+        if i is None or (self.options and i > self.options):
+            return None
+        return self.make(i)
+
+    def outcome(self):
+        return self.chooser.opponent
+
+    def candidates(self, ccap, structural):
+        return [str(i) for i in range(1, (self.options or ccap) + 1)]
+
+
+class _BangState(State):
+    """The branching recurrence: one component state per leaf of the
+    bit-string tree.  The tree's nodes are exactly the leaves' prefixes."""
+    __slots__ = ("branches",)
+
+    def __init__(self, branches: dict[str, State]):
+        self.branches = branches
+
+    def step(self, lm):
+        parsed = split_bang_move(lm.move)
+        if parsed is None:
+            return None
+        branches = dict(self.branches)
+        if parsed[0] == "rep":
+            w = parsed[1]
+            if lm.player is not B or w not in branches:
                 return None
-            if o is not unit:
-                verdict = o
-        return verdict
+            # both children start from the leaf's state; states are never
+            # mutated, so they can share it
+            branches[w + "0"] = branches[w + "1"] = branches.pop(w)
+            return _BangState(branches)
+        w, alpha = parsed[1], Labmove(lm.player, parsed[2])
+        found = False
+        for u, state in self.branches.items():
+            if u.startswith(w):
+                nxt = state.step(alpha)
+                if nxt is None:
+                    return None
+                branches[u] = nxt
+                found = True
+        return _BangState(branches) if found else None
+
+    def outcome(self):
+        for state in self.branches.values():
+            if state.outcome() is B:
+                return B
+        return T
+
+    def candidates(self, ccap, structural):
+        out = [u + ":" for u in self.branches]
+        for u, state in self.branches.items():
+            inner = state.candidates(ccap, structural)
+            for k in range(len(u) + 1):
+                out.extend(f"{u[:k]}.{m}" for m in inner)
+        return out
+
+
+def initial_state(f: Formula, itp: Interpretation, val: Valuation) -> State:
+    """The state of the game of `f` before any move."""
+    if isinstance(f, Atom):
+        return _AtomState(itp.letter_game(
+            f.letter, tuple(val.term(t) for t in f.args)))
+    if isinstance(f, (Top, Bot)):
+        return _AtomState(ELEMENTARY_WIN if isinstance(f, Top)
+                          else ELEMENTARY_LOSS)
+    if isinstance(f, Dollar):
+        def conjunct(m: int) -> Optional[State]:
+            component = itp.dollar_component(m)
+            return _AtomState(component) if component is not None else None
+        return _ChoiceState(B, 0, conjunct)
+    if isinstance(f, Neg):
+        return _FlipState(initial_state(f.body, itp, val))
+    if isinstance(f, Implies):
+        return _ParState((_FlipState(initial_state(f.left, itp, val)),
+                          initial_state(f.right, itp, val)), False)
+    if isinstance(f, (ParConj, ParDisj)):
+        return _ParState(tuple(initial_state(p, itp, val) for p in f.parts),
+                         isinstance(f, ParConj))
     if isinstance(f, (ChoiceConj, ChoiceDisj)):
-        chooser = B if isinstance(f, ChoiceConj) else T
-        if not run:
-            return chooser.opponent
-        first = run[0]
-        i = _numeral(first.move)
-        if first.player is not chooser or i is None or i > len(f.parts):
-            return None
-        return _judge(f.parts[i - 1], itp, val, run[1:])
+        parts = f.parts
+        return _ChoiceState(B if isinstance(f, ChoiceConj) else T, len(parts),
+                            lambda i: initial_state(parts[i - 1], itp, val))
     if isinstance(f, (ChoiceAll, ChoiceExists)):
-        chooser = B if isinstance(f, ChoiceAll) else T
-        if not run:
-            return chooser.opponent
-        first = run[0]
-        c = _numeral(first.move)
-        if first.player is not chooser or c is None:
-            return None
-        return _judge(f.body, itp, val.override(f.var, c), run[1:])
+        body, var = f.body, f.var
+        return _ChoiceState(B if isinstance(f, ChoiceAll) else T, 0,
+                            lambda c: initial_state(body, itp,
+                                                    val.override(var, c)))
     if isinstance(f, Bang):
-        ok, tree = prelegal_and_tree(run)
-        if not ok:
-            return None
-        verdict = T
-        for w in tree_leaves(tree):
-            o = _judge(f.body, itp, val, subrun_upto(run, w))
-            if o is None:
-                return None
-            if o is B:
-                verdict = B
-        return verdict
+        return _BangState({"": initial_state(f.body, itp, val)})
     if isinstance(f, Elem):
         raise ValueError("elementary atoms have no game semantics")
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def _components(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Implies):
-        return (Neg(f.left), f.right)
-    return f.parts
+def advance(state: State, lm: Labmove) -> Optional[State]:
+    """`state` after `lm`, or None when `lm` is illegal there.  A move that
+    contains the reserved symbol ♠ is illegal everywhere."""
+    return None if SPADE in lm.move else state.step(lm)
 
 
-def _split_parallel(run: Run, n: int) -> Optional[list[Run]]:
-    projs: list[list[Labmove]] = [[] for _ in range(n)]
-    for lm in run:
-        head, dot, rest = lm.move.partition(".")
-        i = _numeral(head) if dot else None
-        if i is None or i > n:
-            return None
-        projs[i - 1].append(Labmove(lm.player, rest))
-    return [tuple(p) for p in projs]
+def successors(state: State, player: Player, ccap: int = 3,
+               structural_only: bool = False) -> list[tuple[str, State]]:
+    """The legal moves of `player` among the state's candidates, sorted,
+    each with the state it leads to."""
+    out = []
+    for m in sorted(set(state.candidates(ccap, structural_only))):
+        nxt = advance(state, Labmove(player, m))
+        if nxt is not None:
+            out.append((m, nxt))
+    return out
+
+
+def _replay(g: GameRef, run: Run) -> tuple[State, Optional[Labmove]]:
+    """Step g's initial state through its prefix and `run`: the state after
+    the longest legal prefix, and the first illegal labmove (None when the
+    whole run is legal)."""
+    state = initial_state(g.formula, g.interp, g.valuation)
+    for lm in g.prefix + tuple(run):
+        nxt = advance(state, lm)
+        if nxt is None:
+            return state, lm
+        state = nxt
+    return state, None
+
+
+def game_state(g: GameRef, run: Run = ()) -> State:
+    """The state of `g` after `run`; IllegalPositionError if `run` is
+    illegal."""
+    state, offender = _replay(g, run)
+    if offender is not None:
+        raise IllegalPositionError("position is already illegal")
+    return state
+
+
+def position_legal(g: GameRef, run: Run) -> bool:
+    """Legality of a run; prefix-closed, since an illegal move has no
+    successor state."""
+    return _replay(g, run)[1] is None
+
+
+def winner(g: GameRef, run: Run) -> Player:
+    """Total adjudication: offender loses on illegal runs."""
+    state, offender = _replay(g, run)
+    return state.outcome() if offender is None else offender.player.opponent
 
 
 class MoveStatus(str, enum.Enum):
@@ -467,99 +601,17 @@ class MoveStatus(str, enum.Enum):
 
 
 def classify_move(g: GameRef, pos: Run, lm: Labmove) -> MoveStatus:
-    if not position_legal(g, pos):
-        raise IllegalPositionError("position is already illegal")
-    if SPADE in lm.move:
+    if advance(game_state(g, pos), lm) is None:
         return MoveStatus.ILLEGAL
-    ok = position_legal(g, tuple(pos) + (lm,))
-    return MoveStatus.LEGAL if ok else MoveStatus.ILLEGAL
+    return MoveStatus.LEGAL
 
-
-# ---------------------------------------------------------------------------
-# Candidate move enumeration (bounded; used for hints, random and
-# exhaustive environments)
 
 def candidate_moves(g: GameRef, run: Run, player: Player, ccap: int = 3,
                     structural_only: bool = False) -> list[str]:
-    """Legal moves for `player` at `run`, drawn from a bounded candidate set.
-
-    Constants for quantifier/universal-problem choices are capped at `ccap`.
-    With structural_only, moves that bottom out inside an interpreted atom's
-    own game tree are excluded (their legality depends on the
-    interpretation; the rest is decided by formula shape alone).
-    """
-    full = g.prefix + tuple(run)
-    raw = _raw_candidates(g.formula, g.interp, g.valuation, full, ccap,
-                          structural_only)
-    out = []
-    for m in sorted(set(raw)):
-        if classify_move(g, run, Labmove(player, m)) is MoveStatus.LEGAL:
-            out.append(m)
-    return out
-
-
-def _raw_candidates(f, itp, val, run, ccap, structural) -> list[str]:
-    if isinstance(f, Atom):
-        if structural:
-            return []
-        node = itp.letter_game(f.letter, tuple(val.term(t) for t in f.args)).walk(run)
-        return [m for _, m in node.moves] if node else []
-    if isinstance(f, (Top, Bot, Elem)):
-        return []
-    if isinstance(f, Dollar):
-        if not run:
-            return [str(i) for i in range(1, ccap + 1)]
-        if structural:
-            return []
-        m = _numeral(run[0].move)
-        if m is None:
-            return []
-        component = itp.dollar_component(m)
-        node = component.walk(run[1:]) if component is not None else None
-        return [mv for _, mv in node.moves] if node else []
-    if isinstance(f, Neg):
-        return _raw_candidates(f.body, itp, val, negate_run(run), ccap, structural)
-    if isinstance(f, (ParConj, ParDisj, Implies)):
-        comps = _components(f)
-        projs = _split_parallel(run, len(comps))
-        if projs is None:
-            return []
-        out = []
-        for i, (c, p) in enumerate(zip(comps, projs), start=1):
-            out.extend(f"{i}.{m}" for m in
-                       _raw_candidates(c, itp, val, p, ccap, structural))
-        return out
-    if isinstance(f, (ChoiceConj, ChoiceDisj)):
-        if not run:
-            return [str(i) for i in range(1, len(f.parts) + 1)]
-        i = _numeral(run[0].move)
-        if i is None or i > len(f.parts):
-            return []
-        return _raw_candidates(f.parts[i - 1], itp, val, run[1:], ccap, structural)
-    if isinstance(f, (ChoiceAll, ChoiceExists)):
-        if not run:
-            return [str(i) for i in range(1, ccap + 1)]
-        c = _numeral(run[0].move)
-        if c is None:
-            return []
-        return _raw_candidates(f.body, itp, val.override(f.var, c), run[1:],
-                               ccap, structural)
-    if isinstance(f, Bang):
-        ok, tree = prelegal_and_tree(run)
-        if not ok:
-            return []
-        leaves = tree_leaves(tree)
-        out = [w + ":" for w in leaves]
-        for w in sorted(tree):
-            inner = set()
-            for u in leaves:
-                if bits_leq(w, u):
-                    inner.update(_raw_candidates(f.body, itp, val,
-                                                 subrun_upto(run, u), ccap,
-                                                 structural))
-            out.extend(w + "." + m for m in inner)
-        return out
-    raise TypeError(f"unknown formula node {f!r}")
+    """Legal moves for `player` at `run`, drawn from a bounded candidate set
+    (see `State.candidates`); IllegalPositionError if `run` is illegal."""
+    return [m for m, _ in successors(game_state(g, run), player, ccap,
+                                     structural_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +700,14 @@ def _tuple_at(arity: int, cap: int, k: int) -> tuple[int, ...]:
 
 def materialize(g: GameRef, max_len: int, ccap: int = 3) -> FiniteGame:
     """Explicit game tree of g, truncated to runs of length max_len."""
-    def build(run: Run) -> FiniteGame:
-        node = FiniteGame(winner(g, run))
-        if len(run) < max_len:
+    def build(state: State, depth: int) -> FiniteGame:
+        node = FiniteGame(state.outcome())
+        if depth < max_len:
             for player in (B, T):
-                for m in candidate_moves(g, run, player, ccap):
-                    node.moves[(player, m)] = build(run + (Labmove(player, m),))
+                for m, nxt in successors(state, player, ccap):
+                    node.moves[(player, m)] = build(nxt, depth + 1)
         return node
-    return build(())
+    return build(game_state(g), 0)
 
 
 _GAME_INTERP = Interpretation({})   # trivially empty: pure structural games
@@ -697,17 +749,18 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
 def observationally_equal(a: GameRef, b: GameRef, max_len: int,
                           ccap: int = 3) -> bool:
     """Compare two games on all candidate runs up to max_len moves."""
-    def rec(run_a: Run, run_b: Run) -> bool:
-        if winner(a, run_a) != winner(b, run_b):
+    def moves(state: State) -> dict:
+        return {(p, m): nxt for p in (T, B)
+                for m, nxt in successors(state, p, ccap)}
+
+    def rec(sa: State, sb: State, depth: int) -> bool:
+        if sa.outcome() is not sb.outcome():
             return False
-        if len(run_a) >= max_len:
+        if depth >= max_len:
             return True
-        moves_a = {(p, m) for p in (T, B)
-                   for m in candidate_moves(a, run_a, p, ccap)}
-        moves_b = {(p, m) for p in (T, B)
-                   for m in candidate_moves(b, run_b, p, ccap)}
-        if moves_a != moves_b:
+        moves_a, moves_b = moves(sa), moves(sb)
+        if moves_a.keys() != moves_b.keys():
             return False
-        return all(rec(run_a + (Labmove(p, m),), run_b + (Labmove(p, m),))
-                   for p, m in sorted(moves_a))
-    return rec((), ())
+        return all(rec(moves_a[k], moves_b[k], depth + 1)
+                   for k in sorted(moves_a))
+    return rec(game_state(a), game_state(b), 0)

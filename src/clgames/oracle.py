@@ -1,221 +1,140 @@
-"""Independent adjudication path: incremental game-state interpretation.
+"""Independent adjudication path: whole-run structural judgement.
 
-Where the main evaluator decides legality and winners by whole-run
-structural recursion, this oracle maintains an explicit decomposed state
-object per game and steps it one labmove at a time.  The two
-implementations share only the move grammar; agreement between them over
+Where the engine's evaluator (`games.State`) steps a decomposed game state
+one labmove at a time, this oracle judges a finished run at once: each
+connective splits the run into its components' runs, checks the split is
+well formed, and combines the components' verdicts.  The two share only the
+move grammar (`_numeral`, `split_bang_move`) and the recurrence helpers that
+the tree-of-trees checks in `verify` also use; agreement between them over
 random formulas, interpretations and runs is the evaluator's main
 correctness evidence.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from typing import Optional
 
 from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
-                      ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
-                      ParDisj, Top)
-from .games import (B, FiniteGame, Interpretation, Labmove, Player, Run,
-                    SPADE, T, Valuation, split_bang_move)
-
-
-class _State:
-    def step(self, lm: Labmove):
-        """Returns the successor state, or None when the move is illegal."""
-        raise NotImplementedError
-
-    def outcome(self) -> Player:
-        raise NotImplementedError
-
-
-@dataclass
-class _AtomState(_State):
-    node: FiniteGame
-
-    def step(self, lm):
-        child = self.node.moves.get((lm.player, lm.move))
-        return _AtomState(child) if child is not None else None
-
-    def outcome(self):
-        return self.node.winner
-
-
-@dataclass
-class _ElementaryState(_State):
-    winner: Player
-
-    def step(self, lm):
-        return None
-
-    def outcome(self):
-        return self.winner
-
-
-@dataclass
-class _FlipState(_State):
-    inner: _State
-
-    def step(self, lm):
-        nxt = self.inner.step(Labmove(lm.player.opponent, lm.move))
-        return _FlipState(nxt) if nxt is not None else None
-
-    def outcome(self):
-        return self.inner.outcome().opponent
-
-
-@dataclass
-class _ParState(_State):
-    parts: list[_State]
-    conjunctive: bool
-
-    def step(self, lm):
-        head, dot, rest = lm.move.partition(".")
-        if not dot or not head.isdigit() or head.startswith("0"):
-            return None
-        i = int(head)
-        if not 1 <= i <= len(self.parts):
-            return None
-        nxt = self.parts[i - 1].step(Labmove(lm.player, rest))
-        if nxt is None:
-            return None
-        parts = list(self.parts)
-        parts[i - 1] = nxt
-        return _ParState(parts, self.conjunctive)
-
-    def outcome(self):
-        outs = [p.outcome() for p in self.parts]
-        if self.conjunctive:
-            return T if all(o is T for o in outs) else B
-        return T if any(o is T for o in outs) else B
-
-
-@dataclass
-class _ChoiceState(_State):
-    chooser: Player
-    arity: int                       # 0 means any positive numeral
-    make: object                     # int -> _State
-    chosen: _State | None = None
-    unresolved_winner: Player = T
-
-    def step(self, lm):
-        if self.chosen is not None:
-            nxt = self.chosen.step(lm)
-            if nxt is None:
-                return None
-            return _ChoiceState(self.chooser, self.arity, self.make, nxt,
-                                self.unresolved_winner)
-        if lm.player is not self.chooser:
-            return None
-        m = lm.move
-        if not m.isdigit() or m.startswith("0"):
-            return None
-        i = int(m)
-        if self.arity and i > self.arity:
-            return None
-        chosen = self.make(i)
-        if chosen is None:
-            return None
-        return _ChoiceState(self.chooser, self.arity, self.make,
-                            chosen, self.unresolved_winner)
-
-    def outcome(self):
-        if self.chosen is None:
-            return self.unresolved_winner
-        return self.chosen.outcome()
-
-
-@dataclass
-class _BangState(_State):
-    branches: dict[str, _State]      # leaf bit string -> component state
-
-    def step(self, lm):
-        parsed = split_bang_move(lm.move)
-        if parsed is None:
-            return None
-        if parsed[0] == "rep":
-            w = parsed[1]
-            if lm.player is not B or w not in self.branches:
-                return None
-            branches = dict(self.branches)
-            state = branches.pop(w)
-            branches[w + "0"] = state
-            branches[w + "1"] = copy.deepcopy(state)
-            return _BangState(branches)
-        w, alpha = parsed[1], parsed[2]
-        # nodes are exactly the prefixes of leaves
-        targets = [u for u in self.branches if u.startswith(w)]
-        if not targets:
-            return None
-        branches = dict(self.branches)
-        for u in targets:
-            nxt = branches[u].step(Labmove(lm.player, alpha))
-            if nxt is None:
-                return None
-            branches[u] = nxt
-        return _BangState(branches)
-
-    def outcome(self):
-        for st in self.branches.values():
-            if st.outcome() is B:
-                return B
-        return T
-
-
-def initial_state(f: Formula, itp: Interpretation, val: Valuation) -> _State:
-    if isinstance(f, Atom):
-        game = itp.letter_game(f.letter, tuple(val.term(t) for t in f.args))
-        return _AtomState(game)
-    if isinstance(f, Top):
-        return _ElementaryState(T)
-    if isinstance(f, Bot):
-        return _ElementaryState(B)
-    if isinstance(f, Dollar):
-        def make(i: int):
-            component = itp.dollar_component(i)
-            return _AtomState(component) if component is not None else None
-        return _ChoiceState(B, 0, make)
-    if isinstance(f, Neg):
-        return _FlipState(initial_state(f.body, itp, val))
-    if isinstance(f, Implies):
-        return _ParState([_FlipState(initial_state(f.left, itp, val)),
-                          initial_state(f.right, itp, val)], conjunctive=False)
-    if isinstance(f, (ParConj, ParDisj)):
-        return _ParState([initial_state(p, itp, val) for p in f.parts],
-                         isinstance(f, ParConj))
-    if isinstance(f, (ChoiceConj, ChoiceDisj)):
-        chooser = B if isinstance(f, ChoiceConj) else T
-        parts = f.parts
-
-        def make(i: int, parts=parts) -> _State:
-            return initial_state(parts[i - 1], itp, val)
-        return _ChoiceState(chooser, len(parts), make,
-                            unresolved_winner=chooser.opponent)
-    if isinstance(f, (ChoiceAll, ChoiceExists)):
-        chooser = B if isinstance(f, ChoiceAll) else T
-        body, var = f.body, f.var
-
-        def make(i: int, body=body, var=var) -> _State:
-            return initial_state(body, itp, val.override(var, i))
-        return _ChoiceState(chooser, 0, make,
-                            unresolved_winner=chooser.opponent)
-    if isinstance(f, Bang):
-        return _BangState({"": initial_state(f.body, itp, val)})
-    raise ValueError(f"no game for {f!r}")
+                      ChoiceExists, Dollar, Elem, Formula, Implies, Neg,
+                      ParConj, ParDisj, Top)
+from .games import (B, Interpretation, Labmove, Player, Run, SPADE, T,
+                    Valuation, _numeral, negate_run, prelegal_and_tree,
+                    subrun_upto, tree_leaves)
 
 
 def oracle_run(f: Formula, itp: Interpretation, val: Valuation, run: Run):
-    """Step the state through the run.
+    """Judge the whole run.
 
-    Returns (legal, winner): on the first illegal labmove the mover's
-    opponent wins immediately.
+    Returns (legal, winner): on an illegal run the mover of the first
+    illegal labmove loses.  Legality is prefix-closed, so that labmove is
+    found by bisecting over prefixes.
     """
-    state = initial_state(f, itp, val)
+    verdict = _judge_run(f, itp, val, run)
+    if verdict is not None:
+        return True, verdict
+    legal, illegal = 0, len(run)       # lengths of a legal and an illegal prefix
+    while illegal - legal > 1:
+        mid = (legal + illegal) // 2
+        if _judge_run(f, itp, val, run[:mid]) is None:
+            illegal = mid
+        else:
+            legal = mid
+    return False, run[illegal - 1].player.opponent
+
+
+def _judge_run(f: Formula, itp: Interpretation, val: Valuation,
+               run: Run) -> Optional[Player]:
+    if any(SPADE in lm.move for lm in run):
+        return None
+    return _judge(f, itp, val, tuple(run))
+
+
+def _judge(f: Formula, itp: Interpretation, val: Valuation,
+           run: Run) -> Optional[Player]:
+    """The winner of `run` in the game of `f`, or None if `run` is illegal."""
+    if isinstance(f, Atom):
+        game = itp.letter_game(f.letter, tuple(val.term(t) for t in f.args))
+        node = game.walk(run)
+        return node.winner if node is not None else None
+    if isinstance(f, (Top, Bot)):
+        if run:
+            return None
+        return T if isinstance(f, Top) else B
+    if isinstance(f, Dollar):
+        if not run:
+            return T
+        first = run[0]
+        m = _numeral(first.move)
+        if first.player is not B or m is None:
+            return None
+        component = itp.dollar_component(m)
+        node = component.walk(run[1:]) if component is not None else None
+        return node.winner if node is not None else None
+    if isinstance(f, Neg):
+        inner = _judge(f.body, itp, val, negate_run(run))
+        return inner.opponent if inner is not None else None
+    if isinstance(f, (ParConj, ParDisj, Implies)):
+        comps = _components(f)
+        projs = _split_parallel(run, len(comps))
+        if projs is None:
+            return None
+        # /\ is won unless a component is lost; \/ and -> are lost unless
+        # a component is won
+        verdict = unit = T if isinstance(f, ParConj) else B
+        for c, p in zip(comps, projs):
+            o = _judge(c, itp, val, p)
+            if o is None:
+                return None
+            if o is not unit:
+                verdict = o
+        return verdict
+    if isinstance(f, (ChoiceConj, ChoiceDisj)):
+        chooser = B if isinstance(f, ChoiceConj) else T
+        if not run:
+            return chooser.opponent
+        first = run[0]
+        i = _numeral(first.move)
+        if first.player is not chooser or i is None or i > len(f.parts):
+            return None
+        return _judge(f.parts[i - 1], itp, val, run[1:])
+    if isinstance(f, (ChoiceAll, ChoiceExists)):
+        chooser = B if isinstance(f, ChoiceAll) else T
+        if not run:
+            return chooser.opponent
+        first = run[0]
+        c = _numeral(first.move)
+        if first.player is not chooser or c is None:
+            return None
+        return _judge(f.body, itp, val.override(f.var, c), run[1:])
+    if isinstance(f, Bang):
+        ok, tree = prelegal_and_tree(run)
+        if not ok:
+            return None
+        verdict = T
+        for w in tree_leaves(tree):
+            o = _judge(f.body, itp, val, subrun_upto(run, w))
+            if o is None:
+                return None
+            if o is B:
+                verdict = B
+        return verdict
+    if isinstance(f, Elem):
+        raise ValueError("elementary atoms have no game semantics")
+    raise TypeError(f"unknown formula node {f!r}")
+
+
+def _components(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, Implies):
+        return (Neg(f.left), f.right)
+    return f.parts
+
+
+def _split_parallel(run: Run, n: int) -> Optional[list[Run]]:
+    projs: list[list[Labmove]] = [[] for _ in range(n)]
     for lm in run:
-        if SPADE in lm.move:
-            return False, lm.player.opponent
-        nxt = state.step(lm)
-        if nxt is None:
-            return False, lm.player.opponent
-        state = nxt
-    return True, state.outcome()
+        head, dot, rest = lm.move.partition(".")
+        i = _numeral(head) if dot else None
+        if i is None or i > n:
+            return None
+        projs[i - 1].append(Labmove(lm.player, rest))
+    return [tuple(p) for p in projs]

@@ -608,7 +608,8 @@ def _structural_script(f: Formula, sig, val) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Criterion 6: evaluator agrees with the state-machine oracle
+# Criterion 6: the engine's stepping evaluator agrees with the oracle, which
+# judges whole runs by structural recursion (an independent implementation)
 
 def _all_shapes(max_size: int) -> list[Formula]:
     leaves = [Atom("P"), Atom("Q"), Atom("R", (fm.Var("x"),)), Dollar(),

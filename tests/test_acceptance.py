@@ -75,8 +75,8 @@ def test_criterion_5_soundness_end_to_end():
 
 
 def test_criterion_6_oracle_equivalence():
-    # the compositional evaluator agrees with the state-machine oracle on
-    # every formula shape of size <= 4 over random finite games
+    # the stepping evaluator agrees with the whole-run oracle on every
+    # formula shape of size <= 4 over random finite games
     report = verify.verify_oracle(max_size=4, runs_per=3, min_cases=1000)
     _finish("6 (evaluator vs oracle)", report, 120.0)
     assert report.counters["cases"] >= 1000

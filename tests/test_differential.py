@@ -1,0 +1,97 @@
+"""Differential test: the stepping evaluator against the whole-run oracle.
+
+Hypothesis generates formulas of up to seven nodes, nested recurrences and
+universal problems included, and runs of up to eight labmoves that mix
+legal candidate moves with corrupted ones.  On every prefix the engine's
+`position_legal`, `classify_move` and `winner` must agree with
+`oracle.oracle_run`, and every move `candidate_moves` offers must be legal
+according to the oracle.  This extends criterion 6 (every shape of size
+<= 4, runs of four labmoves) to larger formulas and longer runs.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from clgames import formula as fm, oracle, verify
+from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
+                             ChoiceDisj, ChoiceExists, Dollar, Implies, Neg,
+                             ParConj, ParDisj, Top)
+from clgames.games import (B, GameRef, IllegalPositionError, Labmove,
+                           MoveStatus, T, Valuation, candidate_moves,
+                           classify_move, position_legal,
+                           random_interpretation, winner)
+
+LEAVES = [Atom("P"), Atom("Q"), Atom("R", (fm.Var("x"),)), Dollar(), Top(),
+          Bot()]
+UNARY = [Neg, Bang, lambda f: ChoiceAll("x", f),
+         lambda f: ChoiceExists("x", f)]
+BINARY = [lambda a, b: ParConj((a, b)), lambda a, b: ParDisj((a, b)),
+          Implies, lambda a, b: ChoiceConj((a, b)),
+          lambda a, b: ChoiceDisj((a, b))]
+# malformed numerals, indices and recurrence addresses, non-ASCII digits
+# and the reserved symbol
+CORRUPT = ["0", "3.x", "1.", ":", "junk", "1..1", "2.9", "0:", ".1", "♠",
+           "²", "١", "١.x", "01", "1:", "10.", "00:"]
+
+
+def _formula(draw, size: int):
+    """A formula of at most `size` nodes."""
+    if size < 2 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(LEAVES))
+    if size < 3 or draw(st.booleans()):
+        return draw(st.sampled_from(UNARY))(_formula(draw, size - 1))
+    left = draw(st.integers(1, size - 2))
+    return draw(st.sampled_from(BINARY))(_formula(draw, left),
+                                         _formula(draw, size - 1 - left))
+
+
+@st.composite
+def cases(draw):
+    f = _formula(draw, 7)
+    seed = draw(st.integers(0, 2 ** 16))
+    itp = random_interpretation(seed, verify._signature_for(f), 2)
+    return GameRef(f, itp, Valuation())
+
+
+def _oracle(game, run):
+    return oracle.oracle_run(game.formula, game.interp, game.valuation,
+                             tuple(run))
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(game=cases(), data=st.data())
+def test_stepping_evaluator_agrees_with_the_whole_run_oracle(game, data):
+    run: list = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        legal, won = _oracle(game, run)
+        assert position_legal(game, tuple(run)) is legal
+        assert winner(game, tuple(run)) is won
+        player = data.draw(st.sampled_from((T, B)))
+        if legal:
+            options = {p: candidate_moves(game, tuple(run), p) for p in (T, B)}
+            for p, moves in options.items():
+                for mv in moves:
+                    assert _oracle(game, run + [Labmove(p, mv)])[0], (p, mv)
+        else:
+            with pytest.raises(IllegalPositionError):
+                candidate_moves(game, tuple(run), player)
+            options = {T: [], B: []}
+        # mostly the player's own candidates, with replications favoured so
+        # that recurrence trees grow wide; else the opponent's candidates,
+        # which are often illegal for this player, or a corrupted move
+        source = data.draw(st.sampled_from(
+            ("rep", player, player, player.opponent, None)))
+        if source == "rep":
+            pool = [m for m in options[player] if m.endswith(":")]
+        else:
+            pool = options[source] if source else CORRUPT
+        mv = data.draw(st.sampled_from(pool or options[player] or CORRUPT))
+        lm = Labmove(player, mv)
+        if legal:
+            status = classify_move(game, tuple(run), lm)
+            assert (status is MoveStatus.LEGAL) is _oracle(game, run + [lm])[0]
+        run.append(lm)
+    legal, won = _oracle(game, run)
+    assert position_legal(game, tuple(run)) is legal
+    assert winner(game, tuple(run)) is won

@@ -48,6 +48,12 @@ class TestSimulate:
         assert t.halted_reason is HaltReason.MACHINE_ILLEGAL
         assert t.diagnostic
 
+    def test_non_ascii_digit_is_an_illegal_environment_move(self):
+        g = GameRef(fm.parse_formula("top & bot"), interp_a())
+        t = simulate(Strategy(Machine()), ScriptEnv([("move", "²")]), g)
+        assert t.halted_reason is HaltReason.ENV_ILLEGAL
+        assert t.verdict is T and t.run == ()
+
     def test_budget_halt_is_reported(self):
         class Chatty(Machine):
             settled = False
@@ -131,6 +137,22 @@ class TestExhaustive:
         script = [("move", lm.move) for lm in cex.run if lm.player is B]
         replay = simulate(Strategy(Wrong()), ScriptEnv(script + ["stop"]),
                           game())
+        assert replay == cex
+
+    def test_search_runs_an_unsettled_machine_on_as_simulate_does(self):
+        # a machine that never settles keeps running while the environment
+        # is silent, in search as in simulate, until the step budget ends
+        class Restless(Machine):
+            settled = False
+        itp = Interpretation({"P/0": lambda _: FiniteGame(T)})
+        g = GameRef(fm.parse_formula("~(P -> P) /\\ (P -> P)"), itp)
+        res = wins_against_all(Strategy(Restless()), g, depth=2, budget=300)
+        cex = res.counterexample
+        assert not res.won_all and cex.verdict is B
+        assert cex.halted_reason is HaltReason.BUDGET and cex.steps == 300
+        script = [("move", lm.move) for lm in cex.run if lm.player is B]
+        replay = simulate(Strategy(Restless()), ScriptEnv(script + ["stop"]),
+                          g, budget=300)
         assert replay == cex
 
     def test_silence_wins_when_the_environment_must_move(self):

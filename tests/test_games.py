@@ -52,6 +52,46 @@ class TestClassifyMove:
         assert classify_move(g, (), Labmove(B, "♠")) is MoveStatus.ILLEGAL
 
 
+class TestNumerals:
+    """Only ASCII numerals [1-9][0-9]* choose; other Unicode digits are
+    ordinary illegal moves, in the engine and in the oracle alike."""
+
+    CASES = [("top & bot", "²"), ("A1 & A2", "١"), ("A1 /\\ A2", "١.x"),
+             ("A1 & A2", "01"), ("A1 /\\ A2", "²."), ("A1 & A2", " 1")]
+
+    def test_non_ascii_digits_are_illegal(self):
+        for text, mv in self.CASES:
+            g = ref(text)
+            lm = Labmove(B, mv)
+            assert classify_move(g, (), lm) is MoveStatus.ILLEGAL, (text, mv)
+            assert winner(g, (lm,)) is T
+            assert oracle.oracle_run(g.formula, g.interp, g.valuation,
+                                     (lm,)) == (False, T)
+
+    def test_ascii_numerals_still_choose(self):
+        g = ref("A1 /\\ A2")
+        assert classify_move(g, (), Labmove(B, "1.a")) is MoveStatus.LEGAL
+        assert classify_move(ref("A1 & A2"), (), Labmove(B, "2")) \
+            is MoveStatus.LEGAL
+
+
+class TestCandidateMoves:
+    def test_illegal_position_raises_with_no_raw_candidates(self):
+        # top has no candidate moves at all, legal or not
+        with pytest.raises(IllegalPositionError):
+            candidate_moves(ref("top"), labmoves(("T", "x")), B)
+
+    def test_illegal_position_raises_with_raw_candidates(self):
+        with pytest.raises(IllegalPositionError):
+            candidate_moves(ref("A1 & A2"), labmoves(("T", "1")), B)
+
+    def test_legal_moves_are_sorted(self):
+        g = ref("!A1")
+        assert candidate_moves(g, (), B) == [".a", ":"]
+        assert candidate_moves(g, labmoves(("B", ":")), B) == \
+            [".a", "0.a", "0:", "1.a", "1:"]
+
+
 class TestWinner:
     def test_unresolved_machine_choice_loses(self):
         assert winner(ref("A1 + A2"), ()) is B
@@ -259,6 +299,10 @@ def test_recurrence_winner_uses_all_complete_branches():
     assert winner(g, run) is B
     run2 = labmoves(("B", ":"), ("B", "0.a"), ("T", "0.b"))
     assert winner(g, run2) is T
+    # four leaves; only the one grown last is lost
+    run4 = labmoves(("B", ":"), ("B", "0:"), ("B", "1:"), ("B", "11.a"))
+    assert winner(g, run4) is B
+    assert winner(g, run4 + labmoves(("T", "11.b"))) is T
     ok, tree = prelegal_and_tree(run2)
     assert ok
     for leaf in tree_leaves(tree):
