@@ -236,9 +236,6 @@ class CL2Proof:
     def conclusion(self) -> Formula:
         return self.steps[-1].formula
 
-    def __deepcopy__(self, memo):
-        return self                              # immutable; share across copies
-
 
 class SearchBudgetExceeded(RuntimeError):
     pass
@@ -524,20 +521,10 @@ class ProofMachine(Machine):
         return []
 
 
-_PROOF_CACHE: dict[str, CL2Proof] = {}
-
-
 def solution_machine(f: Formula) -> ProofMachine:
-    """Prove f (cached) and extract a fresh machine playing it."""
-    key = fm.render(f)
-    if key not in _PROOF_CACHE:
-        proof = prove(f)
-        if proof is None:
-            raise ValueError(f"not provable: {key}")
-        _PROOF_CACHE[key] = proof
-    return ProofMachine(_PROOF_CACHE[key])
-
-
-def extract_strategy(proof: CL2Proof):
-    from .epm import Strategy
-    return Strategy(ProofMachine(proof))
+    """Prove f and extract a machine playing it.  Callers that play it more
+    than once fork it (see `strategies`)."""
+    proof = prove(f)
+    if proof is None:
+        raise ValueError(f"not provable: {fm.render(f)}")
+    return ProofMachine(proof)

@@ -15,6 +15,11 @@ after the run, so checking a move is one `step` of it and the verdict is
 its `outcome()`.  A machine that raises ends the play as
 a machine loss, an environment that raises as a machine win; either way
 the diagnostic carries a short traceback.
+
+A winning strategy depends only on the formula, never on the play, so
+`strategies` builds each strategy once per process and hands every play a
+`Machine.fork()` of that prototype; the search forks the strategy at every
+branch the same way (`Strategy.clone`).
 """
 
 from __future__ import annotations
@@ -75,6 +80,33 @@ class Machine:
     def on_env(self, move: str) -> list[str]:
         return []
 
+    def fork(self) -> "Machine":
+        """An independent copy of this machine in its current state.
+
+        Every `list`, `dict` and `set` attribute is copied one level deep,
+        and every `Machine` held in an attribute or in such a container is
+        forked; all other attributes are shared, so they must be immutable
+        (strings, numbers, tuples, frozensets, formulas, proofs, contexts).
+        """
+        other = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, Machine):
+                value = value.fork()
+            elif isinstance(value, list):
+                value = [_fork(v) for v in value]
+            elif isinstance(value, dict):
+                value = {k: _fork(v) for k, v in value.items()}
+            elif isinstance(value, set):
+                value = {_fork(v) for v in value}
+            else:
+                continue
+            vars(other)[name] = value
+        return other
+
+
+def _fork(value):
+    return value.fork() if isinstance(value, Machine) else value
+
 
 class Strategy:
     """Adapter running a Machine against the growing observed run."""
@@ -108,7 +140,10 @@ class Strategy:
         return self.started and not self.queue and self.machine.settled
 
     def clone(self) -> "Strategy":
-        return copy.deepcopy(self)
+        other = copy.copy(self)
+        other.machine = self.machine.fork()
+        other.queue = deque(self.queue)
+        return other
 
 
 # ---------------------------------------------------------------------------

@@ -592,18 +592,6 @@ def _check_arities(f: Formula, seen: dict):
         _check_arities(c, seen)
 
 
-def _identity_deepcopy(self, memo):
-    return self
-
-
-# Formulas and terms are immutable; share them across deepcopies (strategy
-# clones copy their state graphs, which often embed formulas).
-for _cls in (Var, Const, Atom, Elem, Top, Bot, Dollar, Neg, ParConj, ParDisj,
-             Implies, ChoiceConj, ChoiceDisj, ChoiceAll, ChoiceExists, Bang,
-             Sequent):
-    _cls.__deepcopy__ = _identity_deepcopy
-
-
 def parse_sequent(text: str) -> Sequent:
     if "=>" not in text:
         raise ParseError("a sequent needs '=>'", 0)

@@ -29,6 +29,7 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Optional
 
 from . import formula as fm
@@ -190,35 +191,51 @@ def _numeral(s: str) -> Optional[int]:
     return None
 
 
+def _largest(lo: int, ok: Callable[[int], bool]) -> int:
+    """The largest n >= lo with ok(n), for ok true at lo and monotone:
+    true up to some n, false from there on."""
+    hi = lo + 1
+    while ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# Positive-integer tuples of length a are ordered by (sum, lex).  There are
+# comb(s, a) of them with sum <= s, and among those with sum s, comb(s - 1,
+# a - 1) - comb(s - f, a - 1) have a first part below f.
+
 def _cantor_tuple(arity: int, rank: int) -> tuple[int, ...]:
     """rank-th (0-based) tuple of positive integers, ordered by (sum, lex)."""
     if arity == 1:
         return (rank + 1,)
-    total = arity            # smallest possible sum
-    r = rank
-    while True:
-        count = _tuples_with_sum(arity, total)
-        if r < count:
-            return _unrank_sum(arity, total, r)
-        r -= count
-        total += 1
+    total = 1 + _largest(arity - 1, lambda t: comb(t, arity) <= rank)
+    r = rank - comb(total - 1, arity)
+    out = []
+    for a in range(arity, 1, -1):
+        below = comb(total - 1, a - 1)
+        first = _largest(1, lambda f: f <= total - a + 1
+                         and below - comb(total - f, a - 1) <= r)
+        r -= below - comb(total - first, a - 1)
+        out.append(first)
+        total -= first
+    return tuple(out) + (total,)
 
 
-def _tuples_with_sum(arity: int, total: int) -> int:
-    # compositions of `total` into `arity` positive parts
-    from math import comb
-    return comb(total - 1, arity - 1)
-
-
-def _unrank_sum(arity: int, total: int, r: int) -> tuple[int, ...]:
-    if arity == 1:
-        return (total,)
-    for first in range(1, total - arity + 2):
-        count = _tuples_with_sum(arity - 1, total - first)
-        if r < count:
-            return (first,) + _unrank_sum(arity - 1, total - first, r)
-        r -= count
-    raise AssertionError("rank out of range")
+def _cantor_rank(args: tuple[int, ...]) -> int:
+    """Inverse of _cantor_tuple; 0 for the empty tuple."""
+    total = sum(args)
+    rank = comb(total - 1, len(args)) if args else 0
+    for i, first in enumerate(args[:-1]):
+        a = len(args) - i
+        rank += comb(total - 1, a - 1) - comb(total - first, a - 1)
+        total -= first
+    return rank
 
 
 Signature = tuple[tuple[str, int], ...]
@@ -228,38 +245,36 @@ def enumerate_grounded_atoms(signature: Signature, k: int) -> tuple[str, tuple[i
     """k-th (1-based) grounded atom under the fixed diagonal enumeration.
 
     Letters are ordered by (name, arity); round r contributes each letter's
-    r-th argument tuple (0-ary letters only contribute at round 0).
+    r-th argument tuple (0-ary letters only contribute at round 0).  The
+    atom is computed directly, without walking the atoms before it.
     """
     if k < 1:
         raise ValueError("atom index starts at 1")
     letters = sorted(set(signature))
-    seen = 0
-    r = 0
-    while True:
-        produced = False
-        for name, arity in letters:
-            if arity == 0 and r > 0:
-                continue
-            produced = True
-            seen += 1
-            if seen == k:
-                return name, () if arity == 0 else _cantor_tuple(arity, r)
-        r += 1
-        if not produced:
-            # finite signature exhausted: no k-th atom exists
-            raise IndexError(f"no grounded atom at index {k}")
+    if k <= len(letters):
+        name, arity = letters[k - 1]
+        return name, (1,) * arity
+    positive = [lt for lt in letters if lt[1] > 0]
+    if not positive:
+        # finite signature exhausted: no k-th atom exists
+        raise IndexError(f"no grounded atom at index {k}")
+    r, i = divmod(k - len(letters) - 1, len(positive))
+    name, arity = positive[i]
+    return name, _cantor_tuple(arity, r + 1)
 
 
-def grounded_atom_index(signature: Signature, name: str, args: tuple[int, ...],
-                        cap: int = 1_000_000) -> int:
+def grounded_atom_index(signature: Signature, name: str,
+                        args: tuple[int, ...]) -> int:
     """Inverse of enumerate_grounded_atoms (1-based)."""
-    for k in range(1, cap):
-        try:
-            if enumerate_grounded_atoms(signature, k) == (name, args):
-                return k
-        except IndexError:
-            break
-    raise ValueError(f"atom {name}{args} not found within cap")
+    letters = sorted(set(signature))
+    letter = (name, len(args))
+    if letter not in letters or min(args, default=1) < 1:
+        raise ValueError(f"no grounded atom {name}{args}")
+    r = _cantor_rank(args)
+    if r == 0:
+        return 1 + letters.index(letter)
+    positive = [lt for lt in letters if lt[1] > 0]
+    return len(letters) + (r - 1) * len(positive) + positive.index(letter) + 1
 
 
 @dataclass

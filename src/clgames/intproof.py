@@ -37,9 +37,6 @@ class ProofNode:
     y: str = ""           # eigenvariable (RightChoiceAll / LeftChoiceExists)
     pos: int = -1         # swap position (Exchange)
 
-    def __deepcopy__(self, memo):
-        return self
-
     def count_nodes(self) -> int:
         return 1 + sum(c.count_nodes() for c in self.children)
 

@@ -5,15 +5,20 @@ reacts only to environment moves, and never inspects the interpretation.
 Each is documented by the shape of game it wins, in the surface grammar
 (! is the reusable-resource modality, & / + the choice connectives,
 @x / ?x the choice quantifiers).
+
+A strategy depends only on its expression, so each `Expr` is built once
+per process into a prototype machine that is never played; every play,
+and every sub-expression of a larger expression, gets a `Machine.fork()`
+of it.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import formula as fm
+from . import cl2, formula as fm
 from .epm import Machine, PlayContext, Strategy
 from .formula import (Atom, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies)
@@ -376,8 +381,8 @@ class L6bMachine(_DelegatingMachine):
             return [f"1..{m}"] + self._handover(L6aMachine(), ctx)
         if isinstance(k, Implies):              # encoded resource implication
             e, f = k.left.body, k.right
-            b_inst = _cl2("(R -> S) -> (R /\\ P -> S)")
-            d_inst = _cl2("(R /\\ P -> S) -> (R -> (P -> S))")
+            b_inst = _cl2("(R -> S) -> R /\\ P -> S")
+            d_inst = _cl2("(R /\\ P -> S) -> R -> P -> S")
             d = transitivity_machine(b_inst, d_inst)
             return self._handover(mp_machine([L6bMachine(f)], d), ctx)
         if isinstance(k, ChoiceDisj):
@@ -596,7 +601,7 @@ def mp_machine(parts: list[Machine], c: Machine) -> Machine:
 
 
 def transitivity_machine(e1: Machine, e2: Machine) -> Machine:
-    c = _cl2("(P -> Q) /\\ (Q -> S) -> (P -> S)")
+    c = _cl2("(P -> Q) /\\ (Q -> S) -> P -> S")
     return MpMachine([e1, e2], c)
 
 
@@ -629,7 +634,7 @@ class BangClosureMachine(Machine):
                 return []
             original = self.copies.pop(w)
             self.copies[w + "0"] = original
-            self.copies[w + "1"] = copy.deepcopy(original)
+            self.copies[w + "1"] = original.fork()
             return []
         w, alpha = parsed[1], parsed[2]
         out = []
@@ -670,9 +675,9 @@ class AllClosureMachine(Machine):
 
 
 def _cl2(text: str) -> Machine:
-    """Machine extracted from the decision procedure's proof of `text`."""
-    from . import cl2
-    return cl2.solution_machine(fm.parse_formula(text))
+    """Machine extracted from the decision procedure's proof of `text`,
+    which must be a formula's rendering."""
+    return _prototype(Expr("cl2", text)).fork()
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +751,7 @@ def build_machine(strategy_id: str) -> Machine:
 
 
 def build_strategy(strategy_id: str) -> Strategy:
-    return Strategy(build_machine(strategy_id))
+    return reg(strategy_id).strategy()
 
 
 # ---------------------------------------------------------------------------
@@ -775,24 +780,33 @@ class Expr:
         return f"{self.kind}({inner})"
 
     def build(self) -> Machine:
+        """A new machine for this expression, over forks of its
+        sub-expressions' prototypes."""
         if self.kind == "reg":
             return build_machine(self.payload)
         if self.kind == "cl2":
-            return _cl2(self.payload)
+            return cl2.solution_machine(fm.parse_formula(self.payload))
+        kids = [_prototype(e).fork() for e in self.children]
         if self.kind == "mp":
-            *parts, c = [e.build() for e in self.children]
+            *parts, c = kids
             return mp_machine(parts, c)
         if self.kind == "trans":
-            e1, e2 = [e.build() for e in self.children]
-            return transitivity_machine(e1, e2)
+            return transitivity_machine(*kids)
         if self.kind == "bang":
-            return BangClosureMachine(self.children[0].build())
+            return BangClosureMachine(kids[0])
         if self.kind == "allx":
-            return AllClosureMachine(self.children[0].build(), self.payload)
+            return AllClosureMachine(kids[0], self.payload)
         raise ValueError(f"unknown expression kind {self.kind!r}")
 
     def strategy(self) -> Strategy:
-        return Strategy(self.build())
+        return Strategy(_prototype(self).fork())
+
+
+@functools.cache
+def _prototype(expr: Expr) -> Machine:
+    """The one machine built for `expr`; callers play forks of it, never the
+    prototype itself.  A build that raises is not cached."""
+    return expr.build()
 
 
 def reg(strategy_id: str) -> Expr:

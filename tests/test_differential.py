@@ -6,7 +6,9 @@ legal candidate moves with corrupted ones.  On every prefix the engine's
 `position_legal`, `classify_move` and `winner` must agree with
 `oracle.oracle_run`, and every move `candidate_moves` offers must be legal
 according to the oracle.  This extends criterion 6 (every shape of size
-<= 4, runs of four labmoves) to larger formulas and longer runs.
+<= 4, runs of four labmoves) to larger formulas and longer runs.  Random
+runs rarely grow wide recurrence trees, so a second case starts every run
+with three replications inside one `!`.
 """
 
 import pytest
@@ -58,15 +60,19 @@ def _oracle(game, run):
                              tuple(run))
 
 
-@settings(max_examples=1000, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(game=cases(), data=st.data())
-def test_stepping_evaluator_agrees_with_the_whole_run_oracle(game, data):
-    run: list = []
-    for _ in range(data.draw(st.integers(0, 8))):
-        legal, won = _oracle(game, run)
-        assert position_legal(game, tuple(run)) is legal
-        assert winner(game, tuple(run)) is won
+def _agree(game, run) -> bool:
+    """The engine's legality and winner of `run` equal the oracle's; returns
+    its legality."""
+    legal, won = _oracle(game, run)
+    assert position_legal(game, tuple(run)) is legal
+    assert winner(game, tuple(run)) is won
+    return legal
+
+
+def _extend(game, data, run: list, n: int) -> None:
+    """Append n drawn labmoves to `run`, checking every prefix."""
+    for _ in range(n):
+        legal = _agree(game, run)
         player = data.draw(st.sampled_from((T, B)))
         if legal:
             options = {p: candidate_moves(game, tuple(run), p) for p in (T, B)}
@@ -92,6 +98,56 @@ def test_stepping_evaluator_agrees_with_the_whole_run_oracle(game, data):
             status = classify_move(game, tuple(run), lm)
             assert (status is MoveStatus.LEGAL) is _oracle(game, run + [lm])[0]
         run.append(lm)
-    legal, won = _oracle(game, run)
-    assert position_legal(game, tuple(run)) is legal
-    assert winner(game, tuple(run)) is won
+    _agree(game, run)
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(game=cases(), data=st.data())
+def test_stepping_evaluator_agrees_with_the_whole_run_oracle(game, data):
+    _extend(game, data, [], data.draw(st.integers(0, 8)))
+
+
+# Where a recurrence sits: its wrapper, the prefix of its moves and the
+# player who replicates it (the environment in !F, the machine in ~!F and
+# in an antecedent).
+WRAPPERS = [(lambda b: b, "", B),
+            (Neg, "", T),
+            (lambda b: ParConj((Atom("P"), b)), "2.", B),
+            (lambda b: Implies(b, Atom("Q")), "1.", T)]
+
+
+@st.composite
+def recurrences(draw):
+    wrap, prefix, player = draw(st.sampled_from(WRAPPERS))
+    f = wrap(Bang(_formula(draw, 5)))
+    seed = draw(st.integers(0, 2 ** 16))
+    itp = random_interpretation(seed, verify._signature_for(f), 2)
+    return GameRef(f, itp, Valuation()), prefix, player
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=recurrences(), data=st.data())
+def test_wide_recurrence_trees_agree_with_the_whole_run_oracle(case, data):
+    """Three replications inside one `!` first, so that its outcome ranges
+    over four or more leaves, then legal moves at single leaves, so that
+    the leaves' outcomes differ, then drawn moves as above."""
+    game, prefix, player = case
+    run: list = []
+    leaves = [""]
+    for _ in range(3):
+        assert _agree(game, run)
+        w = data.draw(st.sampled_from(leaves))
+        leaves.remove(w)
+        leaves += [w + "0", w + "1"]
+        run.append(Labmove(player, f"{prefix}{w}:"))
+    for _ in range(data.draw(st.integers(1, 4))):
+        assert _agree(game, run)
+        u = data.draw(st.sampled_from(leaves))
+        mover = data.draw(st.sampled_from((T, B)))
+        pool = [m for m in candidate_moves(game, tuple(run), mover)
+                if m.startswith(f"{prefix}{u}.")]
+        if pool:
+            run.append(Labmove(mover, data.draw(st.sampled_from(pool))))
+    _extend(game, data, run, data.draw(st.integers(0, 6)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -225,6 +226,59 @@ class TestEnumeration:
     def test_index_starts_at_one(self):
         with pytest.raises(ValueError):
             enumerate_grounded_atoms((("P", 0),), 0)
+
+    @pytest.mark.parametrize("sig", [
+        (("S", 2), ("P", 0), ("R", 1), ("Q", 0)),
+        (("P", 0), ("Q", 0), ("R", 0)),
+        (("S", 3),),
+    ])
+    def test_closed_form_matches_the_round_robin(self, sig):
+        atoms = list(itertools.islice(_round_robin(sig), 2000))
+        for k in range(1, 2001):
+            if k > len(atoms):
+                with pytest.raises(IndexError):
+                    enumerate_grounded_atoms(sig, k)
+                continue
+            assert enumerate_grounded_atoms(sig, k) == atoms[k - 1]
+            assert grounded_atom_index(sig, *atoms[k - 1]) == k
+
+    def test_far_atoms_rank_and_unrank_directly(self):
+        sig = (("P", 0), ("R", 1), ("S", 2))
+        assert grounded_atom_index(sig, "S", (40, 40)) == 6243
+        assert enumerate_grounded_atoms(sig, 6243) == ("S", (40, 40))
+        k = 10 ** 30
+        assert grounded_atom_index(sig, *enumerate_grounded_atoms(sig, k)) == k
+
+    @pytest.mark.parametrize("name, args", [
+        ("T", (1,)), ("R", (0,)), ("R", (1, 1)), ("S", (2, -1)), ("P", (1,))])
+    def test_atoms_outside_the_signature_have_no_index(self, name, args):
+        with pytest.raises(ValueError):
+            grounded_atom_index((("P", 0), ("R", 1), ("S", 2)), name, args)
+
+    def test_a_far_dollar_conjunct_is_a_legal_choice(self):
+        itp = random_interpretation(1, (("P", 0), ("R", 1)), 2)
+        g = GameRef(fm.parse_formula("$"), itp)
+        lm = Labmove(B, "1000000000")
+        assert classify_move(g, (), lm) is MoveStatus.LEGAL
+
+
+def _round_robin(sig):
+    """The enumeration restated naively: round 0 lists every letter with
+    its first tuple, each later round each positive-arity letter's next
+    tuple, tuples in (sum, lex) order."""
+    def tuples(arity):
+        for total in itertools.count(arity):
+            yield from (t for t in itertools.product(range(1, total + 1),
+                                                     repeat=arity)
+                        if sum(t) == total)
+
+    letters = sorted(set(sig))
+    streams = {lt: tuples(lt[1]) for lt in letters if lt[1] > 0}
+    for lt in letters:
+        yield lt[0], next(streams[lt]) if lt in streams else ()
+    while streams:
+        for lt, stream in streams.items():
+            yield lt[0], next(stream)
 
 
 class TestInterpretationFiles:
