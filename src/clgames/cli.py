@@ -10,9 +10,8 @@ import sys
 from . import cl2, formula as fm, intproof, verify as verify_mod
 from .epm import (RandomEnv, ScriptEnv, SilentEnv, Strategy, simulate,
                   wins_against_all)
-from .games import (B, GameRef, Labmove, MoveStatus, Valuation,
-                    candidate_moves, classify_move, load_interpretation,
-                    random_interpretation)
+from .games import (B, GameRef, Labmove, Valuation, advance,
+                    load_interpretation, random_interpretation, successors)
 from .strategies import build_strategy
 from .verify import _signature_for
 
@@ -53,11 +52,8 @@ def _load_game(args) -> GameRef:
 class HumanEnv:
     """Interactive environment: prompts with legal-move hints per grant."""
 
-    def __init__(self, ccap: int = 3):
-        self.ccap = ccap
-
-    def on_permission(self, game, run):
-        hints = candidate_moves(game, run, B, self.ccap)
+    def on_permission(self, state, run):
+        hints = [m for m, _ in successors(state, B)]
         print(f"position: {list(run)}")
         print(f"legal moves include: {hints}  (or 'pass' / 'quit')")
         while True:
@@ -69,8 +65,7 @@ class HumanEnv:
                 return None
             if line == "quit":
                 raise SystemExit(0)
-            status = classify_move(game, run, Labmove(B, line))
-            if status is MoveStatus.LEGAL:
+            if advance(state, Labmove(B, line)) is not None:
                 return line
             print(f"illegal move {line!r}: not a legal continuation here")
 

@@ -3,18 +3,22 @@
 A strategy is a deterministic transducer over the observed run.  It sees
 only the run, the valuation and the letter signature -- never the
 interpretation -- which is exactly what makes a winning strategy uniform.
-The environment may make (at most) one move per permission grant; the
-simulator checks environment moves for legality itself, so an illegal
+Each machine step is a move or a grant: `Strategy.next(run)` returns the
+next move, or None to grant permission.  At a grant the environment
+answers `on_permission(state, run)` with at most one move (None stays
+silent), where `state` is the game state after `run`; it sees the same
+run the machine sees, and draws its legal moves from `successors(state, B)`.
+The simulator checks environment moves for legality itself, so an illegal
 environment move ends the play with an immediate machine win.
 
 One play stepper runs this protocol for both random play (`simulate`) and
 exhaustive search (`wins_against_all`): the machine acts until it grants
 permission, the environment answers with at most one checked move, and a
-step budget bounds the whole play.  The stepper carries the game state
-after the run, so checking a move is one `step` of it and the verdict is
-its `outcome()`.  A machine that raises ends the play as
-a machine loss, an environment that raises as a machine win; either way
-the diagnostic carries a short traceback.
+step budget bounds the whole play.  The stepper owns the game state after
+the run, so checking a move is one `step` of it, the environment is handed
+it at every grant, and the verdict is its `outcome()`.  A machine that
+raises ends the play as a machine loss, an environment that raises as a
+machine win; either way the diagnostic carries a short traceback.
 
 A winning strategy depends only on the formula, never on the play, so
 `strategies` builds each strategy once per process and hands every play a
@@ -26,14 +30,14 @@ from __future__ import annotations
 
 import copy
 import enum
+import random
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .games import (B, GameRef, Labmove, Player, Run, Signature, State, T,
-                    Valuation, advance, candidate_moves, game_state,
-                    successors)
+                    Valuation, advance, game_state, successors)
 
 
 @dataclass(frozen=True)
@@ -41,26 +45,6 @@ class PlayContext:
     """Public play data: the valuation oracle and the letter signature."""
     valuation: Valuation
     signature: Signature = ()
-
-
-class ActionKind(str, enum.Enum):
-    MOVE = "move"
-    GRANT = "grant"
-    IDLE = "idle"
-
-
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    payload: str = ""
-
-
-GRANT = Action(ActionKind.GRANT)
-IDLE = Action(ActionKind.IDLE)
-
-
-def move_action(payload: str) -> Action:
-    return Action(ActionKind.MOVE, payload)
 
 
 class Machine:
@@ -121,7 +105,8 @@ class Strategy:
     def init(self, ctx: PlayContext) -> None:
         self.ctx = ctx
 
-    def next(self, run: Run) -> Action:
+    def next(self, run: Sequence[Labmove]) -> Optional[str]:
+        """The machine's next move, or None to grant permission."""
         if not self.started:
             self.started = True
             self.queue.extend(self.machine.start(self.ctx))
@@ -131,9 +116,7 @@ class Strategy:
             if lm.player is T:
                 continue                      # own move echoed back
             self.queue.extend(self.machine.on_env(lm.move))
-        if self.queue:
-            return move_action(self.queue.popleft())
-        return GRANT
+        return self.queue.popleft() if self.queue else None
 
     @property
     def settled(self) -> bool:
@@ -150,7 +133,8 @@ class Strategy:
 # Environments
 
 class Environment:
-    def on_permission(self, game: GameRef, run: Run) -> Optional[str]:
+    def on_permission(self, state: State, run: Run) -> Optional[str]:
+        """A move answering the grant, or None; `state` is after `run`."""
         return None
 
 
@@ -166,7 +150,7 @@ class ScriptEnv(Environment):
         self.directives = list(directives)
         self.k = 0
 
-    def on_permission(self, game, run):
+    def on_permission(self, state, run):
         if self.k >= len(self.directives):
             return None
         d = self.directives[self.k]
@@ -196,26 +180,22 @@ class ScriptEnv(Environment):
 
 
 class RandomEnv(Environment):
-    """Seeded adversary: on each grant, maybe plays a random legal move."""
+    """Seeded adversary: on each grant, with probability 0.8 and at most
+    `max_moves` times a play, plays a random legal move."""
 
-    def __init__(self, seed: int, max_moves: int = 6, move_prob: float = 0.8,
-                 ccap: int = 3, structural_only: bool = False):
-        import random
+    def __init__(self, seed: int, max_moves: int = 6):
         self.rng = random.Random(seed)
         self.max_moves = max_moves
-        self.move_prob = move_prob
-        self.ccap = ccap
-        self.structural_only = structural_only
         self.made = 0
 
-    def on_permission(self, game, run):
-        if self.made >= self.max_moves or self.rng.random() > self.move_prob:
+    def on_permission(self, state, run):
+        if self.made >= self.max_moves or self.rng.random() > 0.8:
             return None
-        legal = candidate_moves(game, run, B, self.ccap, self.structural_only)
+        legal = successors(state, B)
         if not legal:
             return None
         self.made += 1
-        return self.rng.choice(legal)
+        return self.rng.choice(legal)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +244,7 @@ class _Play:
     permission protocol."""
 
     def __init__(self, strategy: Strategy, game: GameRef, budget: int):
+        strategy.init(PlayContext(game.valuation, game.interp.signature))
         self.strategy = strategy
         self.budget = budget
         self.run: list[Labmove] = []
@@ -283,27 +264,24 @@ class _Play:
         the play ends: an illegal move, a fault or the step budget (False)."""
         while self.steps < self.budget:
             try:
-                action = self.strategy.next(tuple(self.run))
+                mv = self.strategy.next(self.run)
             except Exception as exc:
                 self.halt(HaltReason.MACHINE_FAULT, _fault("machine", exc))
                 return False
             self.steps += 1
-            if action.kind is ActionKind.MOVE:
-                lm = Labmove(T, action.payload)
-                nxt = advance(self.state, lm)
-                self.run.append(lm)
-                self.events.append(("move", "T", action.payload))
-                if nxt is None:
-                    self.halt(HaltReason.MACHINE_ILLEGAL,
-                              f"machine made illegal move {action.payload!r}")
-                    return False
-                self.state = nxt
-            elif action.kind is ActionKind.GRANT:
+            if mv is None:
                 self.grants += 1
                 self.events.append(("grant",))
                 return True
-            else:
-                self.events.append(("idle",))
+            lm = Labmove(T, mv)
+            nxt = advance(self.state, lm)
+            self.run.append(lm)
+            self.events.append(("move", "T", mv))
+            if nxt is None:
+                self.halt(HaltReason.MACHINE_ILLEGAL,
+                          f"machine made illegal move {mv!r}")
+                return False
+            self.state = nxt
         self.halt(HaltReason.BUDGET)
         return False
 
@@ -365,13 +343,13 @@ def simulate(strategy: Strategy, env: Environment, game: GameRef,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    strategy.init(PlayContext(game.valuation, game.interp.signature))
     play = _Play(strategy, game, budget)
     while play.machine_turn():
+        run = tuple(play.run)
         if on_grant:
-            on_grant(tuple(play.run))
+            on_grant(run)
         try:
-            mv = env.on_permission(game, tuple(play.run))
+            mv = env.on_permission(play.state, run)
         except Exception as exc:
             play.halt(HaltReason.ENV_FAULT, _fault("environment", exc))
             break
@@ -410,7 +388,7 @@ class BudgetExceeded(RuntimeError):
 
 
 def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
-                     ccap: int = 3, budget: int = 2000,
+                     budget: int = 2000,
                      max_leaves: int = 100_000) -> SearchResult:
     """Exhaustively explore environment behaviors with <= depth env moves.
 
@@ -439,13 +417,11 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
             return play.until_settled()
         if decisions >= depth:
             return None
-        for mv, nxt in successors(play.state, B, ccap):
+        for mv, nxt in successors(play.state, B):
             cex = explore(play.fork(mv, nxt), decisions + 1)
             if cex is not None:
                 return cex
         return None
 
-    root = strategy.clone()
-    root.init(PlayContext(game.valuation, game.interp.signature))
-    cex = explore(_Play(root, game, budget), 0)
+    cex = explore(_Play(strategy.clone(), game, budget), 0)
     return SearchResult(cex is None, leaves, cex)

@@ -179,6 +179,12 @@ def par_conj(parts) -> Formula:
     return ParConj(parts)
 
 
+def conj_impl(ctx, succ: Formula) -> Formula:
+    """The flat implication from the conjunction of `ctx` to `succ`; just
+    `succ` when the context is empty."""
+    return Implies(par_conj(ctx), succ) if ctx else succ
+
+
 # ---------------------------------------------------------------------------
 # Syntactic utilities
 

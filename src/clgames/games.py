@@ -632,6 +632,29 @@ def candidate_moves(g: GameRef, run: Run, player: Player, ccap: int = 3,
 # ---------------------------------------------------------------------------
 # Interpretation files
 
+def _checked_node(node) -> dict:
+    """`node`, if it is a game node: a winner T or B with moves keyed
+    "T:move" or "B:move", or a guard table of cases and a default;
+    ValueError otherwise."""
+    if isinstance(node, dict) and "cases" in node:
+        cases = node["cases"]
+        if not (isinstance(cases, list) and all(
+                isinstance(c, dict) and isinstance(c.get("when", {}), dict)
+                for c in cases)):
+            raise ValueError(f"malformed guard table {node!r:.60}")
+        subs = [{k: v for k, v in c.items() if k != "when"} for c in cases]
+        subs += [node["default"]] if "default" in node else []
+    else:
+        moves = node.get("moves", {}) if isinstance(node, dict) else None
+        if not (isinstance(moves, dict) and node.get("winner") in ("T", "B")
+                and all(k.partition(":")[0] in ("T", "B") for k in moves)):
+            raise ValueError(f"malformed game node {node!r:.60}")
+        subs = moves.values()
+    for sub in subs:
+        _checked_node(sub)
+    return node
+
+
 def _node_to_game(node: dict, env: dict[str, int]) -> FiniteGame:
     if "cases" in node:
         for case in node["cases"]:
@@ -658,11 +681,22 @@ def _game_to_node(game: FiniteGame) -> dict:
 
 
 def load_interpretation(text_or_obj) -> Interpretation:
+    """An interpretation from its JSON form; ValueError when it has the wrong
+    shape.  Letter games are built on first use, from checked nodes."""
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+    if not (isinstance(obj, dict)
+            and isinstance(obj.get("letters", {}), dict)):
+        raise ValueError("an interpretation is an object of 'letters'")
     letters = {}
     for key, spec in obj.get("letters", {}).items():
-        params = spec.get("params", [])
-        node = spec["game"]
+        name, _, arity = key.partition("/")
+        params = spec.get("params", []) if isinstance(spec, dict) else None
+        if not (name and arity.isascii() and arity.isdigit()
+                and isinstance(params, list) and "game" in spec
+                and all(isinstance(p, str) for p in params)):
+            raise ValueError(f"letter {key!r} needs a NAME/ARITY key, a"
+                             f" 'game' and a list of parameter names")
+        node = _checked_node(spec["game"])
 
         def make(node=node, params=tuple(params)):
             def fn(args: tuple[int, ...]) -> FiniteGame:
@@ -672,7 +706,7 @@ def load_interpretation(text_or_obj) -> Interpretation:
 
         letters[key] = make()
     base = obj.get("dollar_base")
-    dollar = _node_to_game(base, {}) if base else FiniteGame(T)
+    dollar = _node_to_game(_checked_node(base), {}) if base else FiniteGame(T)
     return Interpretation(letters, dollar)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import formula as fm
 from .formula import (Atom, Bang, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, ParConj,
-                      Sequent, Var, par_conj)
+                      Sequent, Var, conj_impl, par_conj)
 from .strategies import Expr, allx, bang, cl2_expr, mp, reg, trans
 
 RULES = ("Identity", "Domination", "Exchange", "Weakening", "Contraction",
@@ -270,11 +270,6 @@ def _atoms(prefix: str, n: int) -> list[Formula]:
     return [Atom(f"{prefix}{j + 1}") for j in range(n)]
 
 
-def _fi(ctx: list[Formula], succ: Formula) -> Formula:
-    """Flat implication with the empty-context degenerate case."""
-    return Implies(par_conj(ctx), succ) if ctx else succ
-
-
 def _lift_inst(m: int) -> Formula:
     """(R -> S) -> (X1 /\\ .. /\\ Xm /\\ R -> X1 /\\ .. /\\ Xm /\\ S)."""
     xs = _atoms("X", m)
@@ -319,14 +314,14 @@ def _compile(node: ProofNode) -> Expr:
         swapped = list(xs)
         swapped[node.pos], swapped[node.pos + 1] = \
             swapped[node.pos + 1], swapped[node.pos]
-        inst = Implies(_fi(xs, z), _fi(swapped, z))
+        inst = Implies(conj_impl(xs, z), conj_impl(swapped, z))
         return mp([ihs[0]], cl2_expr(inst))
 
     if rule == "Weakening":
         n = len(node.children[0].sequent.context)
         xs = _atoms("X", n)
         z = Atom("Z0")
-        inst = Implies(_fi(xs, z), _fi(xs + [Atom("P0")], z))
+        inst = Implies(conj_impl(xs, z), conj_impl(xs + [Atom("P0")], z))
         return mp([ihs[0]], cl2_expr(inst))
 
     if rule == "Contraction":
@@ -343,7 +338,7 @@ def _compile(node: ProofNode) -> Expr:
             return ihs[0]
         xs = _atoms("X", g)
         p0, z = Atom("P0"), Atom("Z0")
-        inst = Implies(_fi(xs + [p0], z), _fi(xs, Implies(p0, z)))
+        inst = Implies(conj_impl(xs + [p0], z), conj_impl(xs, Implies(p0, z)))
         return mp([ihs[0]], cl2_expr(inst))
 
     if rule == "LeftImpl":
@@ -369,23 +364,24 @@ def _compile(node: ProofNode) -> Expr:
         # (P -> (Q -> T)) /\ (W-> Q) -> (P -> (W -> T))
         ws = _atoms("W", h)
         pa, qa, ta = Atom("P0"), Atom("Q0"), Atom("T0")
-        inst_e = Implies(par_conj([Implies(pa, Implies(qa, ta)), _fi(ws, qa)]),
-                         Implies(pa, _fi(ws, ta)))
+        inst_e = Implies(par_conj([Implies(pa, Implies(qa, ta)),
+                                   conj_impl(ws, qa)]),
+                         Implies(pa, conj_impl(ws, ta)))
         e6 = mp([reg("l4"), e5], cl2_expr(inst_e))
         # (P -> (W -> Q)) /\ (X /\ Q -> T) -> (X /\ W /\ P -> T)
         xs = _atoms("X", gm)
         qf, za = Atom("Q0"), Atom("Z0")
-        inst_f = Implies(par_conj([Implies(pa, _fi(ws, qf)),
-                                   _fi(xs + [qf], za)]),
-                         _fi(xs + ws + [pa], za))
+        inst_f = Implies(par_conj([Implies(pa, conj_impl(ws, qf)),
+                                   conj_impl(xs + [qf], za)]),
+                         conj_impl(xs + ws + [pa], za))
         return mp([e6, ihs[0]], cl2_expr(inst_f))
 
     if rule == "RightChoiceConj":
         n = len(node.children)
         xs = _atoms("X", len(s.context))
         ss = _atoms("S", n)
-        inst = Implies(par_conj([_fi(xs, si) for si in ss]),
-                       _fi(xs, ChoiceConj(tuple(ss))))
+        inst = Implies(par_conj([conj_impl(xs, si) for si in ss]),
+                       conj_impl(xs, ChoiceConj(tuple(ss))))
         return mp(ihs, cl2_expr(inst))
 
     if rule == "LeftChoiceConj":
@@ -397,7 +393,8 @@ def _compile(node: ProofNode) -> Expr:
         n = len(s.succedent.parts)
         xs = _atoms("X", len(s.context))
         ss = _atoms("S", n)
-        inst = Implies(_fi(xs, ss[node.i - 1]), _fi(xs, ChoiceDisj(tuple(ss))))
+        inst = Implies(conj_impl(xs, ss[node.i - 1]),
+                       conj_impl(xs, ChoiceDisj(tuple(ss))))
         return mp([ihs[0]], cl2_expr(inst))
 
     if rule == "LeftChoiceDisj":
@@ -405,8 +402,8 @@ def _compile(node: ProofNode) -> Expr:
         xs = _atoms("X", m)
         ss = _atoms("S", n)
         za = Atom("Z0")
-        inst = Implies(par_conj([_fi(xs + [sj], za) for sj in ss]),
-                       _fi(xs + [ChoiceDisj(tuple(ss))], za))
+        inst = Implies(par_conj([conj_impl(xs + [sj], za) for sj in ss]),
+                       conj_impl(xs + [ChoiceDisj(tuple(ss))], za))
         e10 = mp(ihs, cl2_expr(inst))
         half = _lift_ctx(reg(f"l11c[n={n}]"), m)
         return trans(half, e10)
@@ -469,12 +466,24 @@ def proof_to_json(node: ProofNode) -> dict:
 
 
 def proof_from_json(obj) -> ProofNode:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    """A proof tree from its JSON form, as text or parsed; ValueError when a
+    node has the wrong shape."""
+    return _node_from_json(json.loads(obj) if isinstance(obj, str) else obj)
+
+
+def _node_from_json(obj) -> ProofNode:
+    if not (isinstance(obj, dict) and isinstance(obj.get("sequent"), str)
+            and isinstance(obj.get("rule"), str)
+            and isinstance(obj.get("premises", []), list)
+            and isinstance(obj.get("i", 0), int)
+            and isinstance(obj.get("pos", -1), int)
+            and isinstance(obj.get("y", ""), str)):
+        raise ValueError(f"malformed proof node {obj!r:.60}: sequent, rule"
+                         f" and y are strings, premises a list, i and pos ints")
     return ProofNode(
         sequent=fm.parse_sequent(obj["sequent"]),
         rule=obj["rule"],
-        children=tuple(proof_from_json(c) for c in obj.get("premises", [])),
+        children=tuple(_node_from_json(c) for c in obj.get("premises", [])),
         i=obj.get("i", 0),
         t=str(obj.get("t", "")),
         y=obj.get("y", ""),

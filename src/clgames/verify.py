@@ -8,6 +8,7 @@ the command line and pytest agree on what "passing" means.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -16,11 +17,12 @@ from .epm import (RandomEnv, ScriptEnv, Strategy, simulate,
                   wins_against_all)
 from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
-                      ParDisj, Top, par_conj)
+                      ParDisj, Top, conj_impl, par_conj)
 from .games import (B, FiniteGame, GameRef, Labmove, Run, T, Valuation,
-                    bits_leq, candidate_moves, classify_move, negate_run,
-                    position_legal, prelegal_and_tree, project,
-                    random_interpretation, subrun_upto, tree_leaves, winner)
+                    bits_leq, candidate_moves, classify_move, game_state,
+                    negate_run, position_legal, prelegal_and_tree, project,
+                    random_interpretation, subrun_upto, successors,
+                    tree_leaves, winner)
 from .strategies import (Expr, blue_content, build_strategy,
                          colored_tree_leaves, content, is_colored_tree,
                          yellow_content)
@@ -69,10 +71,6 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 # Propositional schema instances
 
-def _conj_impl(ctx: list[Formula], succ: Formula) -> Formula:
-    return Implies(par_conj(ctx), succ) if ctx else succ
-
-
 def _schema_names():
     return "abcdefghij"
 
@@ -88,39 +86,39 @@ def schema_instance(name: str, n: int = 2, i: int = 1, r: int = 1,
     p, q, t = Atom("P"), Atom("Q"), Atom("T")
     sn = [Atom(f"S{j + 1}") for j in range(n)]
     if name == "a":
-        return Implies(_conj_impl(rs + [p, q] + ss, t),
-                       _conj_impl(rs + [q, p] + ss, t))
+        return Implies(conj_impl(rs + [p, q] + ss, t),
+                       conj_impl(rs + [q, p] + ss, t))
     if name == "b":
-        return Implies(_conj_impl(rs, t), _conj_impl(rs + [p], t))
+        return Implies(conj_impl(rs, t), conj_impl(rs + [p], t))
     if name == "c":
         pairs = [Implies(rs[j], ss[j]) for j in range(min(r, s))]
         left = ws + rs[:len(pairs)] + us
         right = ws + ss[:len(pairs)] + us
         if not right:
             return None
-        inner = _conj_impl(left, par_conj(right))
-        return _conj_impl(pairs, inner)
+        inner = conj_impl(left, par_conj(right))
+        return conj_impl(pairs, inner)
     if name == "d":
-        return Implies(_conj_impl(rs + [p], q), _conj_impl(rs, Implies(p, q)))
+        return Implies(conj_impl(rs + [p], q), conj_impl(rs, Implies(p, q)))
     if name == "e":
-        return Implies(par_conj([Implies(p, Implies(q, t)), _conj_impl(rs, q)]),
-                       Implies(p, _conj_impl(rs, t)))
+        return Implies(par_conj([Implies(p, Implies(q, t)), conj_impl(rs, q)]),
+                       Implies(p, conj_impl(rs, t)))
     if name == "f":
-        return Implies(par_conj([Implies(p, _conj_impl(rs, q)),
-                                 _conj_impl(ss + [q], t)]),
-                       _conj_impl(ss + rs + [p], t))
+        return Implies(par_conj([Implies(p, conj_impl(rs, q)),
+                                 conj_impl(ss + [q], t)]),
+                       conj_impl(ss + rs + [p], t))
     if name == "g":
         return Implies(par_conj([Implies(p, q), Implies(q, t)]),
                        Implies(p, t))
     if name == "h":
-        return Implies(par_conj([_conj_impl(rs, sk) for sk in sn]),
-                       _conj_impl(rs, ChoiceConj(tuple(sn))))
+        return Implies(par_conj([conj_impl(rs, sk) for sk in sn]),
+                       conj_impl(rs, ChoiceConj(tuple(sn))))
     if name == "i":
-        return Implies(par_conj([_conj_impl(rs + [sk], t) for sk in sn]),
-                       _conj_impl(rs + [ChoiceDisj(tuple(sn))], t))
+        return Implies(par_conj([conj_impl(rs + [sk], t) for sk in sn]),
+                       conj_impl(rs + [ChoiceDisj(tuple(sn))], t))
     if name == "j":
-        return Implies(_conj_impl(rs, sn[i - 1]),
-                       _conj_impl(rs, ChoiceDisj(tuple(sn))))
+        return Implies(conj_impl(rs, sn[i - 1]),
+                       conj_impl(rs, ChoiceDisj(tuple(sn))))
     raise ValueError(f"unknown schema {name!r}")
 
 
@@ -170,11 +168,10 @@ def random_game(f: Formula, seed: int, depth: int = 3,
 
 
 def play_random(strategy_expr_or_id, game: GameRef, seed: int,
-                max_moves: int = 5, budget: int = 3000,
-                on_grant=None):
+                max_moves: int = 5, budget: int = 3000):
     strat = _fresh_strategy(strategy_expr_or_id)
     env = RandomEnv(seed, max_moves=max_moves)
-    return simulate(strat, env, game, budget=budget, on_grant=on_grant)
+    return simulate(strat, env, game, budget=budget)
 
 
 def _fresh_strategy(spec) -> Strategy:
@@ -186,16 +183,11 @@ def _fresh_strategy(spec) -> Strategy:
 
 
 def batch_random_plays(report: Report, label: str, spec, formula: Formula,
-                       interps: int, plays_per: int, depth: int = 3,
-                       valuation: Valuation | None = None,
-                       max_moves: int = 5, on_grant_factory=None):
+                       interps: int, plays_per: int):
     for k in range(interps):
-        game = random_game(formula, seed=1000 + 7 * k, depth=depth,
-                           valuation=valuation)
+        game = random_game(formula, seed=1000 + 7 * k)
         for j in range(plays_per):
-            on_grant = on_grant_factory() if on_grant_factory else None
-            t = play_random(spec, game, seed=31 * k + j, max_moves=max_moves,
-                            on_grant=on_grant)
+            t = play_random(spec, game, seed=31 * k + j)
             report.count("plays")
             if t.verdict is not T:
                 report.fail(f"{label}: lost play (interp {k}, seed {31 * k + j}):"
@@ -205,11 +197,9 @@ def batch_random_plays(report: Report, label: str, spec, formula: Formula,
 
 def exhaustive_check(report: Report, label: str, spec, formula: Formula,
                      depth: int = 2, seeds: tuple[int, ...] = (5, 6, 7),
-                     game_depth: int = 2,
                      valuation: Valuation | None = None):
     for seed in seeds:
-        game = random_game(formula, seed=seed, depth=game_depth,
-                           valuation=valuation)
+        game = random_game(formula, seed=seed, depth=2, valuation=valuation)
         strat = _fresh_strategy(spec)
         result = wins_against_all(strat, game, depth=depth)
         report.count("exhaustive-leaves", result.leaves)
@@ -264,16 +254,15 @@ def verify_schemata(interps: int = 5, plays_per: int = 50,
                     exhaustive_depth: int = 2) -> Report:
     r = Report("cl2-schemata")
     for label, inst in schema_instances():
-        proof = cl2.prove(inst)
-        if proof is None:
-            r.fail(f"{label}: unprovable")
-            continue
-        ok, why = cl2.check_proof(proof)
-        if not ok:
-            r.fail(f"{label}: invalid proof: {why}")
+        expr = Expr("cl2", fm.render(inst))
+        try:
+            # building the prototype proves the instance, and ProofMachine
+            # checks the proof and that its conclusion is general-base
+            expr.strategy()
+        except ValueError as e:
+            r.fail(f"{label}: {e}")
             continue
         r.count("instances")
-        expr = Expr("cl2", fm.render(inst))
         exhaustive_check(r, label, expr, inst, depth=exhaustive_depth)
         batch_random_plays(r, label, expr, inst, interps, plays_per)
         if not r.passed:
@@ -282,7 +271,8 @@ def verify_schemata(interps: int = 5, plays_per: int = 50,
 
 
 # ---------------------------------------------------------------------------
-# Criterion 3 (and 4b): named strategies win their schema games
+# Criterion 3: named strategies win their schema games, and the
+# tree-of-trees machine keeps its invariants at every grant
 
 def named_strategy_games() -> list[tuple[str, str, str]]:
     """(strategy id, game formula, kind) where kind 'l5' marks the
@@ -328,39 +318,31 @@ def _l6b_examples() -> list[str]:
             "!(P & Q) -> Q"]
 
 
+def _l5_checker(r: Report, sid: str, strat: Strategy, game: GameRef):
+    """A grant hook checking the invariants of one tree-of-trees play."""
+    def on_grant(run: Run):
+        r.count("l5-invariant-points")
+        for e in check_l5_invariants(run, strat.machine.tree, game):
+            r.fail(f"{sid}: invariant violated: {e}")
+    return on_grant
+
+
 @_timed
-def verify_named(plays_total: int = 500, exhaustive_depth: int = 2,
-                 l5_invariants: bool = True) -> Report:
+def verify_named(plays_total: int = 500, exhaustive_depth: int = 2) -> Report:
     r = Report("named-strategies")
     val = Valuation({"y": 2})
     for sid, game_text, kind in named_strategy_games():
         f = fm.parse_formula(game_text)
         interps = 5
         plays_per = max(1, plays_total // interps)
-        checker_state = {}
-
-        def grant_factory():
-            if kind != "l5" or not l5_invariants:
-                return None
-            strat = checker_state["strategy"]
-            game = checker_state["game"]
-
-            def on_grant(run: Run):
-                errs = check_l5_invariants(run, strat.machine.tree, game)
-                r.count("l5-invariant-points")
-                for e in errs:
-                    r.fail(f"{sid}: invariant violated: {e}")
-            return on_grant
-
         for k in range(interps):
             game = random_game(f, seed=2000 + 11 * k, valuation=val)
             for j in range(plays_per):
                 strat = _fresh_strategy(sid)
-                checker_state["strategy"] = strat
-                checker_state["game"] = game
+                on_grant = (_l5_checker(r, sid, strat, game) if kind == "l5"
+                            else None)
                 env = RandomEnv(41 * k + j, max_moves=5)
-                t = simulate(strat, env, game, budget=3000,
-                             on_grant=grant_factory())
+                t = simulate(strat, env, game, budget=3000, on_grant=on_grant)
                 r.count("plays")
                 if t.verdict is not T:
                     r.fail(f"{sid} on {game_text}: lost (interp {k},"
@@ -587,22 +569,17 @@ def verify_corpus(interps: int = 10, plays_per: int = 100,
 
 
 def _structural_script(f: Formula, sig, val) -> list:
-    """A deterministic interpretation-independent environment script."""
-    itp = random_interpretation(1, sig, 3)
-    game = GameRef(f, itp, val)
+    """A deterministic interpretation-independent environment script: up to
+    four seeded structural environment moves in a row, then "stop"."""
+    state = game_state(GameRef(f, random_interpretation(1, sig, 3), val))
+    rng = random.Random(99)
     directives = []
-    run: list[Labmove] = []
-    import random as _random
-    rng = _random.Random(99)
-    # alternate: let the machine act by simulating it silently is overkill;
-    # instead pick structural moves greedily from the empty-strategy side
     for _ in range(4):
-        options = candidate_moves(game, tuple(run), B, structural_only=True)
+        options = successors(state, B, structural_only=True)
         if not options:
             break
-        mv = rng.choice(options)
+        mv, state = rng.choice(options)
         directives.append(("move", mv))
-        run.append(Labmove(B, mv))
     directives.append("stop")
     return directives
 
@@ -641,7 +618,6 @@ def _all_shapes(max_size: int) -> list[Formula]:
 @_timed
 def verify_oracle(max_size: int = 4, runs_per: int = 3,
                   max_run_len: int = 4, min_cases: int = 1000) -> Report:
-    import random as _random
     r = Report("oracle-equivalence")
     shapes = _all_shapes(max_size)
     r.counters["shapes"] = len(shapes)
@@ -650,7 +626,7 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
         itp = random_interpretation(idx, sig, 2)
         val = Valuation()
         game = GameRef(f, itp, val)
-        rng = _random.Random(idx)
+        rng = random.Random(idx)
         for j in range(runs_per):
             run: list[Labmove] = []
             legal_so_far = True

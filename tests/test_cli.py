@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clgames import intproof
 from clgames.cli import main
@@ -127,14 +133,14 @@ class TestHumanEnv:
     def test_rejects_illegal_moves_with_a_reason(self, capsys, monkeypatch):
         from clgames.cli import HumanEnv
         from clgames import formula as fm
-        from clgames.games import GameRef, random_interpretation
+        from clgames.games import GameRef, game_state, random_interpretation
 
         itp = random_interpretation(1, (("P", 0), ("Q", 0)), 2)
         g = GameRef(fm.parse_formula("P & Q"), itp)
         answers = iter(["7", "1"])
         monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
         env = HumanEnv()
-        mv = env.on_permission(g, ())
+        mv = env.on_permission(game_state(g), ())
         out = capsys.readouterr().out
         assert mv == "1"
         assert "illegal move '7'" in out
@@ -143,12 +149,12 @@ class TestHumanEnv:
     def test_pass_declines_the_grant(self, capsys, monkeypatch):
         from clgames.cli import HumanEnv
         from clgames import formula as fm
-        from clgames.games import GameRef, random_interpretation
+        from clgames.games import GameRef, game_state, random_interpretation
 
         itp = random_interpretation(1, (("P", 0),), 2)
         g = GameRef(fm.parse_formula("P"), itp)
         monkeypatch.setattr("builtins.input", lambda prompt="": "pass")
-        assert HumanEnv().on_permission(g, ()) is None
+        assert HumanEnv().on_permission(game_state(g), ()) is None
 
 
 class TestVerifyCommand:
@@ -162,3 +168,141 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "play", "--game", "P -> P",
                             "--strategy", "ccs", "--env", "random")
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files: every answer is an exit code, never a traceback
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=8)
+
+# Near-valid shapes, mostly well formed, so that the fuzzer reaches past
+# the first key lookup: `often(x)` draws from x three times in four, and
+# from `other` (arbitrary JSON by default) otherwise.
+def often(strategy, other=JSON):
+    return st.tuples(st.integers(0, 3), strategy, other).map(
+        lambda t: t[2] if t[0] == 3 else t[1])
+
+
+PROOF_NODE = often(st.recursive(
+    st.fixed_dictionaries({
+        "sequent": often(st.sampled_from(["P => P", "P, Q => P", "=> P"])),
+        "rule": often(st.sampled_from(intproof.RULES))}, optional={
+        "i": often(st.integers(-2, 4)),
+        "t": st.sampled_from(["1", "x", "f("]) | JSON,
+        "y": often(st.sampled_from(["x", "y", ""])),
+        "pos": often(st.integers(-2, 4))}),
+    lambda kids: st.fixed_dictionaries(
+        {"sequent": st.sampled_from(["P => P", "P => P & Q", "=> P -> P"]),
+         "rule": st.sampled_from(intproof.RULES),
+         "premises": often(st.lists(kids, max_size=2))}),
+    max_leaves=4))
+
+GAME_NODE = often(st.recursive(
+    st.fixed_dictionaries({"winner": often(st.sampled_from(["T", "B"]))}),
+    lambda kids: st.fixed_dictionaries(
+        {"winner": st.sampled_from(["T", "B"])}, optional={
+            "moves": often(st.dictionaries(
+                st.sampled_from(["B:a", "B:a", "T:a", "B:1", "a"]), kids,
+                max_size=2)),
+            "cases": often(st.lists(st.fixed_dictionaries(
+                {"winner": st.just("T")}, optional={"when": often(
+                    st.dictionaries(st.sampled_from(["x1", "x"]), JSON,
+                                    max_size=2))}),
+                max_size=2)),
+            "default": kids}),
+    max_leaves=4))
+
+INTERPRETATION = often(st.fixed_dictionaries({
+    "letters": often(st.dictionaries(
+        st.sampled_from(["P/0", "P/0", "P/0", "R/1", "P", "P/x"]),
+        often(st.fixed_dictionaries({"game": GAME_NODE}, optional={
+            "params": often(st.lists(st.sampled_from(["x1", "x"]),
+                                     max_size=2))})),
+        min_size=1, max_size=2))}, optional={"dollar_base": GAME_NODE}))
+
+CL2_LINE = often(st.builds(
+    "{}. {}; rule={}; premises=[{}]{}".format,
+    st.integers(0, 4), st.sampled_from(["P -> P", "p -> p", "P", "(P"]),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.sampled_from(["", "1", "9", "0", "x"]),
+    st.sampled_from(["", "; path=", "; path=1; i=9", "; path=x,",
+                     "; path=1,0; atom=p", "; path=0; i=1"])),
+    st.text(max_size=12))
+SCRIPT_LINE = often(st.one_of(
+    st.builds("move {}".format, st.sampled_from(["2.a", "1.a", "2.", "♠"])
+              | st.text(max_size=4)),
+    st.sampled_from(["pass", "stop", "# c", ""])), st.text(max_size=12))
+CL2_TEXT = st.lists(CL2_LINE, max_size=5).map("\n".join)
+SCRIPT_TEXT = st.lists(SCRIPT_LINE, max_size=5).map("\n".join)
+
+
+def _exit_code(args) -> int:
+    """main's exit status, as the interpreter would report it."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    except SystemExit as e:               # argparse, or a message to exit 1
+        code = e.code if isinstance(e.code, int) else 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
+
+
+def _fuzz(text: str, *commands: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in commands:
+            argv = [a.replace("FILE", path) for a in command.split()]
+            assert _exit_code(argv) in (0, 1, 2), command
+
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestMalformedInput:
+    @FUZZ
+    @given(INTERPRETATION)
+    def test_interpretation_json(self, obj):
+        _fuzz(json.dumps(obj),
+              "play --game P->P --strategy ccs --interp FILE --env random",
+              "play --game !$->$ --strategy ccs --interp FILE --env random")
+
+    @FUZZ
+    @given(PROOF_NODE)
+    def test_proof_json(self, obj):
+        _fuzz(json.dumps(obj), "check-proof int FILE", "compile --proof FILE",
+              "play --game P->P --proof FILE --env silent")
+
+    @FUZZ
+    @given(CL2_TEXT)
+    def test_cl2_proof_text(self, text):
+        _fuzz(text, "check-proof cl2 FILE")
+
+    @FUZZ
+    @given(SCRIPT_TEXT)
+    def test_env_script(self, text):
+        _fuzz(text, "play --game P->P --strategy ccs --env script:FILE")
+
+    def test_malformed_files_exit_2(self, tmp_path):
+        # the first four raised TypeError; the last letter game is built
+        # only when the environment chooses it, so it is checked at load
+        for text, args in (
+                ('{"sequent": 5, "rule": "Identity"}', "check-proof int FILE"),
+                ("[1, 2]", "compile --proof FILE"),
+                ('{"sequent": "P => P", "rule": "Identity", "premises": 3}',
+                 "compile --proof FILE"),
+                ('{"letters": {"P/0": {"game": 7}}}',
+                 "play --game P->P --interp FILE --env random"),
+                ('{"letters": {"P/0": {"game": {"winner": "T"}},'
+                 ' "Q/0": {"game": {"winner": "T", "moves": {"B:a": 1}}}}}',
+                 "play --game P&Q --interp FILE --env exhaustive:2")):
+            path = tmp_path / "input"
+            path.write_text(text)
+            assert _exit_code(args.replace("FILE", str(path)).split()) == 2

@@ -1,12 +1,12 @@
-from clgames import formula as fm
+from clgames import formula as fm, intproof, verify
 import pytest
 
 from clgames.epm import (Environment, HaltReason, Machine, PlayContext,
                          RandomEnv, ScriptEnv, SilentEnv, Strategy,
-                         check_fairness, move_action, simulate,
-                         wins_against_all)
+                         check_fairness, simulate, wins_against_all)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation, T,
-                           Valuation, labmoves, position_legal)
+                           Valuation, candidate_moves, labmoves,
+                           position_legal, successors, winner)
 from clgames.strategies import MpMachine, build_strategy
 
 
@@ -17,6 +17,18 @@ def interp_a():
 
 def game(text="A -> A"):
     return GameRef(fm.parse_formula(text), interp_a())
+
+
+def chain_game(env_moves=()):
+    """The letter A as a game: B's `env_moves`, then twelve moves t0 .. t11
+    by T; T wins only at the end."""
+    node = FiniteGame(T)
+    for i in reversed(range(12)):
+        node = FiniteGame(B, {(T, f"t{i}"): node})
+    for mv in reversed(env_moves):
+        node = FiniteGame(B, {(B, mv): node})
+    return GameRef(fm.parse_formula("A"),
+                   Interpretation({"A/0": lambda _: node}))
 
 
 class TestSimulate:
@@ -88,31 +100,23 @@ class TestFairness:
         t = simulate(build_strategy("ccs"), RandomEnv(1), game(), budget=100)
         assert check_fairness(t, window=10)
 
-    def test_idle_strategy_fails_fairness(self):
-        class Idle(Machine):
-            settled = False
-        from clgames.epm import IDLE, Action, ActionKind
-
-        class IdleStrategy(Strategy):
-            def next(self, run):
-                return IDLE
-        t = simulate(IdleStrategy(Idle()), SilentEnv(), game(), budget=40)
+    def test_burst_longer_than_the_window_fails(self):
+        # twelve legal machine moves in a row, from the start
+        class Burst(Machine):
+            def start(self, ctx):
+                return [f"t{i}" for i in range(12)]
+        t = simulate(Strategy(Burst()), SilentEnv(), chain_game())
+        assert t.verdict is T and t.halted_reason is HaltReason.QUIESCENT
         assert not check_fairness(t, window=10)
+        assert check_fairness(t, window=13)
 
-    def test_single_grant_then_idle_fails(self):
-        from clgames.epm import GRANT, IDLE
-
-        class OneGrant(Strategy):
-            def __init__(self):
-                super().__init__(Machine())
-                self.granted = False
-
-            def next(self, run):
-                if not self.granted:
-                    self.granted = True
-                    return GRANT
-                return IDLE
-        t = simulate(OneGrant(), SilentEnv(), game(), budget=40)
+    def test_single_grant_then_a_long_burst_fails(self):
+        class Answer(Machine):
+            def on_env(self, move):
+                return [f"t{i}" for i in range(12)]
+        env = ScriptEnv([("move", "go"), "stop"])
+        t = simulate(Strategy(Answer()), env, chain_game(("go",)))
+        assert t.events[0] == ("grant",) and t.verdict is T
         assert not check_fairness(t, window=10)
 
 
@@ -173,7 +177,7 @@ class TestSnapshots:
         s.next(())                     # start the machine
         fork = s.clone()
         run = labmoves(("B", "2.a"))
-        assert s.next(run) == fork.next(run) == move_action("1.a")
+        assert s.next(run) == fork.next(run) == "1.a"
 
     def test_clone_is_independent(self):
         s = build_strategy("l6c")
@@ -227,7 +231,7 @@ class TestFaults:
 
     def test_raising_environment_is_a_machine_win(self):
         class Broken(Environment):
-            def on_permission(self, game, run):
+            def on_permission(self, state, run):
                 raise ValueError("no move")
         t = simulate(build_strategy("ccs"), Broken(), game())
         assert t.halted_reason is HaltReason.ENV_FAULT
@@ -236,10 +240,56 @@ class TestFaults:
 
     def test_quitting_environment_still_exits(self):
         class Quit(Environment):
-            def on_permission(self, game, run):
+            def on_permission(self, state, run):
                 raise SystemExit(0)
         with pytest.raises(SystemExit):
             simulate(build_strategy("ccs"), Quit(), game())
+
+
+class Recording(Environment):
+    """A RandomEnv that records, at each grant, the legal moves and the
+    outcome of the state it is handed and of a replay of the run."""
+
+    def __init__(self, game, seed):
+        self.game = game
+        self.inner = RandomEnv(seed, max_moves=5)
+        self.seen = []
+
+    def on_permission(self, state, run):
+        self.seen.append(([m for m, _ in successors(state, B)],
+                          candidate_moves(self.game, run, B),
+                          state.outcome(), winner(self.game, run)))
+        return self.inner.on_permission(state, run)
+
+
+def _plays_with_state_checks():
+    val = Valuation({"y": 2})
+    for k, (sid, text, _) in enumerate(verify.named_strategy_games()):
+        game = verify.random_game(fm.parse_formula(text), seed=k,
+                                  valuation=val)
+        yield sid, game, lambda sid=sid: build_strategy(sid)
+    for k, (name, proof) in enumerate(intproof.curated_theorem_corpus()):
+        game = verify.random_game(fm.sequent_to_formula(proof.sequent),
+                                  seed=k, valuation=val)
+        yield name, game, intproof.compile_proof(proof).strategy
+
+
+class TestPlayState:
+    def test_environment_sees_the_state_after_the_run(self):
+        # a stale or forked-away state would offer other moves, or another
+        # verdict, than a replay of the run from the start
+        grants = 0
+        for label, game, strategy in _plays_with_state_checks():
+            for seed in range(3):
+                env = Recording(game, seed)
+                t = simulate(strategy(), env, game, budget=3000)
+                assert t.halted_reason is not HaltReason.ENV_FAULT, label
+                assert env.seen and t.grants == len(env.seen), label
+                for moves, replayed, outcome, won in env.seen:
+                    assert moves == replayed, (label, seed)
+                    assert outcome is won, (label, seed)
+                grants += len(env.seen)
+        assert grants > 250
 
 
 class TestUniformity:
