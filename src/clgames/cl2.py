@@ -314,6 +314,8 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
 
 def check_proof(proof: CL2Proof) -> tuple[bool, str]:
     """Re-derive every step's justification; returns (ok, diagnostic)."""
+    if not proof.steps:
+        return False, "empty proof"
     for idx, step in enumerate(proof.steps):
         if any(j >= idx for j in step.premises):
             return False, f"step {idx}: forward premise reference"

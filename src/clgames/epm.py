@@ -18,7 +18,9 @@ step budget bounds the whole play.  The stepper owns the game state after
 the run, so checking a move is one `step` of it, the environment is handed
 it at every grant, and the verdict is its `outcome()`.  A machine that
 raises ends the play as a machine loss, an environment that raises as a
-machine win; either way the diagnostic carries a short traceback.
+machine win; either way the diagnostic carries a short traceback.  An
+`InterpretationError` is not contained: a letter game that cannot be built
+leaves the game undefined, so no verdict is given.
 
 A winning strategy depends only on the formula, never on the play, so
 `strategies` builds each strategy once per process and hands every play a
@@ -36,8 +38,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .games import (B, GameRef, Labmove, Player, Run, Signature, State, T,
-                    Valuation, advance, game_state, successors)
+from .games import (B, GameRef, InterpretationError, Labmove, Player, Run,
+                    Signature, State, T, Valuation, advance, game_state,
+                    successors)
 
 
 @dataclass(frozen=True)
@@ -350,6 +353,8 @@ def simulate(strategy: Strategy, env: Environment, game: GameRef,
             on_grant(run)
         try:
             mv = env.on_permission(play.state, run)
+        except InterpretationError:
+            raise                 # the game is undefined here, not the env
         except Exception as exc:
             play.halt(HaltReason.ENV_FAULT, _fault("environment", exc))
             break
@@ -394,9 +399,10 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
 
     Each play runs the same steps as `simulate`.  At each grant the
     environment either stays silent from then on (the machine runs on until
-    it settles, as in `simulate`) or makes any legal move from the bounded
-    candidate alphabet; every such move continues a forked copy of the
-    play.  A lost play is returned as the counterexample transcript.
+    it settles, as in `simulate`) or makes any of its legal moves, with
+    choices of constants capped as in `successors`; every such move
+    continues a forked copy of the play.  A lost play is returned as the
+    counterexample transcript.
     """
     leaves = 0
 

@@ -277,6 +277,10 @@ def grounded_atom_index(signature: Signature, name: str,
     return len(letters) + (r - 1) * len(positive) + positive.index(letter) + 1
 
 
+class InterpretationError(ValueError):
+    """A letter game the interpretation cannot build."""
+
+
 @dataclass
 class Interpretation:
     """Letter games plus the universal-problem base.
@@ -302,10 +306,14 @@ class Interpretation:
     def letter_game(self, name: str, args: tuple[int, ...]) -> FiniteGame:
         key = f"{name}/{len(args)}"
         if key not in self.letters:
-            raise KeyError(f"letter {key} not interpreted")
+            raise InterpretationError(f"letter {key} not interpreted")
         ck = (name, args)
         if ck not in self._cache:
-            self._cache[ck] = self.letters[key](args)
+            try:
+                self._cache[ck] = self.letters[key](args)
+            except InterpretationError as exc:
+                atom = f"{name}({', '.join(map(str, args))})"
+                raise InterpretationError(f"no game for {atom}: {exc}") from None
         return self._cache[ck]
 
     def dollar_component(self, m: int) -> Optional[FiniteGame]:
@@ -349,6 +357,16 @@ class GameRef:
     interp: Interpretation
     valuation: Valuation = field(default_factory=Valuation)
     prefix: Run = ()
+    _root: Optional["State"] = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def root(self) -> "State":
+        """The state before the prefix and any move, built once: states are
+        persistent, so every replay of this game can start from it."""
+        if self._root is None:
+            self._root = initial_state(self.formula, self.interp,
+                                       self.valuation)
+        return self._root
 
 
 class IllegalPositionError(ValueError):
@@ -362,18 +380,19 @@ def prefixation(g: GameRef, pos: Run) -> GameRef:
 
 
 # ---------------------------------------------------------------------------
-# Game states: legality, winners and candidate moves, one labmove at a time
+# Game states: legality, winners and legal moves, one labmove at a time
 
 class State:
     """A game after a legal run.
 
     `step(lm)` is the state after `lm`, or None when `lm` is illegal here;
-    `outcome()` is the winner of a run that ends here; `candidates(ccap,
-    structural)` is a bounded set of moves, of either player, that may be
-    legal here: choices of constants stop at `ccap`, and with `structural`
-    moves inside an interpreted atom's own game tree are left out.  States
-    are persistent: `step` never changes a state, so forked plays and
-    replicated recurrence branches share them freely.
+    `outcome()` is the winner of a run that ends here; `moves(player, ccap,
+    structural)` lists `player`'s legal moves here, each with the state it
+    leads to, built from the components' own legal moves: choices of
+    constants stop at `ccap`, and with `structural` moves inside an
+    interpreted atom's own game tree are left out.  States are persistent:
+    `step` never changes a state, so forked plays and replicated recurrence
+    branches share them freely.
     """
     __slots__ = ()
 
@@ -392,8 +411,11 @@ class _AtomState(State):
     def outcome(self):
         return self.node.winner
 
-    def candidates(self, ccap, structural):
-        return [] if structural else [m for _, m in self.node.moves]
+    def moves(self, player, ccap, structural):
+        if structural:
+            return []
+        return [(m, _AtomState(child))
+                for (p, m), child in self.node.moves.items() if p is player]
 
 
 class _FlipState(State):
@@ -410,8 +432,9 @@ class _FlipState(State):
     def outcome(self):
         return self.inner.outcome().opponent
 
-    def candidates(self, ccap, structural):
-        return self.inner.candidates(ccap, structural)
+    def moves(self, player, ccap, structural):
+        return [(m, _FlipState(nxt)) for m, nxt in
+                self.inner.moves(player.opponent, ccap, structural)]
 
 
 class _ParState(State):
@@ -442,9 +465,14 @@ class _ParState(State):
                 return unit.opponent
         return unit
 
-    def candidates(self, ccap, structural):
-        return [f"{i}.{m}" for i, p in enumerate(self.parts, start=1)
-                for m in p.candidates(ccap, structural)]
+    def moves(self, player, ccap, structural):
+        out = []
+        for i, part in enumerate(self.parts):
+            before, after = self.parts[:i], self.parts[i + 1:]
+            out.extend((f"{i + 1}.{m}",
+                        _ParState(before + (nxt,) + after, self.conjunctive))
+                       for m, nxt in part.moves(player, ccap, structural))
+        return out
 
 
 class _ChoiceState(State):
@@ -470,8 +498,11 @@ class _ChoiceState(State):
     def outcome(self):
         return self.chooser.opponent
 
-    def candidates(self, ccap, structural):
-        return [str(i) for i in range(1, (self.options or ccap) + 1)]
+    def moves(self, player, ccap, structural):
+        if player is not self.chooser:
+            return []
+        return [(str(i), nxt) for i in range(1, (self.options or ccap) + 1)
+                if (nxt := self.make(i)) is not None]
 
 
 class _BangState(State):
@@ -486,15 +517,12 @@ class _BangState(State):
         parsed = split_bang_move(lm.move)
         if parsed is None:
             return None
-        branches = dict(self.branches)
         if parsed[0] == "rep":
             w = parsed[1]
-            if lm.player is not B or w not in branches:
+            if lm.player is not B or w not in self.branches:
                 return None
-            # both children start from the leaf's state; states are never
-            # mutated, so they can share it
-            branches[w + "0"] = branches[w + "1"] = branches.pop(w)
-            return _BangState(branches)
+            return self._replicate(w)
+        branches = dict(self.branches)
         w, alpha = parsed[1], Labmove(lm.player, parsed[2])
         found = False
         for u, state in self.branches.items():
@@ -512,12 +540,34 @@ class _BangState(State):
                 return B
         return T
 
-    def candidates(self, ccap, structural):
-        out = [u + ":" for u in self.branches]
-        for u, state in self.branches.items():
-            inner = state.candidates(ccap, structural)
-            for k in range(len(u) + 1):
-                out.extend(f"{u[:k]}.{m}" for m in inner)
+    def _replicate(self, w: str) -> "_BangState":
+        # both children start from the leaf's state; states are never
+        # mutated, so they can share it
+        branches = dict(self.branches)
+        branches[w + "0"] = branches[w + "1"] = branches.pop(w)
+        return _BangState(branches)
+
+    def moves(self, player, ccap, structural):
+        # A move at node w is legal when every leaf under w accepts it, so
+        # it is among the legal moves of each of those leaves: take their
+        # union, and step each leaf that did not offer the move itself.
+        out = ([(u + ":", self._replicate(u)) for u in self.branches]
+               if player is B else [])
+        own = {u: dict(state.moves(player, ccap, structural))
+               for u, state in self.branches.items()}
+        for w in {u[:k] for u in self.branches for k in range(len(u) + 1)}:
+            under = [u for u in self.branches if u.startswith(w)]
+            for m in {m for u in under for m in own[u]}:
+                branches = dict(self.branches)
+                for u in under:
+                    nxt = own[u].get(m)
+                    if nxt is None:
+                        nxt = self.branches[u].step(Labmove(player, m))
+                        if nxt is None:
+                            break
+                    branches[u] = nxt
+                else:
+                    out.append((f"{w}.{m}", _BangState(branches)))
         return out
 
 
@@ -566,21 +616,18 @@ def advance(state: State, lm: Labmove) -> Optional[State]:
 
 def successors(state: State, player: Player, ccap: int = 3,
                structural_only: bool = False) -> list[tuple[str, State]]:
-    """The legal moves of `player` among the state's candidates, sorted,
-    each with the state it leads to."""
-    out = []
-    for m in sorted(set(state.candidates(ccap, structural_only))):
-        nxt = advance(state, Labmove(player, m))
-        if nxt is not None:
-            out.append((m, nxt))
-    return out
+    """The legal moves of `player` at `state` (see `State.moves`), sorted,
+    each with the state it leads to.  Moves that contain ♠ are left out."""
+    return sorted(((m, nxt) for m, nxt in
+                   state.moves(player, ccap, structural_only)
+                   if SPADE not in m), key=lambda pair: pair[0])
 
 
 def _replay(g: GameRef, run: Run) -> tuple[State, Optional[Labmove]]:
-    """Step g's initial state through its prefix and `run`: the state after
+    """Step g's root state through its prefix and `run`: the state after
     the longest legal prefix, and the first illegal labmove (None when the
     whole run is legal)."""
-    state = initial_state(g.formula, g.interp, g.valuation)
+    state = g.root()
     for lm in g.prefix + tuple(run):
         nxt = advance(state, lm)
         if nxt is None:
@@ -623,8 +670,8 @@ def classify_move(g: GameRef, pos: Run, lm: Labmove) -> MoveStatus:
 
 def candidate_moves(g: GameRef, run: Run, player: Player, ccap: int = 3,
                     structural_only: bool = False) -> list[str]:
-    """Legal moves for `player` at `run`, drawn from a bounded candidate set
-    (see `State.candidates`); IllegalPositionError if `run` is illegal."""
+    """Legal moves for `player` at `run`, sorted (see `successors`);
+    IllegalPositionError if `run` is illegal."""
     return [m for m, _ in successors(game_state(g, run), player, ccap,
                                      structural_only)]
 
@@ -663,7 +710,8 @@ def _node_to_game(node: dict, env: dict[str, int]) -> FiniteGame:
                 body = {k: v for k, v in case.items() if k != "when"}
                 return _node_to_game(body, env)
         if "default" not in node:
-            raise ValueError("guard table without matching case or default")
+            raise InterpretationError(
+                "guard table without matching case or default")
         return _node_to_game(node["default"], env)
     game = FiniteGame(Player(node["winner"]))
     for key, sub in node.get("moves", {}).items():
@@ -797,7 +845,8 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
 
 def observationally_equal(a: GameRef, b: GameRef, max_len: int,
                           ccap: int = 3) -> bool:
-    """Compare two games on all candidate runs up to max_len moves."""
+    """Compare two games on all runs up to max_len moves that `successors`
+    lists."""
     def moves(state: State) -> dict:
         return {(p, m): nxt for p in (T, B)
                 for m, nxt in successors(state, p, ccap)}

@@ -161,6 +161,9 @@ class TestChecker:
         assert ok, why
         assert again.conclusion == proof.conclusion
 
+    def test_empty_proof_is_rejected(self):
+        assert check_proof(cl2.CL2Proof(())) == (False, "empty proof")
+
 
 class TestExtraction:
     def test_identity_extract_plays_copy_cat(self):

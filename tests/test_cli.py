@@ -67,6 +67,12 @@ class TestProofFiles:
         code, out = run_cli(capsys, "check-proof", "cl2", str(path))
         assert code == 0 and "valid" in out
 
+    def test_empty_cl2_proof_is_invalid(self, capsys, tmp_path):
+        path = tmp_path / "empty.cl2"
+        path.write_text("")
+        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
+        assert code == 1 and "invalid: empty proof" in out
+
 
 class TestPlay:
     def test_scripted_play_transcript(self, capsys, tmp_path):
@@ -122,6 +128,19 @@ class TestPlay:
                             "--proof", str(path), "--env", "random",
                             "--seed", "2")
         assert code == 0 and "verdict: T" in out
+
+    def test_partial_interpretation_is_an_error(self, capsys, tmp_path):
+        # R(2) has no game: the environment's choice of it is no env fault
+        interp = tmp_path / "i.json"
+        interp.write_text(json.dumps({"letters": {"R/1": {
+            "params": ["x1"],
+            "game": {"cases": [{"when": {"x1": 1}, "winner": "T"}]}}}}))
+        code = main(["play", "--game", "R(1) & R(2)", "--strategy", "ccs",
+                     "--env", "random", "--seed", "3",
+                     "--interp", str(interp)])
+        captured = capsys.readouterr()
+        assert code == 2 and "verdict" not in captured.out
+        assert "no game for R(2)" in captured.err
 
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         code, _ = run_cli(capsys, "play", "--game", "P -> P",

@@ -9,19 +9,23 @@ according to the oracle.  This extends criterion 6 (every shape of size
 <= 4, runs of four labmoves) to larger formulas and longer runs.  Random
 runs rarely grow wide recurrence trees, so a second case starts every run
 with three replications inside one `!`.
+
+On every legal prefix `successors` must also equal a reference that lists
+moves the slow way: a bounded candidate set of either player's moves,
+each stepped from the state and kept if legal.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clgames import formula as fm, oracle, verify
+from clgames import formula as fm, games, oracle, verify
 from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
                              ChoiceDisj, ChoiceExists, Dollar, Implies, Neg,
                              ParConj, ParDisj, Top)
 from clgames.games import (B, GameRef, IllegalPositionError, Labmove,
-                           MoveStatus, T, Valuation, candidate_moves,
-                           classify_move, position_legal,
-                           random_interpretation, winner)
+                           MoveStatus, T, Valuation, advance, candidate_moves,
+                           classify_move, game_state, position_legal,
+                           random_interpretation, successors, winner)
 
 LEAVES = [Atom("P"), Atom("Q"), Atom("R", (fm.Var("x"),)), Dollar(), Top(),
           Bot()]
@@ -61,12 +65,59 @@ def _oracle(game, run):
 
 
 def _agree(game, run) -> bool:
-    """The engine's legality and winner of `run` equal the oracle's; returns
-    its legality."""
+    """The engine's legality and winner of `run` equal the oracle's, and
+    after a legal run `successors` equals the reference; returns its
+    legality."""
     legal, won = _oracle(game, run)
     assert position_legal(game, tuple(run)) is legal
     assert winner(game, tuple(run)) is won
+    if legal:
+        _same_successors(game_state(game, tuple(run)))
     return legal
+
+
+def _raw_candidates(state, ccap: int, structural: bool) -> list[str]:
+    """Moves of either player that may be legal at `state`: an atom's own
+    moves, every constant up to `ccap` at a choice, and at each recurrence
+    node every move some leaf under it may make."""
+    if isinstance(state, games._AtomState):
+        return [] if structural else [m for _, m in state.node.moves]
+    if isinstance(state, games._FlipState):
+        return _raw_candidates(state.inner, ccap, structural)
+    if isinstance(state, games._ParState):
+        return [f"{i}.{m}" for i, p in enumerate(state.parts, start=1)
+                for m in _raw_candidates(p, ccap, structural)]
+    if isinstance(state, games._ChoiceState):
+        return [str(i) for i in range(1, (state.options or ccap) + 1)]
+    out = [u + ":" for u in state.branches]
+    for u, leaf in state.branches.items():
+        inner = _raw_candidates(leaf, ccap, structural)
+        for k in range(len(u) + 1):
+            out.extend(f"{u[:k]}.{m}" for m in inner)
+    return out
+
+
+def _reference_successors(state, player, ccap, structural):
+    out = []
+    for m in sorted(set(_raw_candidates(state, ccap, structural))):
+        nxt = advance(state, Labmove(player, m))
+        if nxt is not None:
+            out.append((m, nxt))
+    return out
+
+
+def _same_successors(state) -> None:
+    """`successors` lists exactly the reference's moves, in its order, and
+    each leads to a state with the same outcome."""
+    for player in (T, B):
+        for ccap in (2, 3):
+            for structural in (False, True):
+                got = successors(state, player, ccap, structural)
+                want = _reference_successors(state, player, ccap, structural)
+                assert [m for m, _ in got] == [m for m, _ in want], (
+                    player, ccap, structural)
+                assert [s.outcome() for _, s in got] == [
+                    s.outcome() for _, s in want], (player, ccap, structural)
 
 
 def _extend(game, data, run: list, n: int) -> None:

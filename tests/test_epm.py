@@ -4,9 +4,9 @@ import pytest
 from clgames.epm import (Environment, HaltReason, Machine, PlayContext,
                          RandomEnv, ScriptEnv, SilentEnv, Strategy,
                          check_fairness, simulate, wins_against_all)
-from clgames.games import (B, FiniteGame, GameRef, Interpretation, T,
-                           Valuation, candidate_moves, labmoves,
-                           position_legal, successors, winner)
+from clgames.games import (B, FiniteGame, GameRef, Interpretation,
+                           InterpretationError, T, Valuation, candidate_moves,
+                           labmoves, position_legal, successors, winner)
 from clgames.strategies import MpMachine, build_strategy
 
 
@@ -237,6 +237,19 @@ class TestFaults:
         assert t.halted_reason is HaltReason.ENV_FAULT
         assert t.verdict is T
         assert "ValueError: no move" in t.diagnostic
+
+    def test_undefined_letter_game_is_not_an_environment_fault(self):
+        class Chooser(Environment):
+            def on_permission(self, state, run):
+                return successors(state, B)[0][0]
+
+        def partial(args):
+            raise InterpretationError("no game")
+        itp = Interpretation({"A/0": interp_a().letters["A/0"],
+                              "R/1": partial})
+        g = GameRef(fm.parse_formula("A & R(2)"), itp)
+        with pytest.raises(InterpretationError, match=r"R\(2\)"):
+            simulate(build_strategy("ccs"), Chooser(), g)
 
     def test_quitting_environment_still_exits(self):
         class Quit(Environment):

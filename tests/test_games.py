@@ -92,6 +92,31 @@ class TestCandidateMoves:
         assert candidate_moves(g, labmoves(("B", ":")), B) == \
             [".a", "0.a", "0:", "1.a", "1:"]
 
+    def test_recurrence_node_move_offered_by_one_leaf_only(self):
+        # leaf 0 has chosen 1 and its atom offers "7", above the cap;
+        # leaf 1 has not chosen yet, so "7" is a legal choice there too
+        a = FiniteGame(T, {(B, "7"): FiniteGame(B)})
+        g = ref("!@x.A", Interpretation({"A/0": lambda _: a}))
+        run = labmoves(("B", ":"), ("B", "0.1"))
+        assert candidate_moves(g, run, B) == \
+            [".7", "0.7", "0:", "1.1", "1.2", "1.3", "1:"]
+        assert candidate_moves(g, run, T) == []
+
+    def test_moves_with_the_reserved_symbol_are_never_listed(self):
+        a = FiniteGame(T, {(B, "a"): FiniteGame(B), (B, "x♠"): FiniteGame(B)})
+        itp = Interpretation({"A/0": lambda _: a})
+        assert candidate_moves(ref("A", itp), (), B) == ["a"]
+        assert candidate_moves(ref("!A /\\ A", itp), (), B) == \
+            ["1..a", "1.:", "2.a"]
+
+    def test_structural_moves_under_a_recurrence(self):
+        g = ref("!(A1 & A2)")
+        run = labmoves(("B", ":"), ("B", "0.1"))
+        assert candidate_moves(g, run, B, structural_only=True) == \
+            ["0:", "1.1", "1.2", "1:"]
+        assert candidate_moves(g, run, B) == \
+            ["0.a", "0:", "1.1", "1.2", "1:"]
+
 
 class TestWinner:
     def test_unresolved_machine_choice_loses(self):
