@@ -18,6 +18,15 @@ A formula is stable when its elementarization -- surface choice
 conjunctions replaced by top, disjunctions by bot, positive surface
 general atoms by bot, negative by top -- is a classical tautology.
 
+Proof search walks each formula once: `_Scan` records its surface choice
+and general-atom occurrences with their polarities and its elementary
+names, and rules (a), (b) and (c) read their instances from that record.
+Stability takes one more walk, which computes the elementarization's
+truth table straight from the formula as a bit set over all assignments
+to the surface elementary names (one bit per assignment), without
+building the elementarized formula; the formula is stable when every bit
+is set.
+
 Extraction turns a proof of a general-base formula into a machine: (b)
 steps fire their recorded choice move, (a) steps wait for the environment
 to resolve one of theirs, and (c) steps open a copy-cat channel between
@@ -27,7 +36,6 @@ instance, because only the connective skeleton determines move prefixes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import formula as fm
@@ -51,7 +59,7 @@ def _check_cl2(f: Formula) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Occurrences, polarity, elementarization
+# Polarity, elementarization, stability and rule instances
 
 def polarity_and_surface(f: Formula, path: Path) -> tuple[str, str]:
     """Polarity counts negations (implication antecedents count as one);
@@ -69,23 +77,6 @@ def polarity_and_surface(f: Formula, path: Path) -> tuple[str, str]:
         g = fm.children(g)[k]
     return ("positive" if neg % 2 == 0 else "negative",
             "surface" if surface else "buried")
-
-
-def occurrences(f: Formula):
-    """All (path, subformula, positive?, surface?) in preorder."""
-    out = []
-
-    def walk(g: Formula, path: Path, pos: bool, surface: bool):
-        out.append((path, g, pos, surface))
-        for k, c in enumerate(fm.children(g)):
-            p2 = pos
-            if isinstance(g, Neg) or (isinstance(g, Implies) and k == 0):
-                p2 = not pos
-            s2 = surface and not isinstance(g, (ChoiceConj, ChoiceDisj))
-            walk(c, path + (k,), p2, s2)
-
-    walk(f, (), True, True)
-    return out
 
 
 def elementarization(f: Formula) -> Formula:
@@ -113,102 +104,136 @@ def _elem(f: Formula, pos: bool) -> Formula:
     raise ValueError(f"unexpected node {f!r}")
 
 
-def _elem_names(f: Formula) -> frozenset[str]:
-    if isinstance(f, Elem):
-        return frozenset({f.name})
-    out: frozenset[str] = frozenset()
-    for c in fm.children(f):
-        out |= _elem_names(c)
-    return out
+def _table(f: Formula, pos: bool, rows: dict[str, int], full: int) -> int:
+    """The rows where the elementarization of f (at polarity pos) is true:
+    a bit set over all assignments, `rows` holding each name's."""
+    cls = type(f)
+    if cls is Elem:
+        return rows[f.name]
+    if cls is Atom:
+        return 0 if pos else full
+    if cls is Neg:
+        return full ^ _table(f.body, not pos, rows, full)
+    if cls is Implies:
+        return (full ^ _table(f.left, not pos, rows, full)) \
+            | _table(f.right, pos, rows, full)
+    if cls is ParConj:
+        out = full
+        for p in f.parts:
+            out &= _table(p, pos, rows, full)
+        return out
+    if cls is ParDisj:
+        out = 0
+        for p in f.parts:
+            out |= _table(p, pos, rows, full)
+        return out
+    return full if cls is ChoiceConj or cls is Top else 0
 
 
-def _eval_classical(f: Formula, env: dict[str, bool]) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Elem):
-        return env[f.name]
-    if isinstance(f, Neg):
-        return not _eval_classical(f.body, env)
-    if isinstance(f, Implies):
-        return (not _eval_classical(f.left, env)) or _eval_classical(f.right, env)
-    if isinstance(f, ParConj):
-        return all(_eval_classical(p, env) for p in f.parts)
-    if isinstance(f, ParDisj):
-        return any(_eval_classical(p, env) for p in f.parts)
-    raise ValueError(f"non-elementary node {f!r} in classical evaluation")
+class _Scan:
+    """One preorder walk of a formula, which every rule instance reads:
 
+    choices  surface choice occurrences, (path, node, positive?);
+    atoms    surface general-atom occurrences, (path, letter, positive?);
+    surface  the elementary names outside every choice, the only ones
+             left in the elementarization;
+    names    every elementary name, which rule (c)'s fresh name avoids.
 
-def is_tautology(f: Formula) -> bool:
-    names = sorted(_elem_names(f))
-    for values in itertools.product((False, True), repeat=len(names)):
-        if not _eval_classical(f, dict(zip(names, values))):
-            return False
-    return True
+    Raises ValueError when f is not a propositional-fragment formula.
+    """
+
+    __slots__ = ("f", "choices", "atoms", "surface", "names")
+
+    def __init__(self, f: Formula):
+        self.f = f
+        self.choices: list[tuple[Path, Formula, bool]] = []
+        self.atoms: list[tuple[Path, str, bool]] = []
+        self.surface: set[str] = set()
+        self.names: set[str] = set()
+        self._walk(f, (), True, True)
+
+    def _walk(self, g: Formula, path: Path, pos: bool, surface: bool):
+        cls = type(g)
+        if cls is Atom:
+            if g.args:
+                _check_cl2(g)                   # raises
+            if surface:
+                self.atoms.append((path, g.letter, pos))
+        elif cls is Elem:
+            self.names.add(g.name)
+            if surface:
+                self.surface.add(g.name)
+        elif cls is Neg:
+            self._walk(g.body, path + (0,), not pos, surface)
+        elif cls is Implies:
+            self._walk(g.left, path + (0,), not pos, surface)
+            self._walk(g.right, path + (1,), pos, surface)
+        elif cls is ParConj or cls is ParDisj:
+            for k, p in enumerate(g.parts):
+                self._walk(p, path + (k,), pos, surface)
+        elif cls is ChoiceConj or cls is ChoiceDisj:
+            if surface:
+                self.choices.append((path, g, pos))
+            for k, p in enumerate(g.parts):
+                self._walk(p, path + (k,), pos, False)
+        elif cls is not Top and cls is not Bot:
+            _check_cl2(g)                       # raises
+
+    def stable(self) -> bool:
+        """Whether the elementarization is a classical tautology: its truth
+        table, one bit per assignment to the surface names, is full.  Name
+        k is true in the rows whose bit k is set, i.e. in the upper half of
+        every block of 2^(k+1) rows."""
+        full = (1 << (1 << len(self.surface))) - 1
+        rows = {name: full // ((1 << (2 << k)) - 1)
+                * (((1 << (1 << k)) - 1) << (1 << k))
+                for k, name in enumerate(self.surface)}
+        return _table(self.f, True, rows, full) == full
+
+    def premises(self, env: bool):
+        """(path, i, premise) for each surface choice the environment
+        resolves (positive conjunctions, negative disjunctions: rule (a))
+        if env, else for each the machine resolves (rule (b))."""
+        for path, g, pos in self.choices:
+            if ((type(g) is ChoiceConj) == pos) == env:
+                for i, part in enumerate(g.parts, start=1):
+                    yield path, i, fm.replace_at(self.f, path, part)
+
+    def c_options(self):
+        pos_occ: dict[str, list[Path]] = {}
+        neg_occ: dict[str, list[Path]] = {}
+        for path, letter, pos in self.atoms:
+            (pos_occ if pos else neg_occ).setdefault(letter, []).append(path)
+        for letter in sorted(pos_occ.keys() & neg_occ.keys()):
+            name = base = letter.lower()
+            k = 2
+            while name in self.names:
+                name = f"{base}_{k}"
+                k += 1
+            for ppos in pos_occ[letter]:
+                for pneg in neg_occ[letter]:
+                    h = fm.replace_at(self.f, ppos, Elem(name))
+                    yield ppos, pneg, name, fm.replace_at(h, pneg, Elem(name))
 
 
 def is_stable(f: Formula) -> bool:
-    return is_tautology(elementarization(f))
+    return _Scan(f).stable()
 
-
-# ---------------------------------------------------------------------------
-# Rule instances
 
 def a_premises(f: Formula) -> list[tuple[Path, int, Formula]]:
     """(path, i, premise) for every environment-resolvable surface choice."""
-    out = []
-    for path, g, pos, surface in occurrences(f):
-        if not surface:
-            continue
-        if (isinstance(g, ChoiceConj) and pos) or \
-                (isinstance(g, ChoiceDisj) and not pos):
-            for i, part in enumerate(g.parts, start=1):
-                out.append((path, i, fm.replace_at(f, path, part)))
-    return out
+    return list(_Scan(f).premises(env=True))
 
 
 def b_options(f: Formula) -> list[tuple[Path, int, Formula]]:
     """(path, i, premise) for every machine-resolvable surface choice."""
-    out = []
-    for path, g, pos, surface in occurrences(f):
-        if not surface:
-            continue
-        if (isinstance(g, ChoiceConj) and not pos) or \
-                (isinstance(g, ChoiceDisj) and pos):
-            for i, part in enumerate(g.parts, start=1):
-                out.append((path, i, fm.replace_at(f, path, part)))
-    return out
-
-
-def _fresh_elem_name(f: Formula, letter: str) -> str:
-    used = _elem_names(f)
-    base = letter.lower()
-    if base not in used:
-        return base
-    k = 2
-    while f"{base}_{k}" in used:
-        k += 1
-    return f"{base}_{k}"
+    return list(_Scan(f).premises(env=False))
 
 
 def c_options(f: Formula) -> list[tuple[Path, Path, str, Formula]]:
     """(positive path, negative path, fresh name, premise) for every
     opposite-polarity surface pair of one general atom."""
-    pos_occ: dict[str, list[Path]] = {}
-    neg_occ: dict[str, list[Path]] = {}
-    for path, g, pos, surface in occurrences(f):
-        if surface and isinstance(g, Atom):
-            (pos_occ if pos else neg_occ).setdefault(g.letter, []).append(path)
-    out = []
-    for letter in sorted(set(pos_occ) & set(neg_occ)):
-        name = _fresh_elem_name(f, letter)
-        for ppos in pos_occ[letter]:
-            for pneg in neg_occ[letter]:
-                h = fm.replace_at(f, ppos, Elem(name))
-                h = fm.replace_at(h, pneg, Elem(name))
-                out.append((ppos, pneg, name, h))
-    return out
+    return list(_Scan(f).c_options())
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +269,6 @@ class SearchBudgetExceeded(RuntimeError):
 def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
     """Backward proof search; complete for this fragment, so None means
     refuted.  Raises SearchBudgetExceeded when the node budget runs out."""
-    _check_cl2(f)
     memo: dict[str, object] = {}
     visits = [0]
 
@@ -252,30 +276,28 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
         key = fm.render(g)
         if key in memo:
             return memo[key]
+        scan = _Scan(g)
         visits[0] += 1
         if visits[0] > max_nodes:
             raise SearchBudgetExceeded(f"gave up after {max_nodes} nodes")
         node = None
-        if is_stable(g):
-            branches = a_premises(g)
+        if scan.stable():
             kids = []
-            ok = True
-            for path, i, h in branches:
+            for path, i, h in scan.premises(env=True):
                 sub = search(h)
                 if sub is None:
-                    ok = False
                     break
                 kids.append((path, i, sub))
-            if ok:
+            else:
                 node = ("a", g, kids)
         if node is None:
-            for path, i, h in b_options(g):
+            for path, i, h in scan.premises(env=False):
                 sub = search(h)
                 if sub is not None:
                     node = ("b", g, path, i, sub)
                     break
         if node is None:
-            for ppos, pneg, name, h in c_options(g):
+            for ppos, pneg, name, h in scan.c_options():
                 sub = search(h)
                 if sub is not None:
                     node = ("c", g, ppos, pneg, name, sub)
@@ -321,13 +343,13 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
             return False, f"step {idx}: forward premise reference"
         f = step.formula
         try:
-            _check_cl2(f)
+            scan = _Scan(f)
         except ValueError as e:
             return False, f"step {idx}: {e}"
         if step.rule == "a":
-            if not is_stable(f):
+            if not scan.stable():
                 return False, f"step {idx}: not stable"
-            want = {fm.render(h) for _, _, h in a_premises(f)}
+            want = {fm.render(h) for _, _, h in scan.premises(env=True)}
             have = {fm.render(proof.steps[j].formula) for j in step.premises}
             if want != have:
                 return False, f"step {idx}: premise set mismatch"
@@ -359,7 +381,7 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
                 return False, f"step {idx}: matched occurrences must have opposite polarities"
             if (sp, sn) != ("surface", "surface"):
                 return False, f"step {idx}: occurrences must be surface"
-            if step.atom in _elem_names(f):
+            if step.atom in scan.names:
                 return False, f"step {idx}: atom {step.atom} already occurs"
             h = fm.replace_at(f, step.pos_path, Elem(step.atom))
             h = fm.replace_at(h, step.neg_path, Elem(step.atom))

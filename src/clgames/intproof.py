@@ -422,6 +422,8 @@ def _compile(node: ProofNode) -> Expr:
         return trans(half, ihs[0])
 
     if rule == "RightChoiceExists":
+        if not s.context:
+            return mp([ihs[0]], reg(f"oct5b[t={node.t}]"))
         return trans(ihs[0], reg(f"oct5b[t={node.t}]"))
 
     if rule == "LeftChoiceExists":

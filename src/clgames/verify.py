@@ -251,7 +251,7 @@ def verify_cl2_examples() -> Report:
 
 @_timed
 def verify_schemata(interps: int = 5, plays_per: int = 50,
-                    exhaustive_depth: int = 2) -> Report:
+                    exhaustive_depth: int = 3) -> Report:
     r = Report("cl2-schemata")
     for label, inst in schema_instances():
         expr = Expr("cl2", fm.render(inst))
@@ -328,7 +328,7 @@ def _l5_checker(r: Report, sid: str, strat: Strategy, game: GameRef):
 
 
 @_timed
-def verify_named(plays_total: int = 500, exhaustive_depth: int = 2) -> Report:
+def verify_named(plays_total: int = 500, exhaustive_depth: int = 3) -> Report:
     r = Report("named-strategies")
     val = Valuation({"y": 2})
     for sid, game_text, kind in named_strategy_games():
@@ -508,7 +508,7 @@ DOLLAR_BASES = (
 
 @_timed
 def verify_corpus(interps: int = 10, plays_per: int = 100,
-                  exhaustive_depth: int = 2) -> Report:
+                  exhaustive_depth: int = 3) -> Report:
     r = Report("corpus")
     corpus = intproof.curated_theorem_corpus()
     rules = frozenset()

@@ -29,10 +29,10 @@ def test_criterion_1_cl2_reproduction():
 
 def test_criterion_2_schema_coverage():
     # all ten schemata over the full parameter grid, proved, extracted,
-    # and played: exhaustive depth-2 adversaries plus >=200 seeded random
+    # and played: exhaustive depth-3 adversaries plus >=200 seeded random
     # plays under >=5 random interpretations each, 100% wins
     report = verify.verify_schemata(interps=5, plays_per=50,
-                                    exhaustive_depth=2)
+                                    exhaustive_depth=3)
     _finish("2 (schema coverage)", report, 600.0)
     assert report.counters["instances"] == 81
     assert report.counters["plays"] >= 81 * 200
@@ -40,10 +40,10 @@ def test_criterion_2_schema_coverage():
 
 def test_criterion_3_named_strategies():
     # every named strategy: >=500 seeded random plays on its schema games
-    # and every exhaustive depth-<=2 adversary branch, 100% wins; every
+    # and every exhaustive depth-<=3 adversary branch, 100% wins; every
     # tree-of-trees play checks the machine's invariants live at each grant
     # (criterion 4's second half)
-    report = verify.verify_named(plays_total=500, exhaustive_depth=2)
+    report = verify.verify_named(plays_total=500, exhaustive_depth=3)
     _finish("3 (named strategies)", report, 600.0)
     assert report.counters["plays"] >= 500 * 27     # 27 distinct strategy ids
     assert report.counters["strategies"] == 39
@@ -62,11 +62,11 @@ def test_criterion_4_tree_of_trees_invariants():
 
 def test_criterion_5_soundness_end_to_end():
     # every corpus derivation compiles; each compiled strategy wins >=1000
-    # seeded plays across >=10 interpretations, every exhaustive depth-2
+    # seeded plays across >=10 interpretations, every exhaustive depth-3
     # branch, is interpretation-blind, and ignores the universal-problem
     # base choice
     report = verify.verify_corpus(interps=10, plays_per=100,
-                                  exhaustive_depth=2)
+                                  exhaustive_depth=3)
     _finish("5 (compiled derivations)", report, 1200.0)
     assert report.counters["rules-covered"] == 15
     assert report.counters["derivations"] >= 10

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clgames import cl2, formula as fm
 from clgames.cl2 import (CL2Step, ProofMachine, a_premises, b_options,
@@ -7,7 +10,8 @@ from clgames.cl2 import (CL2Step, ProofMachine, a_premises, b_options,
                          prove, solution_machine)
 from clgames.epm import (PlayContext, RandomEnv, Strategy, simulate,
                          wins_against_all)
-from clgames.formula import Bot, Top
+from clgames.formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Implies,
+                             Neg, ParConj, ParDisj, Top)
 from clgames.games import GameRef, T, Valuation, random_interpretation
 from clgames.strategies import CcsMachine
 
@@ -125,7 +129,7 @@ class TestChecker:
         for k, s in enumerate(steps):
             if s.rule == "c":
                 prem = steps[s.premises[0]].formula
-                used = sorted(cl2._elem_names(s.formula))
+                used = sorted(cl2._Scan(s.formula).names)
                 if used:
                     bad = CL2Step(s.formula, "c", s.premises,
                                   pos_path=s.pos_path, neg_path=s.neg_path,
@@ -202,3 +206,118 @@ class TestExtraction:
         g = GameRef(f, itp)
         res = wins_against_all(Strategy(solution_machine(f)), g, depth=2)
         assert res.won_all
+
+
+# ---------------------------------------------------------------------------
+# Differential property: the one-walk scan against the rules' definitions,
+# restated directly: every occurrence in preorder, filtered per rule, and
+# stability as the elementarization evaluated under every assignment.
+
+def _occurrences(f):
+    """All (path, subformula, positive?, surface?) in preorder."""
+    out = []
+
+    def walk(g, path, pos, surface):
+        out.append((path, g, pos, surface))
+        for k, c in enumerate(fm.children(g)):
+            flip = isinstance(g, Neg) or (isinstance(g, Implies) and k == 0)
+            walk(c, path + (k,), pos != flip,
+                 surface and not isinstance(g, (ChoiceConj, ChoiceDisj)))
+
+    walk(f, (), True, True)
+    return out
+
+
+def _names(f):
+    return {g.name for _, g, _, _ in _occurrences(f) if isinstance(g, Elem)}
+
+
+def _classical(f, env):
+    if isinstance(f, (Top, Bot)):
+        return isinstance(f, Top)
+    if isinstance(f, Elem):
+        return env[f.name]
+    if isinstance(f, Neg):
+        return not _classical(f.body, env)
+    if isinstance(f, Implies):
+        return not _classical(f.left, env) or _classical(f.right, env)
+    if isinstance(f, ParConj):
+        return all(_classical(p, env) for p in f.parts)
+    return any(_classical(p, env) for p in f.parts)
+
+
+def _ref_stable(f):
+    e = elementarization(f)
+    names = sorted(_names(e))
+    return all(_classical(e, dict(zip(names, values)))
+               for values in itertools.product((False, True), repeat=len(names)))
+
+
+def _ref_choices(f, env):
+    out = []
+    for path, g, pos, surface in _occurrences(f):
+        if surface and ((isinstance(g, ChoiceConj) and pos == env)
+                        or (isinstance(g, ChoiceDisj) and pos != env)):
+            out += [(path, i, fm.replace_at(f, path, part))
+                    for i, part in enumerate(g.parts, start=1)]
+    return out
+
+
+def _ref_c(f):
+    occ = {True: {}, False: {}}
+    for path, g, pos, surface in _occurrences(f):
+        if surface and isinstance(g, Atom):
+            occ[pos].setdefault(g.letter, []).append(path)
+    out = []
+    for letter in sorted(set(occ[True]) & set(occ[False])):
+        name, k, used = letter.lower(), 2, _names(f)
+        while name in used:
+            name, k = f"{letter.lower()}_{k}", k + 1
+        for ppos in occ[True][letter]:
+            for pneg in occ[False][letter]:
+                h = fm.replace_at(f, ppos, Elem(name))
+                out.append((ppos, pneg, name, fm.replace_at(h, pneg, Elem(name))))
+    return out
+
+
+# general atoms weigh double; letters repeat, and `p` is the fresh name
+# rule (c) would first pick for P
+CL2_LEAVES = [Atom("P"), Atom("Q"), Atom("P"), Atom("Q"), Elem("p"), Elem("q"),
+              Top(), Bot()]
+CL2_FANOUT = [ParConj, ParDisj, ChoiceConj, ChoiceDisj]
+
+
+def _cl2_formula(draw, size: int):
+    """A propositional-fragment formula of at most `size` nodes."""
+    if size < 2 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(CL2_LEAVES))
+    if size < 3 or draw(st.integers(0, 4)) == 0:
+        return Neg(_cl2_formula(draw, size - 1))
+    arity = draw(st.integers(2, min(3, size - 1)))
+    cuts = sorted(draw(st.lists(st.integers(1, size - 2), min_size=arity - 1,
+                                max_size=arity - 1, unique=True)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [size - 1])]
+    parts = tuple(_cl2_formula(draw, n) for n in sizes)
+    kind = draw(st.sampled_from(CL2_FANOUT + [Implies] * (arity == 2)))
+    return kind(*parts) if kind is Implies else kind(parts)
+
+
+@st.composite
+def cl2_formulas(draw):
+    return _cl2_formula(draw, 12)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cl2_formulas())
+def test_the_scan_agrees_with_the_per_rule_walks(f):
+    assert a_premises(f) == _ref_choices(f, env=True)
+    assert b_options(f) == _ref_choices(f, env=False)
+    assert c_options(f) == _ref_c(f)
+    # rule (c) premises bring fresh elementary names to the surface
+    premises = [opt[-1] for opt in a_premises(f) + b_options(f) + c_options(f)]
+    for h in [f] + premises:
+        assert is_stable(h) == _ref_stable(h), fm.render(h)
+    proof = prove(f, max_nodes=5000)
+    if proof is not None:
+        assert check_proof(proof) == (True, "")

@@ -4,7 +4,9 @@ Each section serializes a deterministic batch of engine outputs to JSON and
 hashes it with SHA-256.  The pinned digests were taken from the engine
 before the legality/winner recursions and the two play loops were merged,
 so a refactor that changes any seeded transcript, search outcome or
-adjudication shows up here.  When a behaviour change is intended, run
+adjudication shows up here.  The `proofs` digest, taken before proof
+search walked each formula once, pins `cl2.prove`'s output (and so its
+search order) directly.  When a behaviour change is intended, run
 `PYTHONPATH=src python tests/test_golden.py` to print the new digests, and
 say in CHANGES.md why they moved.
 """
@@ -15,9 +17,11 @@ import random
 
 import pytest
 
-from clgames import formula as fm, intproof, verify
+from clgames import cl2, formula as fm, intproof, verify
 from clgames.epm import (Machine, RandomEnv, ScriptEnv, SilentEnv, Strategy,
                          simulate, wins_against_all)
+from clgames.formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Implies,
+                             Neg, ParConj, ParDisj, Top)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation, Labmove, T,
                            Valuation, candidate_moves, position_legal,
                            random_interpretation, winner)
@@ -30,6 +34,7 @@ GOLDEN = {
     "edges": "e3183fea1accb9ea0bc0b155f29adea4aeff2f21bb420b374ed4a81b190b104b",
     "judge": "cfb4fbf50eedf1256c60d4e072c60ed898badc742cb309976398d182eaf03cc7",
     "named": "422d02a201c1a89245608d488e671bea0b42f5c2033eeb09c4b581ffe6680314",
+    "proofs": "bfe91d7c28905b3546ab625b76a155851a3bf7b2d89dc592e620ebd90ba2b5c7",
     "schemata": "64377f239b3b853958ace1d6d7fbe85d644577ef007a42fd93b101b03bfe2bf8",
     "search": "acf40c4be1f3fa785fab140972f4a66c52edf51144a9a7fa9abdab023fcd2e33",
 }
@@ -135,6 +140,43 @@ def _search() -> list:
     return out
 
 
+_CL2_LEAVES = (Atom("P"), Atom("Q"), Atom("R"), Elem("p"), Elem("q"), Top(),
+               Bot())
+_CL2_FANOUT = (ParConj, ParDisj, ChoiceConj, ChoiceDisj)
+
+
+def _random_cl2(rng: random.Random, depth: int):
+    """A propositional-fragment formula of depth <= depth; `p` and `q` clash
+    with the fresh names rule (c) would pick for `P` and `Q`."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_CL2_LEAVES)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Neg(_random_cl2(rng, depth - 1))
+    if kind == 1:
+        return Implies(_random_cl2(rng, depth - 1),
+                       _random_cl2(rng, depth - 1))
+    arity = rng.choice((2, 2, 3))
+    return _CL2_FANOUT[kind - 2](
+        tuple(_random_cl2(rng, depth - 1) for _ in range(arity)))
+
+
+def _proofs() -> list:
+    """Proof search: every schema instance and 1,000 seeded random formulas."""
+    rng = random.Random(7)
+    formulas = [inst for _, inst in verify.schema_instances()]
+    formulas += [_random_cl2(rng, 4) for _ in range(1000)]
+    out = []
+    for f in formulas:
+        try:
+            proof = cl2.prove(f, max_nodes=300)
+            result = proof and cl2.proof_to_text(proof)
+        except cl2.SearchBudgetExceeded:
+            result = "budget"
+        out.append([fm.render(f), result])
+    return out
+
+
 JUNK = ["0", "3.x", "1.", ":", "junk", "1..1", "2.9", "0:", ".1", "♠"]
 
 
@@ -164,7 +206,8 @@ def _judge() -> list:
 
 
 SECTIONS = {"named": _named, "schemata": _schemata, "corpus": _corpus,
-            "edges": _edges, "search": _search, "judge": _judge}
+            "edges": _edges, "search": _search, "judge": _judge,
+            "proofs": _proofs}
 
 
 def digest(section: str) -> str:

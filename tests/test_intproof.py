@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from clgames import formula as fm, intproof
+from clgames import formula as fm, intproof, verify
 from clgames.epm import RandomEnv, simulate, wins_against_all
 from clgames.games import GameRef, T, random_interpretation
 from clgames.intproof import (ProofNode, check_proof, check_rule,
@@ -138,3 +138,24 @@ class TestCompile:
                     if c[0] == "impl-elim"][0]
         text = str(compile_proof(proof))
         assert "l4" in text and "l5" in text and "bang(" in text
+
+    def test_empty_context_witness_plays_the_bare_existential(self):
+        # `=> ?x.K` is the formula `?x.K` alone, not an implication, so the
+        # witness strategy must be applied to the premise's strategy; the
+        # composition `trans(l6a,oct5b[t=3])` opened with an illegal move
+        proof = ProofNode(seq("=> ?x.(!R(x) -> R(x))"), "RightChoiceExists",
+                          (ProofNode(seq("=> !R(3) -> R(3)"), "RightImpl",
+                                     (identity("R(3) => R(3)"),)),), t="3")
+        expr = compile_proof(proof)
+        assert str(expr) == "mp(l6a,oct5b[t=3])"
+        f = fm.sequent_to_formula(proof.sequent)
+        for k in range(3):
+            game = verify.random_game(f, seed=40 + k)
+            for j in range(10):
+                t = verify.play_random(expr, game, seed=j)
+                assert t.verdict is T, (k, j, t.halted_reason, t.run)
+        for seed in (5, 9):
+            game = verify.random_game(f, seed=seed, depth=2)
+            res = wins_against_all(expr.strategy(), game, depth=2)
+            assert res.won_all, res.counterexample.run
+        assert res.leaves == 13
