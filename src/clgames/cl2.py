@@ -356,7 +356,10 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
         elif step.rule == "b":
             if len(step.premises) != 1:
                 return False, f"step {idx}: needs one premise"
-            g = fm.subformula_at(f, step.path)
+            try:
+                g = fm.subformula_at(f, step.path)
+            except ValueError as e:
+                return False, f"step {idx}: {e}"
             pol, surf = polarity_and_surface(f, step.path)
             ok = (isinstance(g, ChoiceConj) and pol == "negative") or \
                  (isinstance(g, ChoiceDisj) and pol == "positive")
@@ -370,8 +373,11 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
         elif step.rule == "c":
             if len(step.premises) != 1:
                 return False, f"step {idx}: needs one premise"
-            gp = fm.subformula_at(f, step.pos_path)
-            gn = fm.subformula_at(f, step.neg_path)
+            try:
+                gp = fm.subformula_at(f, step.pos_path)
+                gn = fm.subformula_at(f, step.neg_path)
+            except ValueError as e:
+                return False, f"step {idx}: {e}"
             if not (isinstance(gp, Atom) and isinstance(gn, Atom)
                     and gp.letter == gn.letter):
                 return False, f"step {idx}: occurrences are not one general atom"

@@ -227,7 +227,7 @@ def replace_child(f: Formula, k: int, sub: Formula) -> Formula:
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
     for k in path:
         kids = children(f)
-        if k >= len(kids):
+        if not 0 <= k < len(kids):
             raise ValueError(f"bad path {path} in {render(f)}")
         f = kids[k]
     return f
@@ -603,19 +603,24 @@ def parse_sequent(text: str) -> Sequent:
         raise ParseError("a sequent needs '=>'", 0)
     left, right = text.split("=>", 1)
     succ = parse_formula(right)
-    ctx = []
+    ctx = ()
     if left.strip():
-        depth = 0
-        start = 0
-        chunks = []
-        for i, c in enumerate(left):
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            elif c == "," and depth == 0:
-                chunks.append(left[start:i])
-                start = i + 1
-        chunks.append(left[start:])
-        ctx = [parse_formula(ch) for ch in chunks]
-    return Sequent(tuple(ctx), succ)
+        ctx = tuple(parse_formula(ch) for ch in split_top_level(left))
+    return Sequent(ctx, succ)
+
+
+def split_top_level(text: str) -> list[str]:
+    """The pieces of `text` between the commas outside all brackets."""
+    depth = 0
+    start = 0
+    chunks = []
+    for i, ch in enumerate(text):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            chunks.append(text[start:i])
+            start = i + 1
+    chunks.append(text[start:])
+    return chunks

@@ -720,14 +720,6 @@ def _node_to_game(node: dict, env: dict[str, int]) -> FiniteGame:
     return game
 
 
-def _game_to_node(game: FiniteGame) -> dict:
-    node = {"winner": game.winner.value}
-    if game.moves:
-        node["moves"] = {f"{p.value}:{m}": _game_to_node(sub)
-                         for (p, m), sub in game.moves.items()}
-    return node
-
-
 def load_interpretation(text_or_obj) -> Interpretation:
     """An interpretation from its JSON form; ValueError when it has the wrong
     shape.  Letter games are built on first use, from checked nodes."""
@@ -756,40 +748,6 @@ def load_interpretation(text_or_obj) -> Interpretation:
     base = obj.get("dollar_base")
     dollar = _node_to_game(_checked_node(base), {}) if base else FiniteGame(T)
     return Interpretation(letters, dollar)
-
-
-def dump_interpretation(itp: Interpretation, arg_cap: int = 2) -> dict:
-    """Serialize by materializing guard tables over constants <= arg_cap."""
-    letters = {}
-    for key in sorted(itp.letters):
-        name, arity_s = key.split("/")
-        arity = int(arity_s)
-        params = [f"x{i + 1}" for i in range(arity)]
-        if arity == 0:
-            letters[key] = {"params": [], "game": _game_to_node(itp.letter_game(name, ()))}
-            continue
-        cases = []
-        default = None
-        for k in range(_tuple_count(arity, arg_cap)):
-            args = _tuple_at(arity, arg_cap, k)
-            node = _game_to_node(itp.letter_game(name, args))
-            cases.append({"when": dict(zip(params, args)), **node})
-            default = node
-        letters[key] = {"params": params,
-                        "game": {"cases": cases, "default": default}}
-    return {"letters": letters, "dollar_base": _game_to_node(itp.dollar_base)}
-
-
-def _tuple_count(arity: int, cap: int) -> int:
-    return cap ** arity
-
-
-def _tuple_at(arity: int, cap: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(arity):
-        out.append(k % cap + 1)
-        k //= cap
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Every strategy here is a one-pass reactive Machine: it scans the run once,
 reacts only to environment moves, and never inspects the interpretation.
 Each is documented by the shape of game it wins, in the surface grammar
 (! is the reusable-resource modality, & / + the choice connectives,
-@x / ?x the choice quantifiers).
+@x / ?x the choice quantifiers).  The strategies that resolve the choices
+on which the two sides of F -> G differ and then mirror (l11a-l11d,
+oct5a-oct5d, oct99, exists_drop and l4a[n=1]) are all `CcsMachine`, with
+the prologue set in the registry; their games are documented there.
 
 A strategy depends only on its expression, so each `Expr` is built once
 per process into a prototype machine that is never played; every play,
@@ -29,13 +32,54 @@ from .games import _numeral, bits_leq, grounded_atom_index, split_bang_move
 # Mirroring strategies
 
 class CcsMachine(Machine):
-    """Copy-cat: wins F -> F by mirroring moves across the two components."""
+    """Copy-cat: wins F -> F by mirroring moves across the two components.
+
+    The registry gives the copy-cat a prologue for the strategies that
+    first resolve the choices on which the two sides of F -> G differ.
+    `start` makes the `opening` moves, with "{t}" standing for the value of
+    the term `t`.  With a `trigger`, nothing is mirrored until the
+    environment moves a numeral c (at most `limit`, when set) right after
+    that prefix; the machine answers with the `answer` moves, "{c}"
+    standing for c, then mirrors the moves it held under the `hold` prefix
+    meanwhile.  Any other move before the trigger gets no answer.
+    """
+
+    def __init__(self, opening: tuple[str, ...] = (), t=None,
+                 trigger: Optional[str] = None, limit: Optional[int] = None,
+                 answer: tuple[str, ...] = (), hold: Optional[str] = None):
+        self.opening = opening
+        self.trigger = trigger              # None once seen
+        if not opening and trigger is None:
+            return          # a plain copy-cat: no more state, cheaper forks
+        self.t = None if t is None else fm.term(t)
+        self.limit = limit
+        self.answer = answer
+        self.hold = hold
+        self.held: list[str] = []
+
+    def start(self, ctx: PlayContext) -> list[str]:
+        if not self.opening:
+            return []
+        t = None if self.t is None else ctx.valuation.term(self.t)
+        return [m.format(t=t) for m in self.opening]
 
     def on_env(self, move: str) -> list[str]:
-        if move.startswith("1."):
-            return ["2." + move[2:]]
-        if move.startswith("2."):
-            return ["1." + move[2:]]
+        if self.trigger is None:
+            if move.startswith("1."):
+                return ["2." + move[2:]]
+            if move.startswith("2."):
+                return ["1." + move[2:]]
+            return []
+        if self.hold is not None and move.startswith(self.hold):
+            self.held.append(move)
+            return []
+        if move.startswith(self.trigger):
+            c = _numeral(move[len(self.trigger):])
+            if c is not None and (self.limit is None or c <= self.limit):
+                self.trigger = None
+                held, self.held = self.held, []
+                return ([m.format(c=c) for m in self.answer]
+                        + [r for m in held for r in self.on_env(m)])
         return []
 
 
@@ -93,17 +137,11 @@ class L4aMachine(Machine):
     transposed between "branch-then-index" and "index-then-branch" form."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need n >= 1")
+        if n < 2:
+            raise ValueError("need n >= 2")
         self.n = n
 
     def on_env(self, move: str) -> list[str]:
-        if self.n == 1:
-            # no conjunction wrapper on either side: plain mirroring
-            if move.startswith("1.") or move.startswith("2."):
-                other = "2." if move.startswith("1.") else "1."
-                return [other + move[2:]]
-            return []
         if move.startswith("2."):
             parsed = split_bang_move(move[2:])
             if parsed is None:
@@ -158,258 +196,69 @@ class L6cMachine(Machine):
 
 
 # ---------------------------------------------------------------------------
-# Choice-shuffling strategies
-
-class _DelegatingMachine(Machine):
-    """Base for strategies that finish by handing over to another machine.
-
-    start() keeps the play context for a later handover; once the delegate
-    has taken over, it receives every environment move, and until then
-    _react() answers them.
-    """
-
-    def __init__(self):
-        self.delegate: Optional[Machine] = None
-        self.ctx: Optional[PlayContext] = None
-
-    def start(self, ctx: PlayContext) -> list[str]:
-        self.ctx = ctx
-        return []
-
-    def on_env(self, move: str) -> list[str]:
-        if self.delegate is not None:
-            return self.delegate.on_env(move)
-        return self._react(move)
-
-    def _react(self, move: str) -> list[str]:
-        return []
-
-    def _handover(self, machine: Machine, ctx: PlayContext) -> list[str]:
-        self.delegate = machine
-        return machine.start(ctx)
-
-    @property
-    def settled(self) -> bool:
-        return self.delegate.settled if self.delegate is not None else True
-
-
-class L11aMachine(_DelegatingMachine):
-    """Wins !(F1 & ... & Fn) -> !Fi: resolves the antecedent choice at the
-    root branch, then plays copy-cat."""
-
-    def __init__(self, i: int, n: int):
-        super().__init__()
-        if not 1 <= i <= n or n < 2:
-            raise ValueError("need n >= 2 and 1 <= i <= n")
-        self.i = i
-        self.n = n
-
-    def start(self, ctx):
-        return [f"1..{self.i}"] + self._handover(CcsMachine(), ctx)
-
-
-class L11bMachine(_DelegatingMachine):
-    """Wins !@x.G(x) -> !G(t): reads the value of t off the valuation,
-    resolves the antecedent quantifier at the root branch, then copy-cat."""
-
-    def __init__(self, t):
-        super().__init__()
-        self.t = fm.term(t)
-
-    def start(self, ctx):
-        c = ctx.valuation.term(self.t)
-        return [f"1..{c}"] + self._handover(CcsMachine(), ctx)
-
-
-class L11cMachine(_DelegatingMachine):
-    """Wins !(F1 + ... + Fn) -> !F1 + ... + !Fn: waits for the environment's
-    antecedent choice j, answers with the same consequent choice, then
-    plays copy-cat."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        if n < 2:
-            raise ValueError("need n >= 2")
-        self.n = n
-
-    def _react(self, move):
-        if move.startswith("1.."):
-            j = _numeral(move[3:])
-            if j is not None and j <= self.n:
-                return [f"2.{j}"] + self._handover(CcsMachine(), self.ctx)
-        return []
-
-
-class L11dMachine(_DelegatingMachine):
-    """Wins !?x.G(x) -> ?x.!G(x): waits for the environment's antecedent
-    constant, repeats it in the consequent, then copy-cat."""
-
-    def _react(self, move):
-        if move.startswith("1.."):
-            c = _numeral(move[3:])
-            if c is not None:
-                return [f"2.{c}"] + self._handover(CcsMachine(), self.ctx)
-        return []
-
-
-class Oct5aMachine(_DelegatingMachine):
-    """Wins @x.(F(x) -> G(x)) -> (@x.F(x) -> @x.G(x)): waits for the
-    environment's constant in the consequent, repeats it in the other two
-    quantified components, then copy-cat."""
-
-    def _react(self, move):
-        if move.startswith("2.2."):
-            c = _numeral(move[4:])
-            if c is not None:
-                return [f"1.{c}", f"2.1.{c}"] + self._handover(CcsMachine(), self.ctx)
-        return []
-
-
-class Oct5bMachine(_DelegatingMachine):
-    """Wins F(t) -> ?x.F(x): resolves the consequent with the value of t,
-    then copy-cat."""
-
-    def __init__(self, t):
-        super().__init__()
-        self.t = fm.term(t)
-
-    def start(self, ctx):
-        c = ctx.valuation.term(self.t)
-        return [f"2.{c}"] + self._handover(CcsMachine(), ctx)
-
-
-class Oct5cMachine(_DelegatingMachine):
-    """Wins F -> @x.F when F has no free x: waits for the environment's
-    constant, replays any antecedent moves it buffered meanwhile, then
-    copy-cat."""
-
-    def __init__(self):
-        super().__init__()
-        self.buffered: list[str] = []
-
-    def _react(self, move):
-        if move.startswith("1."):
-            self.buffered.append(move[2:])
-            return []
-        if move.startswith("2."):
-            c = _numeral(move[2:])
-            if c is not None:
-                replay = [f"2.{a}" for a in self.buffered]
-                self.buffered = []
-                return replay + self._handover(CcsMachine(), self.ctx)
-        return []
-
-
-class Oct5dMachine(_DelegatingMachine):
-    """Wins @x.(F1(x) /\\ .. /\\ Fn(x) /\\ E(x) -> G(x))
-         -> (@x.F1(x) /\\ .. /\\ @x.Fn(x) /\\ ?x.E(x) -> ?x.G(x)):
-    waits for the environment's constant in the ?x.E component and repeats
-    it everywhere, then copy-cat."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        if n < 0:
-            raise ValueError("need n >= 0")
-        self.n = n
-
-    def _react(self, move):
-        trigger = "2.1." if self.n == 0 else f"2.1.{self.n + 1}."
-        if move.startswith(trigger):
-            c = _numeral(move[len(trigger):])
-            if c is not None:
-                replies = [f"2.2.{c}", f"1.{c}"]
-                replies += [f"2.1.{i}.{c}" for i in range(1, self.n + 1)]
-                return replies + self._handover(CcsMachine(), self.ctx)
-        return []
-
-
-class ExistsDropMachine(_DelegatingMachine):
-    """Wins ?x.F -> F when F has no free x: waits for the environment's
-    antecedent constant, replays buffered consequent moves into the
-    antecedent, then copy-cat."""
-
-    def __init__(self):
-        super().__init__()
-        self.buffered: list[str] = []
-
-    def _react(self, move):
-        if move.startswith("2."):
-            self.buffered.append(move[2:])
-            return []
-        if move.startswith("1."):
-            c = _numeral(move[2:])
-            if c is not None:
-                replay = [f"1.{a}" for a in self.buffered]
-                self.buffered = []
-                return replay + self._handover(CcsMachine(), self.ctx)
-        return []
-
-
-def oct99_machine() -> Machine:
-    """Renaming a choice-quantified variable changes nothing: copy-cat."""
-    return CcsMachine()
-
-
-# ---------------------------------------------------------------------------
 # The universal-resource strategy
 
-class L6bMachine(_DelegatingMachine):
+class L6bMachine(Machine):
     """Wins !$ -> K for any formula K of the sublanguage.
 
     Built by recursion on K: the universal resource in the antecedent is
     specialized to whichever conjunct matches K's head (atoms pick their
     index in the fixed grounded-atom enumeration; consequent choices are
     answered with 1, or follow the environment's pick), bottoming out in
-    the !F -> F copy-cat.
+    the !F -> F copy-cat.  Once the head is resolved, a delegate machine
+    receives every environment move.
     """
 
     def __init__(self, k: Formula):
-        super().__init__()
         if not fm.is_int_formula(k):
             raise ValueError(f"not in the sublanguage: {fm.render(k)}")
         self.k = k
-        self.waiting = False
+        self.ctx: Optional[PlayContext] = None
+        self.delegate: Optional[Machine] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.delegate.settled if self.delegate is not None else True
+
+    def _handover(self, machine: Machine) -> list[str]:
+        self.delegate = machine
+        return machine.start(self.ctx)
 
     def start(self, ctx):
         self.ctx = ctx
         k = self.k
         if isinstance(k, Dollar):
-            return self._handover(L6aMachine(), ctx)
+            return self._handover(L6aMachine())
         if isinstance(k, Atom):
             args = tuple(ctx.valuation.term(t) for t in k.args)
             m = 1 + grounded_atom_index(ctx.signature, k.letter, args)
-            return [f"1..{m}"] + self._handover(L6aMachine(), ctx)
+            return [f"1..{m}"] + self._handover(L6aMachine())
         if isinstance(k, Implies):              # encoded resource implication
-            e, f = k.left.body, k.right
             b_inst = _cl2("(R -> S) -> R /\\ P -> S")
             d_inst = _cl2("(R /\\ P -> S) -> R -> P -> S")
             d = transitivity_machine(b_inst, d_inst)
-            return self._handover(mp_machine([L6bMachine(f)], d), ctx)
+            return self._handover(mp_machine([L6bMachine(k.right)], d))
         if isinstance(k, ChoiceDisj):
-            return ["2.1"] + self._handover(L6bMachine(k.parts[0]), ctx)
+            return ["2.1"] + self._handover(L6bMachine(k.parts[0]))
         if isinstance(k, ChoiceExists):
             body = fm.substitute(k.body, [(k.var, 1)])
-            return ["2.1"] + self._handover(L6bMachine(body), ctx)
+            return ["2.1"] + self._handover(L6bMachine(body))
         if isinstance(k, (ChoiceConj, ChoiceAll)):
-            self.waiting = True
-            return []
+            return []                           # wait for the environment
         raise ValueError(f"unsupported head in {fm.render(k)}")
 
-    def _react(self, move):
-        if not self.waiting or not move.startswith("2."):
-            return []
-        c = _numeral(move[2:])
+    def on_env(self, move):
+        if self.delegate is not None:
+            return self.delegate.on_env(move)
+        c = _numeral(move[2:]) if move.startswith("2.") else None
         if c is None:
             return []
         k = self.k
         if isinstance(k, ChoiceConj):
             if c > len(k.parts):
                 return []
-            self.waiting = False
-            return self._handover(L6bMachine(k.parts[c - 1]), self.ctx)
-        body = fm.substitute(k.body, [(k.var, c)])
-        self.waiting = False
-        return self._handover(L6bMachine(body), self.ctx)
+            return self._handover(L6bMachine(k.parts[c - 1]))
+        return self._handover(L6bMachine(fm.substitute(k.body, [(k.var, c)])))
 
 
 # ---------------------------------------------------------------------------
@@ -683,27 +532,78 @@ def _cl2(text: str) -> Machine:
 # ---------------------------------------------------------------------------
 # Registry
 
-def _build_l4a(args):
-    return L4aMachine(int(args["n"]))
+def _l4a(args):
+    n = int(args["n"])
+    # !F1 -> !F1 has no conjunction wrapper on either side: plain copy-cat
+    return CcsMachine() if n == 1 else L4aMachine(n)
+
+
+def _l11a(args):
+    """Wins !(F1 & ... & Fn) -> !Fi: resolves the antecedent choice at the
+    root branch, then plays copy-cat."""
+    i, n = int(args["i"]), int(args["n"])
+    if not 1 <= i <= n or n < 2:
+        raise ValueError("need n >= 2 and 1 <= i <= n")
+    return CcsMachine(opening=(f"1..{i}",))
+
+
+def _l11c(args):
+    """Wins !(F1 + ... + Fn) -> !F1 + ... + !Fn: waits for the environment's
+    antecedent choice j, answers with the same consequent choice, then
+    plays copy-cat."""
+    n = int(args["n"])
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return CcsMachine(trigger="1..", limit=n, answer=("2.{c}",))
+
+
+def _oct5d(args):
+    """Wins @x.(F1(x) /\\ .. /\\ Fn(x) /\\ E(x) -> G(x))
+         -> (@x.F1(x) /\\ .. /\\ @x.Fn(x) /\\ ?x.E(x) -> ?x.G(x)):
+    waits for the environment's constant in the ?x.E component and repeats
+    it everywhere, then copy-cat."""
+    n = int(args["n"])
+    if n < 0:
+        raise ValueError("need n >= 0")
+    fan = tuple(f"2.1.{i}.{{c}}" for i in range(1, n + 1))
+    return CcsMachine(trigger="2.1." if n == 0 else f"2.1.{n + 1}.",
+                      answer=("2.2.{c}", "1.{c}") + fan)
 
 
 _REGISTRY = {
     "ccs": lambda args: CcsMachine(),
     "l6a": lambda args: L6aMachine(),
     "l4": lambda args: L4Machine(),
-    "l4a": _build_l4a,
+    "l4a": _l4a,
     "l6c": lambda args: L6cMachine(),
     "l6b": lambda args: L6bMachine(fm.parse_formula(args["K"])),
-    "l11a": lambda args: L11aMachine(int(args["i"]), int(args["n"])),
-    "l11b": lambda args: L11bMachine(args["t"]),
-    "l11c": lambda args: L11cMachine(int(args["n"])),
-    "l11d": lambda args: L11dMachine(),
-    "oct5a": lambda args: Oct5aMachine(),
-    "oct5b": lambda args: Oct5bMachine(args["t"]),
-    "oct5c": lambda args: Oct5cMachine(),
-    "oct5d": lambda args: Oct5dMachine(int(args["n"])),
-    "oct99": lambda args: oct99_machine(),
-    "exists_drop": lambda args: ExistsDropMachine(),
+    "l11a": _l11a,
+    # Wins !@x.G(x) -> !G(t): reads the value of t off the valuation,
+    # resolves the antecedent quantifier at the root branch, then copy-cat.
+    "l11b": lambda args: CcsMachine(opening=("1..{t}",), t=args["t"]),
+    "l11c": _l11c,
+    # Wins !?x.G(x) -> ?x.!G(x): waits for the environment's antecedent
+    # constant, repeats it in the consequent, then copy-cat.
+    "l11d": lambda args: CcsMachine(trigger="1..", answer=("2.{c}",)),
+    # Wins @x.(F(x) -> G(x)) -> (@x.F(x) -> @x.G(x)): waits for the
+    # environment's constant in the consequent, repeats it in the other two
+    # quantified components, then copy-cat.
+    "oct5a": lambda args: CcsMachine(trigger="2.2.",
+                                     answer=("1.{c}", "2.1.{c}")),
+    # Wins F(t) -> ?x.F(x): resolves the consequent with the value of t,
+    # then copy-cat.
+    "oct5b": lambda args: CcsMachine(opening=("2.{t}",), t=args["t"]),
+    # Wins F -> @x.F when F has no free x: waits for the environment's
+    # constant, mirrors the antecedent moves it held meanwhile, then
+    # copy-cat.
+    "oct5c": lambda args: CcsMachine(trigger="2.", hold="1."),
+    "oct5d": _oct5d,
+    # Renaming a choice-quantified variable changes nothing: copy-cat.
+    "oct99": lambda args: CcsMachine(),
+    # Wins ?x.F -> F when F has no free x: waits for the environment's
+    # antecedent constant, mirrors the consequent moves it held meanwhile,
+    # then copy-cat.
+    "exists_drop": lambda args: CcsMachine(trigger="1.", hold="2."),
     "l5": lambda args: L5Machine(),
 }
 
@@ -721,19 +621,7 @@ def parse_strategy_id(text: str) -> tuple[str, dict]:
         raise ValueError(f"bad strategy id {text!r}")
     name, _, argpart = text[:-1].partition("[")
     args = {}
-    depth = 0
-    start = 0
-    chunks = []
-    for i, ch in enumerate(argpart):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            chunks.append(argpart[start:i])
-            start = i + 1
-    chunks.append(argpart[start:])
-    for chunk in chunks:
+    for chunk in fm.split_top_level(argpart):
         if not chunk:
             continue
         k, eq, v = chunk.partition("=")

@@ -175,8 +175,7 @@ def play_random(strategy_expr_or_id, game: GameRef, seed: int,
 
 
 def _fresh_strategy(spec) -> Strategy:
-    if isinstance(spec, Strategy):
-        return spec.clone()
+    """A new strategy for an `Expr` or a registry strategy id."""
     if isinstance(spec, Expr):
         return spec.strategy()
     return build_strategy(spec)

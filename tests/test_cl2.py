@@ -157,6 +157,25 @@ class TestChecker:
                 return
         pytest.fail("expected a machine-choice step")
 
+    def test_bad_choice_path_is_an_invalid_step(self):
+        proof = prove(F("P -> P"))
+        bad = CL2Step(F("P & Q -> P"), "b", (len(proof.steps) - 1,),
+                      path=(7,), index=1)
+        ok, why = check_proof(cl2.CL2Proof(proof.steps + (bad,)))
+        assert not ok
+        assert why == f"step {len(proof.steps)}: bad path (7,) in P & Q -> P"
+
+    @pytest.mark.parametrize("pos, neg, why", [
+        ((1,), (0, 3), "bad path (0, 3) in P"),
+        ((-1,), (0,), "bad path (-1,) in P -> P"),
+    ])
+    def test_bad_channel_path_is_an_invalid_step(self, pos, neg, why):
+        proof = prove(F("P -> P"))
+        bad = CL2Step(F("P -> P"), "c", (0,), pos_path=pos, neg_path=neg,
+                      atom="q")
+        ok, got = check_proof(cl2.CL2Proof(proof.steps + (bad,)))
+        assert (ok, got) == (False, f"step {len(proof.steps)}: {why}")
+
     def test_text_round_trip(self):
         proof = prove(F("(P & Q) -> (Q + P)"))
         text = proof_to_text(proof)

@@ -74,6 +74,18 @@ class TestProofFiles:
         assert code == 1 and "invalid: empty proof" in out
 
 
+    def test_cl2_proof_with_a_bad_path_is_invalid(self, capsys, tmp_path):
+        path = tmp_path / "bad-path.cl2"
+        path.write_text("1. p -> p ; rule=a ; premises=[]\n"
+                        "2. P -> P ; rule=c ; premises=[1] ; path=1,0 ; "
+                        "atom=p\n"
+                        "3. P & Q -> P ; rule=b ; premises=[2] ; path=7 ; "
+                        "i=1\n")
+        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
+        assert code == 1
+        assert "invalid: step 2: bad path (7,) in P & Q -> P" in out
+
+
 class TestPlay:
     def test_scripted_play_transcript(self, capsys, tmp_path):
         script = tmp_path / "s.txt"

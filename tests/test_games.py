@@ -10,8 +10,8 @@ from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            Interpretation, Labmove, MoveStatus, T, Valuation,
                            candidate_moves, classify_move,
                            enumerate_grounded_atoms, grounded_atom_index,
-                           labmoves, load_interpretation, dump_interpretation,
-                           negate_run, observationally_equal, position_legal,
+                           labmoves, load_interpretation, negate_run,
+                           observationally_equal, position_legal,
                            prefixation, prelegal_and_tree, project,
                            random_interpretation, subrun_upto, tree_leaves,
                            winner)
@@ -325,14 +325,6 @@ class TestInterpretationFiles:
         assert itp.letter_game("Q", (1,)).winner is T
         g2 = itp.letter_game("Q", (2,))
         assert g2.winner is B and (T, "go") in g2.moves
-
-    def test_dump_load_round_trip(self):
-        itp = random_interpretation(11, (("P", 0), ("Q", 1)), 2)
-        dumped = dump_interpretation(itp, arg_cap=2)
-        again = load_interpretation(dumped)
-        for args in ((), ):
-            assert dump_interpretation(again, 2)["letters"]["P/0"] == \
-                dumped["letters"]["P/0"]
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,34 @@ class TestChoiceShufflers:
         m = build_machine("exists_drop")
         assert feed(m, "2.a", "1.7")[1:] == [[], ["1.a"]]
 
+    @pytest.mark.parametrize("sid", ["l11a[i=3,n=2]", "l11a[i=1,n=1]",
+                                     "l11c[n=1]", "oct5d[n=-1]"])
+    def test_bad_parameters_are_rejected(self, sid):
+        with pytest.raises(ValueError):
+            build_machine(sid)
+
+    def test_l11c_ignores_a_pick_out_of_range(self):
+        m = build_machine("l11c[n=2]")
+        assert feed(m, "1..3", "1..2")[1:] == [[], ["2.2"]]
+        assert m.on_env("1.m") == ["2.m"]
+
+    def test_oct5c_keeps_holding_past_a_non_numeral(self):
+        m = build_machine("oct5c")
+        assert feed(m, "1.a", "2.x", "1.b", "2.9")[1:] == \
+            [[], [], [], ["2.a", "2.b"]]
+        assert m.on_env("1.c") == ["2.c"]
+
+    def test_exists_drop_drops_a_non_numeral(self):
+        m = build_machine("exists_drop")
+        assert feed(m, "2.a", "1.x", "1.7")[1:] == [[], [], ["1.a"]]
+        assert m.on_env("1.x") == ["2.x"]
+
+    @pytest.mark.parametrize("sid", ["oct99", "l4a[n=1]"])
+    def test_plain_copy_cats_mirror_both_ways(self, sid):
+        m = build_machine(sid)
+        assert feed(m, "2.a", "1.x", "2.0.y") == \
+            [[], ["1.a"], ["2.x"], ["1.0.y"]]
+
 
 class TestL6b:
     def test_dollar_behaves_as_the_root_copy_cat(self):
