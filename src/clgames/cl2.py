@@ -478,6 +478,24 @@ def _move_prefix(f: Formula, path: Path) -> str:
     return "".join(out)
 
 
+def _instruction(step: CL2Step) -> tuple:
+    """What the machine does at a proof step, with its move strings:
+
+    ("b", full choice move, next step)
+    ("c", (channel prefix, channel prefix), next step)
+    ("a", ((full choice move, premise), ...))
+    """
+    f = step.formula
+    if step.rule == "b":
+        return ("b", _move_prefix(f, step.path) + str(step.index),
+                step.premises[0])
+    if step.rule == "c":
+        return ("c", (_move_prefix(f, step.pos_path),
+                      _move_prefix(f, step.neg_path)), step.premises[0])
+    return ("a", tuple((_move_prefix(f, path) + str(i), prem)
+                       for path, i, prem in step.branches))
+
+
 class ProofMachine(Machine):
     """Plays the conclusion of a checked proof of a general-base formula.
 
@@ -485,6 +503,9 @@ class ProofMachine(Machine):
     fire immediately, channel steps open mirrors (catching up on any
     buffered adversary moves in the matched components), and stable steps
     wait for the environment to resolve one of their recorded choices.
+    The proof is compiled once per prototype into `instructions`, one
+    immutable entry per step holding its move strings (see
+    `_instruction`); forks share it, so a play only reads it.
     """
 
     def __init__(self, proof: CL2Proof):
@@ -493,34 +514,28 @@ class ProofMachine(Machine):
             raise ValueError(f"invalid proof: {why}")
         if not fm.is_general_base(proof.conclusion):
             raise ValueError("conclusion is not general-base")
-        self.proof = proof
+        self.instructions = tuple(_instruction(s) for s in proof.steps)
         self.step = len(proof.steps) - 1
         self.channels: list[tuple[str, str]] = []
         self.log: list[str] = []
         self.waits: list[tuple[str, int]] = []   # (full choice move, premise)
-        self._bootstrapped = False
 
     def start(self, ctx: PlayContext) -> list[str]:
-        self._bootstrapped = True
         return self._advance()
 
     def _advance(self) -> list[str]:
         out: list[str] = []
         while True:
-            step = self.proof.steps[self.step]
-            if step.rule == "b":
-                prefix = _move_prefix(step.formula, step.path)
-                out.append(prefix + str(step.index))
-                self.step = step.premises[0]
-            elif step.rule == "c":
-                pa = _move_prefix(step.formula, step.pos_path)
-                pb = _move_prefix(step.formula, step.neg_path)
-                self.channels.append((pa, pb))
-                out.extend(self._catch_up(pa, pb))
-                self.step = step.premises[0]
+            op = self.instructions[self.step]
+            if op[0] == "b":
+                out.append(op[1])
+                self.step = op[2]
+            elif op[0] == "c":
+                self.channels.append(op[1])
+                out.extend(self._catch_up(*op[1]))
+                self.step = op[2]
             else:
-                self.waits = [(_move_prefix(step.formula, path) + str(i), prem)
-                              for path, i, prem in step.branches]
+                self.waits = list(op[1])
                 return out
 
     def _catch_up(self, pa: str, pb: str) -> list[str]:

@@ -25,12 +25,13 @@ leaves the game undefined, so no verdict is given.
 A winning strategy depends only on the formula, never on the play, so
 `strategies` builds each strategy once per process and hands every play a
 `Machine.fork()` of that prototype; the search forks the strategy at every
-branch the same way (`Strategy.clone`).
+branch the same way (`Strategy.clone`).  A fork makes the new instance
+with `object.__new__` and copies its attributes, so `__init__` never runs
+again: nothing the prototype checked or computed is redone per play.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import random
 import traceback
@@ -68,14 +69,16 @@ class Machine:
         return []
 
     def fork(self) -> "Machine":
-        """An independent copy of this machine in its current state.
+        """An independent copy of this machine in its current state, made
+        without running `__init__`.
 
         Every `list`, `dict` and `set` attribute is copied one level deep,
         and every `Machine` held in an attribute or in such a container is
         forked; all other attributes are shared, so they must be immutable
         (strings, numbers, tuples, frozensets, formulas, proofs, contexts).
         """
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        state = vars(other)
         for name, value in vars(self).items():
             if isinstance(value, Machine):
                 value = value.fork()
@@ -85,9 +88,7 @@ class Machine:
                 value = {k: _fork(v) for k, v in value.items()}
             elif isinstance(value, set):
                 value = {_fork(v) for v in value}
-            else:
-                continue
-            vars(other)[name] = value
+            state[name] = value
         return other
 
 
@@ -126,9 +127,9 @@ class Strategy:
         return self.started and not self.queue and self.machine.settled
 
     def clone(self) -> "Strategy":
-        other = copy.copy(self)
-        other.machine = self.machine.fork()
-        other.queue = deque(self.queue)
+        other = object.__new__(type(self))
+        vars(other).update(vars(self), machine=self.machine.fork(),
+                           queue=deque(self.queue))
         return other
 
 
@@ -305,10 +306,9 @@ class _Play:
         """An independent copy of this play, sharing its game state; with
         `mv`, the environment answers the grant with that legal move, which
         leads to `state`."""
-        other = copy.copy(self)
-        other.strategy = self.strategy.clone()
-        other.run = list(self.run)
-        other.events = list(self.events)
+        other = object.__new__(type(self))
+        vars(other).update(vars(self), strategy=self.strategy.clone(),
+                           run=list(self.run), events=list(self.events))
         if mv is not None:
             other.run.append(Labmove(B, mv))
             other.events.append(("move", "B", mv))

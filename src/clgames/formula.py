@@ -225,12 +225,13 @@ def replace_child(f: Formula, k: int, sub: Formula) -> Formula:
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
+    g = f
     for k in path:
-        kids = children(f)
+        kids = children(g)
         if not 0 <= k < len(kids):
             raise ValueError(f"bad path {path} in {render(f)}")
-        f = kids[k]
-    return f
+        g = kids[k]
+    return g
 
 
 def replace_at(f: Formula, path: tuple[int, ...], sub: Formula) -> Formula:

@@ -3,17 +3,17 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clgames import cl2, formula as fm
+from clgames import cl2, formula as fm, strategies, verify
 from clgames.cl2 import (CL2Step, ProofMachine, a_premises, b_options,
                          c_options, check_proof, elementarization, is_stable,
                          polarity_and_surface, proof_from_text, proof_to_text,
                          prove, solution_machine)
-from clgames.epm import (PlayContext, RandomEnv, Strategy, simulate,
+from clgames.epm import (Machine, PlayContext, RandomEnv, Strategy, simulate,
                          wins_against_all)
 from clgames.formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Implies,
                              Neg, ParConj, ParDisj, Top)
 from clgames.games import GameRef, T, Valuation, random_interpretation
-from clgames.strategies import CcsMachine
+from clgames.strategies import CcsMachine, Expr
 
 
 def F(text):
@@ -166,7 +166,7 @@ class TestChecker:
         assert why == f"step {len(proof.steps)}: bad path (7,) in P & Q -> P"
 
     @pytest.mark.parametrize("pos, neg, why", [
-        ((1,), (0, 3), "bad path (0, 3) in P"),
+        ((1,), (0, 3), "bad path (0, 3) in P -> P"),
         ((-1,), (0,), "bad path (-1,) in P -> P"),
     ])
     def test_bad_channel_path_is_an_invalid_step(self, pos, neg, why):
@@ -225,6 +225,71 @@ class TestExtraction:
         g = GameRef(f, itp)
         res = wins_against_all(Strategy(solution_machine(f)), g, depth=2)
         assert res.won_all
+
+
+# ---------------------------------------------------------------------------
+# A proof machine's instructions against a per-step walk of its proof: each
+# step's move strings read off its formula along its recorded paths.
+
+def _walked_prefix(f, path):
+    out = []
+    g = f
+    for k in path:
+        if isinstance(g, (ParConj, ParDisj, Implies)):
+            out.append(f"{k + 1}.")
+        g = fm.children(g)[k]
+    return "".join(out)
+
+
+def _walked(step):
+    f = step.formula
+    if step.rule == "b":
+        return ("b", _walked_prefix(f, step.path) + str(step.index),
+                step.premises[0])
+    if step.rule == "c":
+        return ("c", (_walked_prefix(f, step.pos_path),
+                      _walked_prefix(f, step.neg_path)), step.premises[0])
+    return ("a", tuple((_walked_prefix(f, path) + str(i), prem)
+                       for path, i, prem in step.branches))
+
+
+def _proof_machines(m):
+    """Every ProofMachine in a machine tree."""
+    found, todo = [], [m]
+    while todo:
+        m = todo.pop()
+        if isinstance(m, ProofMachine):
+            found.append(m)
+        for v in vars(m).values():
+            items = v if isinstance(v, list) else [v]
+            todo.extend(x for x in items if isinstance(x, Machine))
+    return found
+
+
+# the proofs `strategies` embeds: composition, and the two halves of L6b's
+# resource implication
+EMBEDDED = ["(P -> Q) /\\ (Q -> S) -> P -> S",
+            "(R -> S) -> R /\\ P -> S",
+            "(R /\\ P -> S) -> R -> P -> S"]
+
+
+def test_instructions_match_the_per_step_walk():
+    texts = [fm.render(inst) for _, inst in verify.schema_instances()]
+    assert len(texts) == 81
+    for text in texts + EMBEDDED:
+        proof = prove(F(text))
+        machine = strategies._prototype(Expr("cl2", text))
+        assert machine.instructions == tuple(map(_walked, proof.steps)), text
+    # the embedded machines are forks of those prototypes
+    l6b = strategies.L6bMachine(F("!$ -> $"))
+    l6b.start(PlayContext(Valuation(), ()))
+    embedded = _proof_machines(l6b) + \
+        _proof_machines(strategies.transitivity_machine(CcsMachine(),
+                                                        CcsMachine()))
+    assert len(embedded) == 4
+    shared = {id(strategies._prototype(Expr("cl2", t)).instructions)
+              for t in EMBEDDED}
+    assert {id(m.instructions) for m in embedded} == shared
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,42 @@ def test_fork_copies_containers_and_forks_nested_machines():
     assert inner.tree == {()}
 
 
+def test_forking_a_prototype_checks_and_builds_nothing(monkeypatch):
+    """A fork copies state: it checks no proof and runs no `__init__`."""
+    _, inst = verify.schema_instances()[0]
+    proof = dict(intproof.curated_theorem_corpus())["impl-elim"]
+    protos = [strategies._prototype(Expr("cl2", fm.render(inst))),
+              strategies._prototype(intproof.compile_proof(proof))]
+    strategy = Strategy(protos[1])
+    calls = []
+    monkeypatch.setattr(cl2, "check_proof",
+                        lambda *args: calls.append("check_proof"))
+    for cls in _production_machines() | {Strategy}:
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *args, **kwargs:
+                                calls.append(type(self)))
+    for _ in range(50):
+        for proto in protos:
+            proto.fork()
+        strategy.clone()
+    assert calls == []
+
+
+def test_a_fork_shares_instructions_but_not_play_state():
+    expr = strategies.mp([reg("ccs"), reg("ccs")],
+                         Expr("cl2", "(P -> Q) /\\ (Q -> S) -> P -> S"))
+    proto = strategies._prototype(expr)
+    twin = proto.fork()
+    assert isinstance(twin.c, ProofMachine)
+    assert twin.c.instructions is proto.c.instructions
+    for name in ("channels", "log", "waits"):
+        assert getattr(twin.c, name) is not getattr(proto.c, name), name
+    twin.start(PlayContext(VAL))
+    assert twin.c.channels
+    assert (proto.c.channels, proto.c.log, proto.c.waits) == ([], [], [])
+
+
 def test_a_failing_build_is_not_cached():
     for _ in range(2):
         with pytest.raises(ValueError):
