@@ -166,7 +166,10 @@ class TestChecker:
         assert why == f"step {len(proof.steps)}: bad path (7,) in P & Q -> P"
 
     @pytest.mark.parametrize("pos, neg, why", [
-        ((1,), (0, 3), "bad path (0, 3) in P -> P"),
+        # The message names the root formula; the id keeps the case's
+        # earlier name, from when it named the subformula P.
+        pytest.param((1,), (0, 3), "bad path (0, 3) in P -> P",
+                     id="pos0-neg0-bad path (0, 3) in P"),
         ((-1,), (0,), "bad path (-1,) in P -> P"),
     ])
     def test_bad_channel_path_is_an_invalid_step(self, pos, neg, why):
