@@ -20,6 +20,12 @@ The engine evaluates a game by stepping a persistent `State` one labmove
 at a time.  Legality is prefix-closed and the recurrence clause is stated
 over prelegal runs and their trees, so stepping decides legality and
 winners exactly.  `oracle.py` judges whole runs instead, as a cross-check.
+
+Each game's formula is compiled once into a plan.  A maximal block of
+parallel connectives and negations becomes one flat state: its leaves
+(atoms, choices, recurrences) are laid out once with their route prefixes
+and polarities, so a move reaches its leaf by one route lookup however
+deeply the block nests.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import copy
 import enum
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional
@@ -385,16 +392,19 @@ def prefixation(g: GameRef, pos: Run) -> GameRef:
 class State:
     """A game after a legal run.
 
-    `step(lm)` is the state after `lm`, or None when `lm` is illegal here;
-    `outcome()` is the winner of a run that ends here; `moves(player, ccap,
-    structural)` lists `player`'s legal moves here, each with the state it
-    leads to, built from the components' own legal moves: choices of
-    constants stop at `ccap`, and with `structural` moves inside an
-    interpreted atom's own game tree are left out.  States are persistent:
-    `step` never changes a state, so forked plays and replicated recurrence
-    branches share them freely.
+    `step(player, move)` is the state after that labmove, or None when it is
+    illegal here; `outcome()` is the winner of a run that ends here;
+    `moves(player, ccap, structural)` lists `player`'s legal moves here,
+    each with the state it leads to, built from the components' own legal
+    moves: choices of constants stop at `ccap`, and with `structural` moves
+    inside an interpreted atom's own game tree are left out.  States are
+    persistent: `step` never changes a state, so forked plays and
+    replicated recurrence branches share them freely.
     """
     __slots__ = ()
+
+
+_OPPONENT = {T: B, B: T}
 
 
 class _AtomState(State):
@@ -404,8 +414,8 @@ class _AtomState(State):
     def __init__(self, node: FiniteGame):
         self.node = node
 
-    def step(self, lm):
-        child = self.node.moves.get(lm)          # keyed by (player, move)
+    def step(self, player, move):
+        child = self.node.moves.get((player, move))
         return _AtomState(child) if child is not None else None
 
     def outcome(self):
@@ -418,60 +428,80 @@ class _AtomState(State):
                 for (p, m), child in self.node.moves.items() if p is player]
 
 
-class _FlipState(State):
-    """Negation: the body's game with the players' roles swapped."""
-    __slots__ = ("inner",)
+@dataclass(slots=True)
+class _Layout:
+    """The static shape of a block of parallel connectives and negations.
 
-    def __init__(self, inner: State):
-        self.inner = inner
-
-    def step(self, lm):
-        nxt = self.inner.step(Labmove(lm.player.opponent, lm.move))
-        return _FlipState(nxt) if nxt is not None else None
-
-    def outcome(self):
-        return self.inner.outcome().opponent
-
-    def moves(self, player, ccap, structural):
-        return [(m, _FlipState(nxt)) for m, nxt in
-                self.inner.moves(player.opponent, ccap, structural)]
+    `routes` holds one (route, flipped) pair per leaf: the "i.j."-prefix
+    that addresses the leaf, and whether the leaf sits under an odd number
+    of negations and antecedents, which swap the players' roles.  `trie`
+    maps route components to sub-tries and at the end to leaf indices; a
+    block whose root is a leaf has the trie 0 and the empty route.  `tree`
+    is the outcome tree, see `_fold`.
+    """
+    routes: tuple[tuple[str, bool], ...]
+    trie: dict | int
+    tree: tuple
 
 
-class _ParState(State):
-    """Parallel components, addressed by "i."-prefixed moves."""
-    __slots__ = ("parts", "conjunctive")
+def _fold(node, leaves, routes) -> Player:
+    """The winner at an outcome-tree node (unit, own, subs): `unit` wins
+    unless a leaf in `own` or a sub-node in `subs` ends other than `unit`,
+    where a flipped leaf ends with its outcome swapped.
 
-    def __init__(self, parts: tuple[State, ...], conjunctive: bool):
-        self.parts = parts
-        self.conjunctive = conjunctive
+    /\\ is won unless a component is lost, and \\/ and -> are lost unless
+    a component is won.  So the tree is the block with its negations pushed
+    down to the leaves (~(A /\\ B) is lost unless ~A or ~B is won) and each
+    connective merged into the one above it when they share a unit."""
+    unit, own, subs = node
+    for i in own:
+        if (leaves[i].outcome() is unit) is routes[i][1]:
+            return _OPPONENT[unit]
+    for sub in subs:
+        if _fold(sub, leaves, routes) is not unit:
+            return _OPPONENT[unit]
+    return unit
 
-    def step(self, lm):
-        head, dot, rest = lm.move.partition(".")
-        i = _numeral(head) if dot else None
-        if i is None or i > len(self.parts):
-            return None
-        nxt = self.parts[i - 1].step(Labmove(lm.player, rest))
+
+class _BlockState(State):
+    """A maximal block of parallel connectives and negations, flattened
+    into one state per leaf.  A leaf is an atom, a choice, a recurrence, or
+    a nested block once a choice is made; see `_Layout`."""
+    __slots__ = ("layout", "leaves")
+
+    def __init__(self, layout: _Layout, leaves: tuple[State, ...]):
+        self.layout = layout
+        self.leaves = leaves
+
+    def step(self, player, move):
+        node = self.layout.trie
+        while node.__class__ is dict:
+            head, dot, move = move.partition(".")
+            node = node.get(head) if dot else None
+            if node is None:
+                return None
+        if self.layout.routes[node][1]:
+            player = _OPPONENT[player]
+        nxt = self.leaves[node].step(player, move)
         if nxt is None:
             return None
-        return _ParState(self.parts[:i - 1] + (nxt,) + self.parts[i:],
-                         self.conjunctive)
+        leaves = self.leaves
+        return _BlockState(self.layout,
+                           leaves[:node] + (nxt,) + leaves[node + 1:])
 
     def outcome(self):
-        # /\ is won unless a component is lost; \/ and -> are lost unless
-        # a component is won
-        unit = T if self.conjunctive else B
-        for p in self.parts:
-            if p.outcome() is not unit:
-                return unit.opponent
-        return unit
+        layout = self.layout
+        return _fold(layout.tree, self.leaves, layout.routes)
 
     def moves(self, player, ccap, structural):
-        out = []
-        for i, part in enumerate(self.parts):
-            before, after = self.parts[:i], self.parts[i + 1:]
-            out.extend((f"{i + 1}.{m}",
-                        _ParState(before + (nxt,) + after, self.conjunctive))
-                       for m, nxt in part.moves(player, ccap, structural))
+        out, leaves = [], self.leaves
+        for i, (route, flipped) in enumerate(self.layout.routes):
+            before, after = leaves[:i], leaves[i + 1:]
+            out.extend((route + m,
+                        _BlockState(self.layout, before + (nxt,) + after))
+                       for m, nxt in leaves[i].moves(
+                           _OPPONENT[player] if flipped else player,
+                           ccap, structural))
         return out
 
 
@@ -487,16 +517,16 @@ class _ChoiceState(State):
         self.options = options
         self.make = make
 
-    def step(self, lm):
-        if lm.player is not self.chooser:
+    def step(self, player, move):
+        if player is not self.chooser:
             return None
-        i = _numeral(lm.move)
+        i = _numeral(move)
         if i is None or (self.options and i > self.options):
             return None
         return self.make(i)
 
     def outcome(self):
-        return self.chooser.opponent
+        return _OPPONENT[self.chooser]
 
     def moves(self, player, ccap, structural):
         if player is not self.chooser:
@@ -513,21 +543,21 @@ class _BangState(State):
     def __init__(self, branches: dict[str, State]):
         self.branches = branches
 
-    def step(self, lm):
-        parsed = split_bang_move(lm.move)
+    def step(self, player, move):
+        parsed = split_bang_move(move)
         if parsed is None:
             return None
         if parsed[0] == "rep":
             w = parsed[1]
-            if lm.player is not B or w not in self.branches:
+            if player is not B or w not in self.branches:
                 return None
             return self._replicate(w)
         branches = dict(self.branches)
-        w, alpha = parsed[1], Labmove(lm.player, parsed[2])
+        w, alpha = parsed[1], parsed[2]
         found = False
         for u, state in self.branches.items():
             if u.startswith(w):
-                nxt = state.step(alpha)
+                nxt = state.step(player, alpha)
                 if nxt is None:
                     return None
                 branches[u] = nxt
@@ -562,7 +592,7 @@ class _BangState(State):
                 for u in under:
                     nxt = own[u].get(m)
                     if nxt is None:
-                        nxt = self.branches[u].step(Labmove(player, m))
+                        nxt = self.branches[u].step(player, m)
                         if nxt is None:
                             break
                     branches[u] = nxt
@@ -571,47 +601,162 @@ class _BangState(State):
         return out
 
 
-def initial_state(f: Formula, itp: Interpretation, val: Valuation) -> State:
-    """The state of the game of `f` before any move."""
-    if isinstance(f, Atom):
+# A plan is a formula compiled once per game: called with an interpretation
+# and a valuation, it returns the initial state of the formula's game.  A
+# game's root keeps its plans and layouts alive, so they are slotted.
+
+Plan = Callable[[Interpretation, Valuation], State]
+
+_TOP, _BOT = _AtomState(ELEMENTARY_WIN), _AtomState(ELEMENTARY_LOSS)
+
+
+def _top(itp: Interpretation, val: Valuation) -> State:
+    return _TOP
+
+
+def _bot(itp: Interpretation, val: Valuation) -> State:
+    return _BOT
+
+
+def _dollar(itp: Interpretation, val: Valuation) -> State:
+    def conjunct(m: int) -> Optional[State]:
+        component = itp.dollar_component(m)
+        return _AtomState(component) if component is not None else None
+    return _ChoiceState(B, 0, conjunct)
+
+
+def _elementary(itp: Interpretation, val: Valuation) -> State:
+    raise ValueError("elementary atoms have no game semantics")
+
+
+@dataclass(slots=True)
+class _AtomPlan:
+    atom: Atom
+
+    def __call__(self, itp, val):
         return _AtomState(itp.letter_game(
-            f.letter, tuple(val.term(t) for t in f.args)))
-    if isinstance(f, (Top, Bot)):
-        return _AtomState(ELEMENTARY_WIN if isinstance(f, Top)
-                          else ELEMENTARY_LOSS)
-    if isinstance(f, Dollar):
-        def conjunct(m: int) -> Optional[State]:
-            component = itp.dollar_component(m)
-            return _AtomState(component) if component is not None else None
-        return _ChoiceState(B, 0, conjunct)
-    if isinstance(f, Neg):
-        return _FlipState(initial_state(f.body, itp, val))
-    if isinstance(f, Implies):
-        return _ParState((_FlipState(initial_state(f.left, itp, val)),
-                          initial_state(f.right, itp, val)), False)
-    if isinstance(f, (ParConj, ParDisj)):
-        return _ParState(tuple(initial_state(p, itp, val) for p in f.parts),
-                         isinstance(f, ParConj))
+            self.atom.letter, tuple(val.term(t) for t in self.atom.args)))
+
+
+@dataclass(slots=True)
+class _ChoicePlan:
+    """A choice of `chooser` among the components' plans."""
+    chooser: Player
+    parts: tuple[Plan, ...]
+
+    def __call__(self, itp, val):
+        parts = self.parts
+        return _ChoiceState(self.chooser, len(parts),
+                            lambda i: parts[i - 1](itp, val))
+
+
+@dataclass(slots=True)
+class _QuantifierPlan:
+    """A choice of `chooser` of the constant that `var` denotes in `body`."""
+    chooser: Player
+    var: str
+    body: Plan
+
+    def __call__(self, itp, val):
+        body, var = self.body, self.var
+        return _ChoiceState(self.chooser, 0,
+                            lambda c: body(itp, val.override(var, c)))
+
+
+@dataclass(slots=True)
+class _BangPlan:
+    body: Plan
+
+    def __call__(self, itp, val):
+        return _BangState({"": self.body(itp, val)})
+
+
+@dataclass(slots=True)
+class _BlockPlan:
+    """A block's layout and the plans of its leaves, in route order."""
+    layout: _Layout
+    leaves: tuple[Plan, ...]
+
+    def __call__(self, itp, val):
+        return _BlockState(self.layout,
+                           tuple(plan(itp, val) for plan in self.leaves))
+
+
+def _plan(f: Formula) -> Plan:
+    """The plan of `f`'s game: blocks get their layouts, and choices,
+    quantifiers and recurrences hold their components' plans."""
+    if isinstance(f, (Neg, Implies, ParConj, ParDisj)):
+        return _block_plan(f)
+    if isinstance(f, Atom):
+        return _AtomPlan(f)
     if isinstance(f, (ChoiceConj, ChoiceDisj)):
-        parts = f.parts
-        return _ChoiceState(B if isinstance(f, ChoiceConj) else T, len(parts),
-                            lambda i: initial_state(parts[i - 1], itp, val))
+        return _ChoicePlan(B if isinstance(f, ChoiceConj) else T,
+                           tuple(_plan(p) for p in f.parts))
     if isinstance(f, (ChoiceAll, ChoiceExists)):
-        body, var = f.body, f.var
-        return _ChoiceState(B if isinstance(f, ChoiceAll) else T, 0,
-                            lambda c: initial_state(body, itp,
-                                                    val.override(var, c)))
+        return _QuantifierPlan(B if isinstance(f, ChoiceAll) else T, f.var,
+                               _plan(f.body))
     if isinstance(f, Bang):
-        return _BangState({"": initial_state(f.body, itp, val)})
+        return _BangPlan(_plan(f.body))
+    if isinstance(f, Top):
+        return _top
+    if isinstance(f, Bot):
+        return _bot
+    if isinstance(f, Dollar):
+        return _dollar
     if isinstance(f, Elem):
-        raise ValueError("elementary atoms have no game semantics")
+        return _elementary
     raise TypeError(f"unknown formula node {f!r}")
+
+
+def _block_plan(f: Formula) -> _BlockPlan:
+    """The plan of the block rooted at `f`."""
+    routes, plans = [], []
+
+    def walk(g: Formula, route: str, flipped: bool):
+        """g's trie and, unless g is a leaf, its outcome-tree node with
+        nodes of the same unit merged in."""
+        while isinstance(g, Neg):
+            g, flipped = g.body, not flipped
+        if isinstance(g, Implies):
+            parts, flips, unit = (g.left, g.right), (not flipped, flipped), B
+        elif isinstance(g, (ParConj, ParDisj)):
+            parts, flips = g.parts, (flipped,) * len(g.parts)
+            unit = T if isinstance(g, ParConj) else B
+        else:
+            routes.append((sys.intern(route), flipped))
+            plans.append(_plan(g))
+            return len(routes) - 1, None
+        unit = _OPPONENT[unit] if flipped else unit
+        trie, own, subs = {}, [], []
+        for k, (part, part_flipped) in enumerate(zip(parts, flips), start=1):
+            sub_trie, child = walk(part, f"{route}{k}.", part_flipped)
+            trie[sys.intern(str(k))] = sub_trie
+            if sub_trie.__class__ is int:
+                own.append(sub_trie)
+            elif child[0] is unit:
+                own.extend(child[1])
+                subs.extend(child[2])
+            else:
+                subs.append(child)
+        return trie, (unit, tuple(own), tuple(subs))
+
+    trie, tree = walk(f, "", False)
+    if trie.__class__ is int:
+        tree = (T, (0,), ())
+    return _BlockPlan(_Layout(tuple(routes), trie, tree), tuple(plans))
+
+
+def initial_state(f: Formula, itp: Interpretation, val: Valuation) -> State:
+    """The state of the game of `f` before any move: `f` is compiled once
+    into a plan, which later choices instantiate without compiling again."""
+    return _plan(f)(itp, val)
 
 
 def advance(state: State, lm: Labmove) -> Optional[State]:
     """`state` after `lm`, or None when `lm` is illegal there.  A move that
     contains the reserved symbol ♠ is illegal everywhere."""
-    return None if SPADE in lm.move else state.step(lm)
+    player, move = lm
+    return None if SPADE in move else state.step(player, move)
 
 
 def successors(state: State, player: Player, ccap: int = 3,
@@ -797,8 +942,9 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
                 return random_structural_game(rng, depth)
             return fn
         letters[f"{name}/{arity}"] = make()
-    base = dollar_base if dollar_base is not None else FiniteGame(T)
-    return Interpretation(letters, copy.deepcopy(base))
+    base = (copy.deepcopy(dollar_base) if dollar_base is not None
+            else FiniteGame(T))
+    return Interpretation(letters, base)
 
 
 def observationally_equal(a: GameRef, b: GameRef, max_len: int,

@@ -78,15 +78,15 @@ def _agree(game, run) -> bool:
 
 def _raw_candidates(state, ccap: int, structural: bool) -> list[str]:
     """Moves of either player that may be legal at `state`: an atom's own
-    moves, every constant up to `ccap` at a choice, and at each recurrence
-    node every move some leaf under it may make."""
+    moves, each block leaf's candidates under the leaf's route, every
+    constant up to `ccap` at a choice, and at each recurrence node every
+    move some leaf under it may make."""
     if isinstance(state, games._AtomState):
         return [] if structural else [m for _, m in state.node.moves]
-    if isinstance(state, games._FlipState):
-        return _raw_candidates(state.inner, ccap, structural)
-    if isinstance(state, games._ParState):
-        return [f"{i}.{m}" for i, p in enumerate(state.parts, start=1)
-                for m in _raw_candidates(p, ccap, structural)]
+    if isinstance(state, games._BlockState):
+        return [route + m for (route, _), leaf in zip(state.layout.routes,
+                                                      state.leaves)
+                for m in _raw_candidates(leaf, ccap, structural)]
     if isinstance(state, games._ChoiceState):
         return [str(i) for i in range(1, (state.options or ccap) + 1)]
     out = [u + ":" for u in state.branches]

@@ -4,17 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clgames import formula as fm, oracle
+from clgames import formula as fm, games, oracle
 from clgames.formula import Atom, Bang
 from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            Interpretation, Labmove, MoveStatus, T, Valuation,
                            candidate_moves, classify_move,
-                           enumerate_grounded_atoms, grounded_atom_index,
-                           labmoves, load_interpretation, negate_run,
-                           observationally_equal, position_legal,
+                           enumerate_grounded_atoms, game_state,
+                           grounded_atom_index, labmoves, load_interpretation,
+                           negate_run, observationally_equal, position_legal,
                            prefixation, prelegal_and_tree, project,
-                           random_interpretation, subrun_upto, tree_leaves,
-                           winner)
+                           random_interpretation, subrun_upto, successors,
+                           tree_leaves, winner)
 
 
 def interp_ab():
@@ -388,3 +388,112 @@ def test_recurrence_winner_uses_all_complete_branches():
 def test_negate_run_is_an_involution(pairs):
     run = labmoves(*pairs)
     assert negate_run(negate_run(run)) == run
+
+
+# ---------------------------------------------------------------------------
+# Routing inside blocks of parallel connectives and negations
+
+def interp_abr():
+    """interp_ab plus R(x), which is A1's game for odd x and A2's for even."""
+    itp = interp_ab()
+    a1, a2 = itp.letter_game("A1", ()), itp.letter_game("A2", ())
+    itp.letters["R/1"] = lambda args: a1 if args[0] % 2 else a2
+    return itp
+
+
+TEN = " /\\ ".join(["A1"] * 10)
+
+# (formula, [(run, whether the oracle finds the whole run legal), ...])
+ROUTING = [
+    ("~(A1 -> A2)", [
+        ((("B", "1.a"), ("T", "1.b"), ("T", "2.c")), True),
+        ((("B", "1.a"), ("T", "2.c")), True),
+        ((("T", "1.a"),), False),
+        ((("B", "2.c"),), False),
+        ((("B", "3.a"),), False),
+        ((("B", "1"),), False),
+    ]),
+    ("(A1 /\\ ~A2) & A1", [
+        ((("B", "1"), ("B", "1.a"), ("T", "2.c")), True),
+        ((("B", "2"), ("B", "a"), ("T", "b")), True),
+        ((("B", "1"), ("B", "2.c")), False),
+        ((("B", "1"), ("B", "1.1.a")), False),
+        ((("T", "1"),), False),
+    ]),
+    ("@x.(R(x) -> ~A1)", [
+        ((("B", "2"), ("T", "1.c"), ("T", "2.a"), ("B", "2.b")), True),
+        ((("B", "1"), ("T", "1.a"), ("B", "1.b")), True),
+        ((("B", "2"), ("B", "1.c")), False),
+        ((("B", "0"),), False),
+    ]),
+    ("!(A1 -> A2)", [
+        ((("B", ".2.c"),), True),
+        ((("B", ":"), ("T", "0.1.a"), ("B", "1.2.c"), ("B", "0.1.b")), True),
+        ((("B", ".1.a"),), False),
+        ((("B", ":"), ("B", "1.3.c")), False),
+        ((("T", ":"),), False),
+    ]),
+    ("~A1", [
+        ((("T", "a"), ("B", "b")), True),
+        ((("B", "a"),), False),
+        ((("T", "1.a"),), False),
+    ]),
+    ("~~$", [
+        ((("B", "1"),), True),
+        ((("B", "2"), ("B", "a"), ("T", "b")), True),
+        ((("T", "1"),), False),
+        ((("B", "0"),), False),
+        ((("B", "01"),), False),
+    ]),
+    (TEN, [
+        ((("B", "10.a"), ("T", "10.b"), ("B", "1.a")), True),
+        ((("B", "1.0a"),), False),
+        ((("B", "01.a"),), False),
+        ((("B", "11.a"),), False),
+        ((("B", "10.a"), ("B", "0.a")), False),
+    ]),
+]
+
+
+@pytest.mark.parametrize("text,runs", ROUTING,
+                         ids=[text for text, _ in ROUTING])
+def test_block_routing_agrees_with_the_oracle(text, runs):
+    """On every prefix of each listed run, position_legal and winner give
+    the oracle's verdict, every move successors lists is legal with the
+    oracle's winner, and the run's next move is listed when it is legal."""
+    g = ref(text, interp_abr())
+    for pairs, legal_run in runs:
+        run = labmoves(*pairs)
+        assert oracle.oracle_run(g.formula, g.interp, g.valuation,
+                                 run)[0] is legal_run
+        for n in range(len(run) + 1):
+            legal, won = oracle.oracle_run(g.formula, g.interp, g.valuation,
+                                           run[:n])
+            assert position_legal(g, run[:n]) is legal
+            assert winner(g, run[:n]) is won
+            if not legal:
+                break
+            state = game_state(g, run[:n])
+            listed = {p: successors(state, p) for p in (T, B)}
+            for p, moves in listed.items():
+                for m, nxt in moves:
+                    assert oracle.oracle_run(
+                        g.formula, g.interp, g.valuation,
+                        run[:n] + (Labmove(p, m),)) == (True, nxt.outcome())
+            if n < len(run) and oracle.oracle_run(
+                    g.formula, g.interp, g.valuation, run[:n + 1])[0]:
+                assert run[n].move in [m for m, _ in listed[run[n].player]]
+
+
+def test_states_and_layouts_are_slotted():
+    """Game roots live as long as their games, so no state or layout
+    carries a per-instance __dict__."""
+    g = ref("!(~A1 /\\ (A2 & $))")
+    bang = game_state(g)
+    block = bang.branches[""]
+    instances = [bang, block, block.layout, *block.leaves]
+    kinds = {type(obj) for obj in instances}
+    assert set(games.State.__subclasses__()) | {games._Layout} == kinds
+    for obj in instances:
+        assert "__slots__" in type(obj).__dict__, type(obj)
+        assert not hasattr(obj, "__dict__"), type(obj)
