@@ -11,7 +11,7 @@ from . import cl2, formula as fm, intproof, verify as verify_mod
 from .epm import (RandomEnv, ScriptEnv, SilentEnv, Strategy, simulate,
                   wins_against_all)
 from .games import (B, GameRef, Labmove, Valuation, advance,
-                    load_interpretation, random_interpretation, successors)
+                    legal_moves, load_interpretation, random_interpretation)
 from .strategies import build_strategy
 from .verify import _signature_for
 
@@ -53,7 +53,7 @@ class HumanEnv:
     """Interactive environment: prompts with legal-move hints per grant."""
 
     def on_permission(self, state, run):
-        hints = [m for m, _ in successors(state, B)]
+        hints = legal_moves(state, B)
         print(f"position: {list(run)}")
         print(f"legal moves include: {hints}  (or 'pass' / 'quit')")
         while True:

@@ -7,7 +7,7 @@ Each machine step is a move or a grant: `Strategy.next(run)` returns the
 next move, or None to grant permission.  At a grant the environment
 answers `on_permission(state, run)` with at most one move (None stays
 silent), where `state` is the game state after `run`; it sees the same
-run the machine sees, and draws its legal moves from `successors(state, B)`.
+run the machine sees, and draws its legal moves from `legal_moves(state, B)`.
 The simulator checks environment moves for legality itself, so an illegal
 environment move ends the play with an immediate machine win.
 
@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from .games import (B, GameRef, InterpretationError, Labmove, Player, Run,
                     Signature, State, T, Valuation, advance, game_state,
-                    successors)
+                    legal_moves, successors)
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,11 @@ class RandomEnv(Environment):
     def on_permission(self, state, run):
         if self.made >= self.max_moves or self.rng.random() > 0.8:
             return None
-        legal = successors(state, B)
+        legal = legal_moves(state, B)
         if not legal:
             return None
         self.made += 1
-        return self.rng.choice(legal)[0]
+        return self.rng.choice(legal)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,7 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
     Each play runs the same steps as `simulate`.  At each grant the
     environment either stays silent from then on (the machine runs on until
     it settles, as in `simulate`) or makes any of its legal moves, with
-    choices of constants capped as in `successors`; every such move
+    choices of constants capped as in `legal_moves`; every such move
     continues a forked copy of the play.  A lost play is returned as the
     counterexample transcript.
     """

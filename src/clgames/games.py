@@ -20,6 +20,9 @@ The engine evaluates a game by stepping a persistent `State` one labmove
 at a time.  Legality is prefix-closed and the recurrence clause is stated
 over prelegal runs and their trees, so stepping decides legality and
 winners exactly.  `oracle.py` judges whole runs instead, as a cross-check.
+A state lists its legal moves as strings (`legal_moves`); the state a move
+leads to is built only when the move is stepped, so a choice instantiates
+only the component that is chosen.
 
 Each game's formula is compiled once into a plan.  A maximal block of
 parallel connectives and negations becomes one flat state: its leaves
@@ -173,19 +176,6 @@ class FiniteGame:
     winner: Player
     moves: dict[tuple[Player, str], "FiniteGame"] = field(default_factory=dict)
 
-    def walk(self, run: Run) -> Optional["FiniteGame"]:
-        node = self
-        for lm in run:
-            node = node.moves.get((lm.player, lm.move))
-            if node is None:
-                return None
-        return node
-
-    def depth(self) -> int:
-        if not self.moves:
-            return 0
-        return 1 + max(g.depth() for g in self.moves.values())
-
 
 ELEMENTARY_WIN = FiniteGame(T)
 ELEMENTARY_LOSS = FiniteGame(B)
@@ -288,7 +278,7 @@ class InterpretationError(ValueError):
     """A letter game the interpretation cannot build."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Interpretation:
     """Letter games plus the universal-problem base.
 
@@ -301,14 +291,13 @@ class Interpretation:
     letters: dict[str, Callable[[tuple[int, ...]], FiniteGame]]
     dollar_base: FiniteGame = field(default_factory=lambda: FiniteGame(T))
     _cache: dict = field(default_factory=dict, repr=False)
+    signature: Signature = field(init=False, repr=False, compare=False)
 
-    @property
-    def signature(self) -> Signature:
-        out = []
-        for key in sorted(self.letters):
-            name, arity = key.split("/")
-            out.append((name, int(arity)))
-        return tuple(out)
+    def __post_init__(self):
+        # the letters are fixed at construction, so the signature is too
+        self.signature = tuple(
+            (name, int(arity)) for name, arity in
+            (key.split("/") for key in sorted(self.letters)))
 
     def letter_game(self, name: str, args: tuple[int, ...]) -> FiniteGame:
         key = f"{name}/{len(args)}"
@@ -394,11 +383,12 @@ class State:
 
     `step(player, move)` is the state after that labmove, or None when it is
     illegal here; `outcome()` is the winner of a run that ends here;
-    `moves(player, ccap, structural)` lists `player`'s legal moves here,
-    each with the state it leads to, built from the components' own legal
-    moves: choices of constants stop at `ccap`, and with `structural` moves
-    inside an interpreted atom's own game tree are left out.  States are
-    persistent: `step` never changes a state, so forked plays and
+    `moves(player, ccap, structural)` lists `player`'s legal moves here as
+    strings, built from the components' own legal moves: choices of
+    constants stop at `ccap`, and with `structural` moves inside an
+    interpreted atom's own game tree are left out.  Listing builds no
+    state; a caller that wants the state a move leads to steps it.  States
+    are persistent: `step` never changes a state, so forked plays and
     replicated recurrence branches share them freely.
     """
     __slots__ = ()
@@ -424,8 +414,7 @@ class _AtomState(State):
     def moves(self, player, ccap, structural):
         if structural:
             return []
-        return [(m, _AtomState(child))
-                for (p, m), child in self.node.moves.items() if p is player]
+        return [m for p, m in self.node.moves if p is player]
 
 
 @dataclass(slots=True)
@@ -494,27 +483,28 @@ class _BlockState(State):
         return _fold(layout.tree, self.leaves, layout.routes)
 
     def moves(self, player, ccap, structural):
-        out, leaves = [], self.leaves
-        for i, (route, flipped) in enumerate(self.layout.routes):
-            before, after = leaves[:i], leaves[i + 1:]
-            out.extend((route + m,
-                        _BlockState(self.layout, before + (nxt,) + after))
-                       for m, nxt in leaves[i].moves(
-                           _OPPONENT[player] if flipped else player,
-                           ccap, structural))
+        out = []
+        for (route, flipped), leaf in zip(self.layout.routes, self.leaves):
+            moves = leaf.moves(_OPPONENT[player] if flipped else player,
+                               ccap, structural)
+            if moves:
+                out += [route + m for m in moves]
         return out
 
 
 class _ChoiceState(State):
     """A choice of `chooser` among `options` components (0: any positive
     numeral) not yet made.  `make(i)` is the i-th component's initial state,
-    or None if there is none; the chosen component is the rest of the game."""
-    __slots__ = ("chooser", "options", "make")
+    built only when the choice is played; the chosen component is the rest
+    of the game.  Listing a `capped` choice (of a constant or of a conjunct
+    of $) stops at `ccap`."""
+    __slots__ = ("chooser", "options", "capped", "make")
 
-    def __init__(self, chooser: Player, options: int,
-                 make: Callable[[int], Optional[State]]):
+    def __init__(self, chooser: Player, options: int, capped: bool,
+                 make: Callable[[int], State]):
         self.chooser = chooser
         self.options = options
+        self.capped = capped
         self.make = make
 
     def step(self, player, move):
@@ -531,8 +521,10 @@ class _ChoiceState(State):
     def moves(self, player, ccap, structural):
         if player is not self.chooser:
             return []
-        return [(str(i), nxt) for i in range(1, (self.options or ccap) + 1)
-                if (nxt := self.make(i)) is not None]
+        n = self.options
+        if self.capped:
+            n = min(n, ccap) if n else ccap
+        return [str(i) for i in range(1, n + 1)]
 
 
 class _BangState(State):
@@ -579,25 +571,18 @@ class _BangState(State):
 
     def moves(self, player, ccap, structural):
         # A move at node w is legal when every leaf under w accepts it, so
-        # it is among the legal moves of each of those leaves: take their
-        # union, and step each leaf that did not offer the move itself.
-        out = ([(u + ":", self._replicate(u)) for u in self.branches]
-               if player is B else [])
-        own = {u: dict(state.moves(player, ccap, structural))
-               for u, state in self.branches.items()}
-        for w in {u[:k] for u in self.branches for k in range(len(u) + 1)}:
-            under = [u for u in self.branches if u.startswith(w)]
+        # it is among the legal moves of some leaf under w: try their union,
+        # stepping each leaf that did not list the move itself.
+        branches = self.branches
+        out = [u + ":" for u in branches] if player is B else []
+        own = {u: state.moves(player, ccap, structural)
+               for u, state in branches.items()}
+        for w in {u[:k] for u in branches for k in range(len(u) + 1)}:
+            under = [u for u in branches if u.startswith(w)]
             for m in {m for u in under for m in own[u]}:
-                branches = dict(self.branches)
-                for u in under:
-                    nxt = own[u].get(m)
-                    if nxt is None:
-                        nxt = self.branches[u].step(player, m)
-                        if nxt is None:
-                            break
-                    branches[u] = nxt
-                else:
-                    out.append((f"{w}.{m}", _BangState(branches)))
+                if all(m in own[u] or branches[u].step(player, m) is not None
+                       for u in under):
+                    out.append(f"{w}.{m}")
         return out
 
 
@@ -619,10 +604,12 @@ def _bot(itp: Interpretation, val: Valuation) -> State:
 
 
 def _dollar(itp: Interpretation, val: Valuation) -> State:
-    def conjunct(m: int) -> Optional[State]:
-        component = itp.dollar_component(m)
-        return _AtomState(component) if component is not None else None
-    return _ChoiceState(B, 0, conjunct)
+    # a signature of 0-ary letters grounds each letter once, so $ has the
+    # base and one conjunct per letter; any other has infinitely many atoms
+    sig = itp.signature
+    supply = 0 if any(arity for _, arity in sig) else 1 + len(set(sig))
+    return _ChoiceState(B, supply, True,
+                        lambda m: _AtomState(itp.dollar_component(m)))
 
 
 def _elementary(itp: Interpretation, val: Valuation) -> State:
@@ -646,7 +633,7 @@ class _ChoicePlan:
 
     def __call__(self, itp, val):
         parts = self.parts
-        return _ChoiceState(self.chooser, len(parts),
+        return _ChoiceState(self.chooser, len(parts), False,
                             lambda i: parts[i - 1](itp, val))
 
 
@@ -659,7 +646,7 @@ class _QuantifierPlan:
 
     def __call__(self, itp, val):
         body, var = self.body, self.var
-        return _ChoiceState(self.chooser, 0,
+        return _ChoiceState(self.chooser, 0, True,
                             lambda c: body(itp, val.override(var, c)))
 
 
@@ -759,13 +746,21 @@ def advance(state: State, lm: Labmove) -> Optional[State]:
     return None if SPADE in move else state.step(player, move)
 
 
+def legal_moves(state: State, player: Player, ccap: int = 3,
+                structural_only: bool = False) -> list[str]:
+    """The legal moves of `player` at `state` (see `State.moves`), sorted.
+    Moves that contain ♠ are left out."""
+    out = [m for m in state.moves(player, ccap, structural_only)
+           if SPADE not in m]
+    out.sort()
+    return out
+
+
 def successors(state: State, player: Player, ccap: int = 3,
                structural_only: bool = False) -> list[tuple[str, State]]:
-    """The legal moves of `player` at `state` (see `State.moves`), sorted,
-    each with the state it leads to.  Moves that contain ♠ are left out."""
-    return sorted(((m, nxt) for m, nxt in
-                   state.moves(player, ccap, structural_only)
-                   if SPADE not in m), key=lambda pair: pair[0])
+    """`legal_moves`, each with the state it leads to."""
+    return [(m, state.step(player, m))
+            for m in legal_moves(state, player, ccap, structural_only)]
 
 
 def _replay(g: GameRef, run: Run) -> tuple[State, Optional[Labmove]]:
@@ -815,10 +810,9 @@ def classify_move(g: GameRef, pos: Run, lm: Labmove) -> MoveStatus:
 
 def candidate_moves(g: GameRef, run: Run, player: Player, ccap: int = 3,
                     structural_only: bool = False) -> list[str]:
-    """Legal moves for `player` at `run`, sorted (see `successors`);
+    """Legal moves for `player` at `run` (see `legal_moves`);
     IllegalPositionError if `run` is illegal."""
-    return [m for m, _ in successors(game_state(g, run), player, ccap,
-                                     structural_only)]
+    return legal_moves(game_state(g, run), player, ccap, structural_only)
 
 
 # ---------------------------------------------------------------------------

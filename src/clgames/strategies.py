@@ -271,12 +271,6 @@ BLUE = "b"
 YELLOW = "y"
 
 
-def cb(bit: str, color: str) -> ColoredBit:
-    if bit not in "01" or color not in (BLUE, YELLOW):
-        raise ValueError("bad colored bit")
-    return (bit, color)
-
-
 def content(v: ColoredString) -> str:
     return "".join(bit for bit, _ in v)
 

@@ -636,7 +636,8 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
                 corrupt = rng.random() < 0.25 or not options
                 if corrupt:
                     mv = rng.choice(["0", "3.x", "1.", ":", "junk",
-                                     "1..1", "2.9"])
+                                     "1..1", "2.9", ":x", "0:1", "::", "2:",
+                                     "01.a", "01"])
                 else:
                     mv = rng.choice(options)
                 lm = Labmove(player, mv)

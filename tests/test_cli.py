@@ -141,18 +141,31 @@ class TestPlay:
                             "--seed", "2")
         assert code == 0 and "verdict: T" in out
 
-    def test_partial_interpretation_is_an_error(self, capsys, tmp_path):
-        # R(2) has no game: the environment's choice of it is no env fault
+    @staticmethod
+    def _partial_play(capsys, tmp_path, env_moves):
+        """Play R(1) & R(2) under an interpretation with no game for R(2),
+        the environment making `env_moves`."""
         interp = tmp_path / "i.json"
         interp.write_text(json.dumps({"letters": {"R/1": {
             "params": ["x1"],
             "game": {"cases": [{"when": {"x1": 1}, "winner": "T"}]}}}}))
+        script = tmp_path / "s.txt"
+        script.write_text("".join(f"move {m}\n" for m in env_moves))
         code = main(["play", "--game", "R(1) & R(2)", "--strategy", "ccs",
-                     "--env", "random", "--seed", "3",
-                     "--interp", str(interp)])
-        captured = capsys.readouterr()
+                     "--env", f"script:{script}", "--interp", str(interp)])
+        return code, capsys.readouterr()
+
+    def test_partial_interpretation_is_an_error(self, capsys, tmp_path):
+        # R(2) has no game: the environment's choice of it is no env fault
+        code, captured = self._partial_play(capsys, tmp_path, ["2"])
         assert code == 2 and "verdict" not in captured.out
         assert "no game for R(2)" in captured.err
+
+    def test_a_component_never_chosen_needs_no_game(self, capsys, tmp_path):
+        # only the chosen component's game is built
+        code, captured = self._partial_play(capsys, tmp_path, ["1"])
+        assert code == 0 and "verdict: T" in captured.out
+        assert "no game" not in captured.err
 
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         code, _ = run_cli(capsys, "play", "--game", "P -> P",

@@ -10,9 +10,9 @@ according to the oracle.  This extends criterion 6 (every shape of size
 runs rarely grow wide recurrence trees, so a second case starts every run
 with three replications inside one `!`.
 
-On every legal prefix `successors` must also equal a reference that lists
-moves the slow way: a bounded candidate set of either player's moves,
-each stepped from the state and kept if legal.
+On every legal prefix `legal_moves` and `successors` must also equal a
+reference that lists moves the slow way: a bounded candidate set of either
+player's moves, each stepped from the state and kept if legal.
 """
 
 import pytest
@@ -24,8 +24,9 @@ from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
                              ParConj, ParDisj, Top)
 from clgames.games import (B, GameRef, IllegalPositionError, Labmove,
                            MoveStatus, T, Valuation, advance, candidate_moves,
-                           classify_move, game_state, position_legal,
-                           random_interpretation, successors, winner)
+                           classify_move, game_state, legal_moves,
+                           position_legal, random_interpretation, successors,
+                           winner)
 
 LEAVES = [Atom("P"), Atom("Q"), Atom("R", (fm.Var("x"),)), Dollar(), Top(),
           Bot()]
@@ -37,7 +38,8 @@ BINARY = [lambda a, b: ParConj((a, b)), lambda a, b: ParDisj((a, b)),
 # malformed numerals, indices and recurrence addresses, non-ASCII digits
 # and the reserved symbol
 CORRUPT = ["0", "3.x", "1.", ":", "junk", "1..1", "2.9", "0:", ".1", "♠",
-           "²", "١", "١.x", "01", "1:", "10.", "00:"]
+           "²", "١", "١.x", "01", "1:", "10.", "00:", ":x", "0:1", "::", "2:",
+           "01.a"]
 
 
 def _formula(draw, size: int):
@@ -79,7 +81,8 @@ def _agree(game, run) -> bool:
 def _raw_candidates(state, ccap: int, structural: bool) -> list[str]:
     """Moves of either player that may be legal at `state`: an atom's own
     moves, each block leaf's candidates under the leaf's route, every
-    constant up to `ccap` at a choice, and at each recurrence node every
+    component of a finite choice and every numeral up to `ccap` at a choice
+    of a constant or of a conjunct of $, and at each recurrence node every
     move some leaf under it may make."""
     if isinstance(state, games._AtomState):
         return [] if structural else [m for _, m in state.node.moves]
@@ -88,7 +91,8 @@ def _raw_candidates(state, ccap: int, structural: bool) -> list[str]:
                                                       state.leaves)
                 for m in _raw_candidates(leaf, ccap, structural)]
     if isinstance(state, games._ChoiceState):
-        return [str(i) for i in range(1, (state.options or ccap) + 1)]
+        n = ccap if state.capped else state.options
+        return [str(i) for i in range(1, n + 1)]
     out = [u + ":" for u in state.branches]
     for u, leaf in state.branches.items():
         inner = _raw_candidates(leaf, ccap, structural)
@@ -107,13 +111,15 @@ def _reference_successors(state, player, ccap, structural):
 
 
 def _same_successors(state) -> None:
-    """`successors` lists exactly the reference's moves, in its order, and
-    each leads to a state with the same outcome."""
+    """`legal_moves` and `successors` list exactly the reference's moves, in
+    its order, and each successor has the reference's outcome."""
     for player in (T, B):
         for ccap in (2, 3):
             for structural in (False, True):
                 got = successors(state, player, ccap, structural)
                 want = _reference_successors(state, player, ccap, structural)
+                assert legal_moves(state, player, ccap, structural) == [
+                    m for m, _ in want], (player, ccap, structural)
                 assert [m for m, _ in got] == [m for m, _ in want], (
                     player, ccap, structural)
                 assert [s.outcome() for _, s in got] == [

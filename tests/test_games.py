@@ -10,7 +10,8 @@ from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            Interpretation, Labmove, MoveStatus, T, Valuation,
                            candidate_moves, classify_move,
                            enumerate_grounded_atoms, game_state,
-                           grounded_atom_index, labmoves, load_interpretation,
+                           grounded_atom_index, labmoves, legal_moves,
+                           load_interpretation,
                            negate_run, observationally_equal, position_legal,
                            prefixation, prelegal_and_tree, project,
                            random_interpretation, subrun_upto, successors,
@@ -117,6 +118,30 @@ class TestCandidateMoves:
         assert candidate_moves(g, run, B) == \
             ["0.a", "0:", "1.1", "1.2", "1:"]
 
+    def test_listing_a_choice_builds_no_component(self, monkeypatch):
+        # the quantifier's body is one large block; only stepping a choice
+        # instantiates its plan
+        g = ref("@x.(" + TEN + ")")
+        state = game_state(g)
+        calls = []
+        call = games._BlockPlan.__call__
+        monkeypatch.setattr(games._BlockPlan, "__call__",
+                            lambda plan, itp, val: calls.append(plan)
+                            or call(plan, itp, val))
+        assert legal_moves(state, B, ccap=50) == sorted(
+            str(i) for i in range(1, 51))
+        assert calls == []
+        assert state.step(B, "7") is not None and len(calls) == 1
+
+    def test_malformed_recurrence_moves_are_illegal_to_both_judges(self):
+        g = ref("!A1")
+        for mv in (":x", "0:1", "::", "2:", "01.a"):
+            for p in (B, T):
+                run = labmoves((p.value, mv))
+                assert not position_legal(g, run), mv
+                assert oracle.oracle_run(g.formula, g.interp, g.valuation,
+                                         run) == (False, p.opponent), mv
+
 
 class TestWinner:
     def test_unresolved_machine_choice_loses(self):
@@ -203,6 +228,22 @@ class TestUniversalProblem:
             assert classify_move(g, (), Labmove(B, m)) is MoveStatus.LEGAL
         assert classify_move(g, (), Labmove(T, "1")) is MoveStatus.ILLEGAL
         assert classify_move(g, (), Labmove(B, "0")) is MoveStatus.ILLEGAL
+
+    def test_listing_stops_at_a_finite_signature_supply(self):
+        # the base and one conjunct per 0-ary letter, and no more than
+        # the cap
+        itp = Interpretation({"P/0": lambda _: FiniteGame(T),
+                              "Q/0": lambda _: FiniteGame(B)})
+        state = game_state(GameRef(fm.parse_formula("$"), itp))
+        assert legal_moves(state, B, ccap=10) == ["1", "2", "3"]
+        assert legal_moves(state, B, ccap=2) == ["1", "2"]
+        assert state.step(B, "3") is not None
+        assert state.step(B, "4") is None
+        itp = Interpretation({"P/0": lambda _: FiniteGame(T),
+                              "R/1": lambda _: FiniteGame(B)})
+        state = game_state(GameRef(fm.parse_formula("$"), itp))
+        assert legal_moves(state, B, ccap=10) == sorted(
+            str(i) for i in range(1, 11))
 
     def test_unresolved_choice_wins_for_the_machine(self):
         itp = Interpretation({"P/0": lambda _: FiniteGame(B)})
@@ -397,8 +438,8 @@ def interp_abr():
     """interp_ab plus R(x), which is A1's game for odd x and A2's for even."""
     itp = interp_ab()
     a1, a2 = itp.letter_game("A1", ()), itp.letter_game("A2", ())
-    itp.letters["R/1"] = lambda args: a1 if args[0] % 2 else a2
-    return itp
+    return Interpretation({**itp.letters,
+                           "R/1": lambda args: a1 if args[0] % 2 else a2})
 
 
 TEN = " /\\ ".join(["A1"] * 10)

@@ -6,7 +6,10 @@ before the legality/winner recursions and the two play loops were merged,
 so a refactor that changes any seeded transcript, search outcome or
 adjudication shows up here.  The `proofs` digest, taken before proof
 search walked each formula once, pins `cl2.prove`'s output (and so its
-search order) directly.  When a behaviour change is intended, run
+search order) directly.  The `moves` and `oracle` digests, taken before
+listing stopped building next states and the oracle got its own move
+grammar, pin `legal_moves` and `oracle.oracle_run` on the `judge` runs.
+When a behaviour change is intended, run
 `PYTHONPATH=src python tests/test_golden.py` to print the new digests, and
 say in CHANGES.md why they moved.
 """
@@ -17,13 +20,14 @@ import random
 
 import pytest
 
-from clgames import cl2, formula as fm, intproof, verify
+from clgames import cl2, formula as fm, intproof, oracle, verify
 from clgames.epm import (Machine, RandomEnv, ScriptEnv, SilentEnv, Strategy,
                          simulate, wins_against_all)
 from clgames.formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Implies,
                              Neg, ParConj, ParDisj, Top)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation, Labmove, T,
-                           Valuation, candidate_moves, position_legal,
+                           Valuation, candidate_moves, game_state,
+                           legal_moves, position_legal,
                            random_interpretation, winner)
 from clgames.strategies import Expr, build_strategy
 
@@ -33,7 +37,9 @@ GOLDEN = {
     "corpus": "54a9b2a58a282ba6ee7c2a6c60c1d97a5e32a94780b843c14b9b95e4ed6a9149",
     "edges": "e3183fea1accb9ea0bc0b155f29adea4aeff2f21bb420b374ed4a81b190b104b",
     "judge": "cfb4fbf50eedf1256c60d4e072c60ed898badc742cb309976398d182eaf03cc7",
+    "moves": "d752fd3f9cf4caea19e3ab1bf41f4eb7e22a48f977e8b3e628aff3022daf92d8",
     "named": "422d02a201c1a89245608d488e671bea0b42f5c2033eeb09c4b581ffe6680314",
+    "oracle": "12cd74681d1888d2d42d6b1d54aee7542fa8dbb48f9b871bde694cf9f278d819",
     "proofs": "bfe91d7c28905b3546ab625b76a155851a3bf7b2d89dc592e620ebd90ba2b5c7",
     "schemata": "64377f239b3b853958ace1d6d7fbe85d644577ef007a42fd93b101b03bfe2bf8",
     "search": "acf40c4be1f3fa785fab140972f4a66c52edf51144a9a7fa9abdab023fcd2e33",
@@ -180,9 +186,9 @@ def _proofs() -> list:
 JUNK = ["0", "3.x", "1.", ":", "junk", "1..1", "2.9", "0:", ".1", "♠"]
 
 
-def _judge() -> list:
-    """position_legal and winner on every prefix of corrupted runs."""
-    out = []
+def _judge_runs():
+    """Corrupted runs over every formula shape of size <= 3, each with its
+    game: mostly candidate moves, else junk."""
     for idx, f in enumerate(verify._all_shapes(3)):
         itp = random_interpretation(idx, verify._signature_for(f), 2)
         game = GameRef(f, itp, Valuation())
@@ -197,17 +203,45 @@ def _judge() -> list:
                     run.append(Labmove(player, rng.choice(JUNK)))
                 else:
                     run.append(Labmove(player, rng.choice(options)))
-            marks = "".join(
-                ("L" if position_legal(game, tuple(run[:k])) else "I")
-                + winner(game, tuple(run[:k])).value
-                for k in range(len(run) + 1))
-            out.append(marks)
+            yield game, tuple(run)
+
+
+def _judge() -> list:
+    """position_legal and winner on every prefix of corrupted runs."""
+    return ["".join(("L" if position_legal(game, run[:k]) else "I")
+                    + winner(game, run[:k]).value
+                    for k in range(len(run) + 1))
+            for game, run in _judge_runs()]
+
+
+def _moves() -> list:
+    """Both players' legal moves, with and without structural_only, at
+    every legal prefix of the `judge` runs."""
+    out = []
+    for game, run in _judge_runs():
+        for k in range(len(run) + 1):
+            if not position_legal(game, run[:k]):
+                break
+            state = game_state(game, run[:k])
+            out.append([legal_moves(state, p, structural_only=s)
+                        for p in (T, B) for s in (False, True)])
+    return out
+
+
+def _oracle() -> list:
+    """The oracle's (legal, winner) on every prefix of the `judge` runs."""
+    out = []
+    for game, run in _judge_runs():
+        for k in range(len(run) + 1):
+            legal, won = oracle.oracle_run(game.formula, game.interp,
+                                           game.valuation, run[:k])
+            out.append([legal, won.value])
     return out
 
 
 SECTIONS = {"named": _named, "schemata": _schemata, "corpus": _corpus,
             "edges": _edges, "search": _search, "judge": _judge,
-            "proofs": _proofs}
+            "proofs": _proofs, "moves": _moves, "oracle": _oracle}
 
 
 def digest(section: str) -> str:
