@@ -269,13 +269,12 @@ class SearchBudgetExceeded(RuntimeError):
 def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
     """Backward proof search; complete for this fragment, so None means
     refuted.  Raises SearchBudgetExceeded when the node budget runs out."""
-    memo: dict[str, object] = {}
+    memo: dict[Formula, object] = {}
     visits = [0]
 
     def search(g: Formula):
-        key = fm.render(g)
-        if key in memo:
-            return memo[key]
+        if g in memo:
+            return memo[g]
         scan = _Scan(g)
         visits[0] += 1
         if visits[0] > max_nodes:
@@ -302,7 +301,7 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
                 if sub is not None:
                     node = ("c", g, ppos, pneg, name, sub)
                     break
-        memo[key] = node
+        memo[g] = node
         return node
 
     root = search(f)
@@ -349,8 +348,8 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
         if step.rule == "a":
             if not scan.stable():
                 return False, f"step {idx}: not stable"
-            want = {fm.render(h) for _, _, h in scan.premises(env=True)}
-            have = {fm.render(proof.steps[j].formula) for j in step.premises}
+            want = {h for _, _, h in scan.premises(env=True)}
+            have = {proof.steps[j].formula for j in step.premises}
             if want != have:
                 return False, f"step {idx}: premise set mismatch"
         elif step.rule == "b":
@@ -453,9 +452,8 @@ def proof_from_text(text: str) -> CL2Proof:
         elif rule == "a":
             branches = []
             for path, i, h in a_premises(f):
-                target = fm.render(h)
-                hit = next((j for j in premises
-                            if fm.render(steps[j].formula) == target), None)
+                hit = next((j for j in premises if steps[j].formula == h),
+                           None)
                 if hit is not None:
                     branches.append((path, i, hit))
             step = CL2Step(f, "a", premises, tuple(branches))

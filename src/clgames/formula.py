@@ -164,11 +164,6 @@ Formula = (Atom | Elem | Top | Bot | Dollar | Neg | ParConj | ParDisj
            | Bang)
 
 
-def int_impl(left: Formula, right: Formula) -> Formula:
-    """Resource implication: reduction of `right` to reusable `left`."""
-    return Implies(Bang(left), right)
-
-
 def par_conj(parts) -> Formula:
     """Flat parallel conjunction; collapses 0/1-element lists."""
     parts = tuple(parts)

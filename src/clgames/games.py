@@ -29,6 +29,9 @@ parallel connectives and negations becomes one flat state: its leaves
 (atoms, choices, recurrences) are laid out once with their route prefixes
 and polarities, so a move reaches its leaf by one route lookup however
 deeply the block nests.
+
+The letter games of a random interpretation are built directly as explicit
+`FiniteGame` trees, bottom-up, without compiling or stepping any state.
 """
 
 from __future__ import annotations
@@ -890,44 +893,60 @@ def load_interpretation(text_or_obj) -> Interpretation:
 
 
 # ---------------------------------------------------------------------------
-# Materialization and random interpretations
-
-def materialize(g: GameRef, max_len: int, ccap: int = 3) -> FiniteGame:
-    """Explicit game tree of g, truncated to runs of length max_len."""
-    def build(state: State, depth: int) -> FiniteGame:
-        node = FiniteGame(state.outcome())
-        if depth < max_len:
-            for player in (B, T):
-                for m, nxt in successors(state, player, ccap):
-                    node.moves[(player, m)] = build(nxt, depth + 1)
-        return node
-    return build(game_state(g), 0)
-
-
-_GAME_INTERP = Interpretation({})   # trivially empty: pure structural games
-
+# Random interpretations
 
 def random_structural_game(rng: random.Random, depth: int) -> FiniteGame:
-    """A random static game: a materialized choice/parallel composition."""
-    f = _random_game_formula(rng, depth)
-    return materialize(GameRef(f, _GAME_INTERP), max_len=depth + 1, ccap=2)
+    """A random static game of nesting `depth`: a choice/parallel
+    composition of top and bot under negations, built directly as its
+    explicit tree with runs cut after depth + 1 moves.
+
+    Negations are pushed down to the leaves (~(A /\\ B) is ~A \\/ ~B with
+    the same moves, and so on), so every node is built once, bottom-up."""
+    def build(depth: int, budget: int, flip: bool) -> FiniteGame:
+        if depth <= 0 or rng.random() < 0.25:
+            return FiniteGame(T if (rng.random() < 0.5) != flip else B)
+        kind = rng.choice(("cc", "cd", "pc", "pd", "neg"))
+        if kind == "neg":
+            return build(depth - 1, budget, not flip)
+        sub = budget - 1 if kind[0] == "c" else budget
+        a = build(depth - 1, sub, flip)
+        b = build(depth - 1, sub, flip)
+        unit = T if (kind[1] == "c") != flip else B
+        if kind[0] == "p":
+            return _interleave(a, b, unit, budget)
+        # the chooser is the opponent of the unit, and loses if it never
+        # chooses
+        node = FiniteGame(unit)
+        if budget > 0:
+            chooser = _OPPONENT[unit]
+            node.moves = {(chooser, "1"): a, (chooser, "2"): b}
+        return node
+    return build(depth, depth + 1, False)
 
 
-def _random_game_formula(rng: random.Random, depth: int) -> Formula:
-    if depth <= 0 or rng.random() < 0.25:
-        return Top() if rng.random() < 0.5 else Bot()
-    kind = rng.choice(["cc", "cd", "pc", "pd", "neg"])
-    if kind == "neg":
-        return Neg(_random_game_formula(rng, depth - 1))
-    a = _random_game_formula(rng, depth - 1)
-    b = _random_game_formula(rng, depth - 1)
-    return {"cc": ChoiceConj, "cd": ChoiceDisj,
-            "pc": ParConj, "pd": ParDisj}[kind]((a, b))
+def _interleave(a: FiniteGame, b: FiniteGame, unit: Player,
+                budget: int) -> FiniteGame:
+    """The parallel composition of `a` and `b` with unit `unit` (T for
+    /\\, B for \\/), cut after `budget` moves: `unit` wins unless a
+    component ends other than `unit`.  Environment moves come first, then
+    the machine's, each sorted by move string, as `legal_moves` lists
+    them."""
+    won = a.winner is unit and b.winner is unit
+    node = FiniteGame(unit if won else _OPPONENT[unit])
+    if budget > 0:
+        kids = [((p, "1." + m), _interleave(x, b, unit, budget - 1))
+                for (p, m), x in a.moves.items()]
+        kids += [((p, "2." + m), _interleave(a, y, unit, budget - 1))
+                 for (p, m), y in b.moves.items()]
+        kids.sort(key=lambda kid: (kid[0][0] is T, kid[0][1]))
+        node.moves = dict(kids)
+    return node
 
 
 def random_interpretation(seed: int, signature: Signature, depth: int = 3,
                           dollar_base: Optional[FiniteGame] = None) -> Interpretation:
-    """Seeded interpretation assigning each letter a per-tuple static game."""
+    """Seeded interpretation assigning each letter a per-tuple static game,
+    built directly as an explicit tree by `random_structural_game`."""
     letters = {}
     for name, arity in sorted(set(signature)):
         def make(name=name, arity=arity):

@@ -19,8 +19,8 @@ from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
                       ParDisj, Top, conj_impl, par_conj)
 from .games import (B, FiniteGame, GameRef, Labmove, Run, T, Valuation,
-                    bits_leq, candidate_moves, classify_move, game_state,
-                    negate_run, position_legal, prelegal_and_tree, project,
+                    advance, bits_leq, game_state, legal_moves, negate_run,
+                    position_legal, prelegal_and_tree, project,
                     random_interpretation, subrun_upto, successors,
                     tree_leaves, winner)
 from .strategies import (Expr, blue_content, build_strategy,
@@ -628,11 +628,12 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
         rng = random.Random(idx)
         for j in range(runs_per):
             run: list[Labmove] = []
-            legal_so_far = True
+            # the evaluator's state after `run`, None once the oracle
+            # rejects a prefix
+            state = game.root()
             for _ in range(max_run_len):
                 player = rng.choice((T, B))
-                options = candidate_moves(game, tuple(run), player) \
-                    if legal_so_far else []
+                options = [] if state is None else legal_moves(state, player)
                 corrupt = rng.random() < 0.25 or not options
                 if corrupt:
                     mv = rng.choice(["0", "3.x", "1.", ":", "junk",
@@ -641,14 +642,14 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
                 else:
                     mv = rng.choice(options)
                 lm = Labmove(player, mv)
-                if legal_so_far:
-                    ev_status = classify_move(game, tuple(run), lm)
+                if state is not None:
+                    nxt = advance(state, lm)
                     oracle_ok, _ = oracle.oracle_run(
                         f, itp, val, tuple(run) + (lm,))
-                    if (ev_status.value == "legal") != oracle_ok:
+                    if (nxt is not None) != oracle_ok:
                         r.fail(f"classification mismatch on {fm.render(f)}"
                                f" run {run + [lm]}")
-                    legal_so_far = oracle_ok
+                    state = nxt if oracle_ok else None
                 run.append(lm)
             ev_winner = winner(game, tuple(run))
             _, or_winner = oracle.oracle_run(f, itp, val, tuple(run))

@@ -190,6 +190,26 @@ class TestChecker:
     def test_empty_proof_is_rejected(self):
         assert check_proof(cl2.CL2Proof(())) == (False, "empty proof")
 
+    def test_premises_are_matched_by_structure_not_rendering(self):
+        # rule (c) turns atom TOP into elementary top, which renders like
+        # the constant top, so the two premises both render `top -> top`
+        f = F("(TOP -> TOP) & (top -> top)")
+        proof = prove(f)
+        assert check_proof(proof) == (True, "")
+        root = proof.steps[-1]
+        cited = {(path, i): proof.steps[j].formula
+                 for path, i, j in root.branches}
+        assert cited == {(path, i): h for path, i, h in a_premises(f)}
+        elem = Implies(Elem("top"), Elem("top"))
+        assert cited[((), 2)] == Implies(Top(), Top()) != elem
+        # the elementary step cited for the constant premise
+        old = cl2.CL2Proof((
+            CL2Step(elem, "a", ()),
+            CL2Step(F("TOP -> TOP"), "c", (0,), pos_path=(1,),
+                    neg_path=(0,), atom="top"),
+            CL2Step(f, "a", (0, 1), (((), 1, 1), ((), 2, 0)))))
+        assert check_proof(old) == (False, "step 2: premise set mismatch")
+
 
 class TestExtraction:
     def test_identity_extract_plays_copy_cat(self):

@@ -5,7 +5,7 @@ from clgames import formula as fm
 from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
                              ChoiceDisj, ChoiceExists, Dollar, Elem,
                              Implies, Neg, ParConj, ParDisj, Sequent, Top,
-                             Var, int_impl)
+                             Var)
 
 
 def P(*args):
@@ -138,7 +138,7 @@ class TestSequents:
         assert fm.is_int_formula(fm.parse_formula("!(P & Q) -> ?x.R(x)"))
         assert not fm.is_int_formula(fm.parse_formula("P -> Q"))
         assert not fm.is_int_formula(fm.parse_formula("~P"))
-        assert fm.is_int_formula(int_impl(P(), Q()))
+        assert fm.is_int_formula(Implies(Bang(P()), Q()))
 
 
 # ---------------------------------------------------------------------------

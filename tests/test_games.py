@@ -538,3 +538,72 @@ def test_states_and_layouts_are_slotted():
     for obj in instances:
         assert "__slots__" in type(obj).__dict__, type(obj)
         assert not hasattr(obj, "__dict__"), type(obj)
+
+
+# ---------------------------------------------------------------------------
+# Random letter games: built directly, equal to the materialized formula
+
+def _random_game_formula(rng, depth):
+    """The formula whose game `random_structural_game` builds, drawn with
+    the same random numbers in the same order."""
+    if depth <= 0 or rng.random() < 0.25:
+        return fm.Top() if rng.random() < 0.5 else fm.Bot()
+    kind = rng.choice(["cc", "cd", "pc", "pd", "neg"])
+    if kind == "neg":
+        return fm.Neg(_random_game_formula(rng, depth - 1))
+    a = _random_game_formula(rng, depth - 1)
+    b = _random_game_formula(rng, depth - 1)
+    return {"cc": fm.ChoiceConj, "cd": fm.ChoiceDisj,
+            "pc": fm.ParConj, "pd": fm.ParDisj}[kind]((a, b))
+
+
+def _materialize(f, max_len):
+    """The reference: the explicit tree of `f`'s game, runs cut after
+    `max_len` moves, listed and stepped through the stepping evaluator."""
+    def build(state, depth):
+        node = FiniteGame(state.outcome())
+        if depth < max_len:
+            for player in (B, T):
+                for m, nxt in successors(state, player, ccap=2):
+                    node.moves[(player, m)] = build(nxt, depth + 1)
+        return node
+    return build(GameRef(f, Interpretation({})).root(), 0)
+
+
+def _shape(g):
+    """A tree as nested tuples, children in insertion order."""
+    return g.winner, tuple((key, _shape(sub)) for key, sub in g.moves.items())
+
+
+def _longest(g):
+    return 1 + max(map(_longest, g.moves.values())) if g.moves else 0
+
+
+@pytest.mark.parametrize("depth,seeds", [(1, 1000), (2, 1000), (3, 1000),
+                                         (4, 200), (5, 100)])
+def test_letter_games_equal_the_materialized_formula(depth, seeds):
+    cut = 0
+    for seed in range(seeds):
+        want_rng, got_rng = (random.Random(f"{seed}/{depth}") for _ in "ab")
+        f = _random_game_formula(want_rng, depth)
+        want = _materialize(f, depth + 1)
+        got = games.random_structural_game(got_rng, depth)
+        assert _shape(got) == _shape(want), seed
+        assert got_rng.random() == want_rng.random(), seed
+        cut += _longest(_materialize(f, depth + 2)) > depth + 1
+    # a formula of depth d has runs of at most 2 ** (d - 1) moves, so from
+    # depth 4 on some games are cut after depth + 1 moves
+    assert (cut > 0) is (depth >= 4)
+
+
+def test_letter_games_step_no_state(monkeypatch):
+    """Building a letter game compiles no plan and steps no state."""
+    def refuse(*args):
+        raise AssertionError("a letter game went through the evaluator")
+    monkeypatch.setattr(games, "initial_state", refuse)
+    monkeypatch.setattr(games, "_plan", refuse)
+    monkeypatch.setattr(games, "successors", refuse)
+    itp = random_interpretation(5, (("P", 0), ("R", 1)), 3)
+    trees = [itp.letter_game("P", ()), *(itp.letter_game("R", (k,))
+                                         for k in range(1, 40))]
+    assert any(tree.moves for tree in trees)
