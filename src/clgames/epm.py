@@ -368,19 +368,6 @@ def simulate(strategy: Strategy, env: Environment, game: GameRef,
     return play.transcript()
 
 
-def check_fairness(t: Transcript, window: int) -> bool:
-    """Finite fairness surrogate: every window of steps contains a grant."""
-    since = 0
-    for ev in t.events:
-        if ev[0] == "grant":
-            since = 0
-        else:
-            since += 1
-            if since >= window:
-                return False
-    return True
-
-
 @dataclass
 class SearchResult:
     won_all: bool

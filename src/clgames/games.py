@@ -51,6 +51,7 @@ from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       Neg, ParConj, ParDisj, Top)
 
 SPADE = "♠"   # reserved always-illegal move symbol
+CHOICE_CAP = 3  # listed choices of a constant or of a conjunct of $
 
 
 class Player(str, enum.Enum):
@@ -386,9 +387,9 @@ class State:
 
     `step(player, move)` is the state after that labmove, or None when it is
     illegal here; `outcome()` is the winner of a run that ends here;
-    `moves(player, ccap, structural)` lists `player`'s legal moves here as
+    `moves(player, structural)` lists `player`'s legal moves here as
     strings, built from the components' own legal moves: choices of
-    constants stop at `ccap`, and with `structural` moves inside an
+    constants stop at CHOICE_CAP, and with `structural` moves inside an
     interpreted atom's own game tree are left out.  Listing builds no
     state; a caller that wants the state a move leads to steps it.  States
     are persistent: `step` never changes a state, so forked plays and
@@ -414,7 +415,7 @@ class _AtomState(State):
     def outcome(self):
         return self.node.winner
 
-    def moves(self, player, ccap, structural):
+    def moves(self, player, structural):
         if structural:
             return []
         return [m for p, m in self.node.moves if p is player]
@@ -485,11 +486,11 @@ class _BlockState(State):
         layout = self.layout
         return _fold(layout.tree, self.leaves, layout.routes)
 
-    def moves(self, player, ccap, structural):
+    def moves(self, player, structural):
         out = []
         for (route, flipped), leaf in zip(self.layout.routes, self.leaves):
             moves = leaf.moves(_OPPONENT[player] if flipped else player,
-                               ccap, structural)
+                               structural)
             if moves:
                 out += [route + m for m in moves]
         return out
@@ -500,7 +501,7 @@ class _ChoiceState(State):
     numeral) not yet made.  `make(i)` is the i-th component's initial state,
     built only when the choice is played; the chosen component is the rest
     of the game.  Listing a `capped` choice (of a constant or of a conjunct
-    of $) stops at `ccap`."""
+    of $) stops at CHOICE_CAP."""
     __slots__ = ("chooser", "options", "capped", "make")
 
     def __init__(self, chooser: Player, options: int, capped: bool,
@@ -521,12 +522,12 @@ class _ChoiceState(State):
     def outcome(self):
         return _OPPONENT[self.chooser]
 
-    def moves(self, player, ccap, structural):
+    def moves(self, player, structural):
         if player is not self.chooser:
             return []
         n = self.options
         if self.capped:
-            n = min(n, ccap) if n else ccap
+            n = min(n, CHOICE_CAP) if n else CHOICE_CAP
         return [str(i) for i in range(1, n + 1)]
 
 
@@ -572,13 +573,13 @@ class _BangState(State):
         branches[w + "0"] = branches[w + "1"] = branches.pop(w)
         return _BangState(branches)
 
-    def moves(self, player, ccap, structural):
+    def moves(self, player, structural):
         # A move at node w is legal when every leaf under w accepts it, so
         # it is among the legal moves of some leaf under w: try their union,
         # stepping each leaf that did not list the move itself.
         branches = self.branches
         out = [u + ":" for u in branches] if player is B else []
-        own = {u: state.moves(player, ccap, structural)
+        own = {u: state.moves(player, structural)
                for u, state in branches.items()}
         for w in {u[:k] for u in branches for k in range(len(u) + 1)}:
             under = [u for u in branches if u.startswith(w)]
@@ -749,21 +750,21 @@ def advance(state: State, lm: Labmove) -> Optional[State]:
     return None if SPADE in move else state.step(player, move)
 
 
-def legal_moves(state: State, player: Player, ccap: int = 3,
+def legal_moves(state: State, player: Player,
                 structural_only: bool = False) -> list[str]:
     """The legal moves of `player` at `state` (see `State.moves`), sorted.
     Moves that contain ♠ are left out."""
-    out = [m for m in state.moves(player, ccap, structural_only)
+    out = [m for m in state.moves(player, structural_only)
            if SPADE not in m]
     out.sort()
     return out
 
 
-def successors(state: State, player: Player, ccap: int = 3,
+def successors(state: State, player: Player,
                structural_only: bool = False) -> list[tuple[str, State]]:
     """`legal_moves`, each with the state it leads to."""
     return [(m, state.step(player, m))
-            for m in legal_moves(state, player, ccap, structural_only)]
+            for m in legal_moves(state, player, structural_only)]
 
 
 def _replay(g: GameRef, run: Run) -> tuple[State, Optional[Labmove]]:
@@ -811,11 +812,11 @@ def classify_move(g: GameRef, pos: Run, lm: Labmove) -> MoveStatus:
     return MoveStatus.LEGAL
 
 
-def candidate_moves(g: GameRef, run: Run, player: Player, ccap: int = 3,
+def candidate_moves(g: GameRef, run: Run, player: Player,
                     structural_only: bool = False) -> list[str]:
     """Legal moves for `player` at `run` (see `legal_moves`);
     IllegalPositionError if `run` is illegal."""
-    return legal_moves(game_state(g, run), player, ccap, structural_only)
+    return legal_moves(game_state(g, run), player, structural_only)
 
 
 # ---------------------------------------------------------------------------
@@ -960,13 +961,12 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
     return Interpretation(letters, base)
 
 
-def observationally_equal(a: GameRef, b: GameRef, max_len: int,
-                          ccap: int = 3) -> bool:
+def observationally_equal(a: GameRef, b: GameRef, max_len: int) -> bool:
     """Compare two games on all runs up to max_len moves that `successors`
     lists."""
     def moves(state: State) -> dict:
         return {(p, m): nxt for p in (T, B)
-                for m, nxt in successors(state, p, ccap)}
+                for m, nxt in successors(state, p)}
 
     def rec(sa: State, sb: State, depth: int) -> bool:
         if sa.outcome() is not sb.outcome():

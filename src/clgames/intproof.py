@@ -1,11 +1,12 @@
 """Sequent calculus: rule checking and compilation to winning strategies.
 
-A proof is a tree of sequents.  check_proof validates every node against
-its rule's schema and side conditions (eigenvariable freshness, term
-free-for-variable, index bounds).  compile maps a checked proof to a
-strategy expression for the sequent read as a formula; each rule case
-composes the named strategies with extracted propositional solutions via
-modus ponens and transitivity.
+A proof is a tree of sequents.  check_proof validates every node: its
+rule derives the premises from the conclusion and side data (eigenvariable
+freshness, term free-for-variable, index bounds), and those must be the
+node's premises.  compile maps a checked proof to a strategy expression
+for the sequent read as a formula; each rule case composes the named
+strategies with extracted propositional solutions via modus ponens and
+transitivity.
 """
 
 from __future__ import annotations
@@ -54,202 +55,114 @@ def _seq_vars(s: Sequent) -> frozenset[str]:
     return out
 
 
-def check_rule(node: ProofNode) -> tuple[bool, str]:
-    """Validate one node's schema match and side conditions."""
-    s = node.sequent
-    kids = node.children
-    rule = node.rule
+class _Misfit(Exception):
+    """The conclusion or the side data do not fit the rule, and why."""
 
-    def bad(msg: str) -> tuple[bool, str]:
-        return False, f"{rule} at {fm.render_sequent(s)}: {msg}"
 
-    if rule not in RULES:
-        return bad("unknown rule")
+# The choice rules, each the dual of the other side's: whether it acts on
+# the succedent or on the last context formula, the connective that
+# formula must have, and what replaces it in the premises: every
+# component (one premise each), component i, the body at the
+# eigenvariable y, or the body at the term t.
+_CHOICE = {
+    "RightChoiceConj": (True, ChoiceConj, "each"),
+    "LeftChoiceConj": (False, ChoiceConj, "i"),
+    "RightChoiceDisj": (True, ChoiceDisj, "i"),
+    "LeftChoiceDisj": (False, ChoiceDisj, "each"),
+    "RightChoiceAll": (True, ChoiceAll, "y"),
+    "LeftChoiceAll": (False, ChoiceAll, "t"),
+    "RightChoiceExists": (True, ChoiceExists, "t"),
+    "LeftChoiceExists": (False, ChoiceExists, "y"),
+}
+_KIND = {ChoiceConj: "a choice conjunction", ChoiceDisj: "a choice disjunction",
+         ChoiceAll: "choice-quantified", ChoiceExists: "choice-quantified"}
 
+
+def _premises(node: ProofNode) -> list[Sequent]:
+    """The premises that `node`'s rule derives its conclusion from, fixed
+    by the conclusion and the node's side data; _Misfit when they do not
+    fit the rule."""
+    s, rule = node.sequent, node.rule
+    ctx, succ = s.context, s.succedent
+    if rule in _CHOICE:
+        right, conn, by = _CHOICE[rule]
+        f = succ if right else ctx[-1] if ctx else None
+        if not isinstance(f, conn):
+            where = "succedent" if right else "last context formula"
+            raise _Misfit(f"{where} must be {_KIND[conn]}")
+        if by == "each":
+            fs = f.parts
+        elif by == "i":
+            if not 1 <= node.i <= len(f.parts):
+                raise _Misfit("component index out of range")
+            fs = (f.parts[node.i - 1],)
+        elif by == "y":
+            if not node.y or node.y in _seq_vars(s):
+                raise _Misfit(
+                    f"eigenvariable {node.y!r} occurs in the conclusion")
+            fs = (fm.substitute(f.body, [(f.var, Var(node.y))]),)
+        else:
+            t = fm.term(node.t)
+            if not fm.is_free_for(t, f.var, f.body):
+                raise _Misfit(f"term {node.t} is not free for {f.var}")
+            fs = (fm.substitute(f.body, [(f.var, t)]),)
+        if right:
+            return [Sequent(ctx, g) for g in fs]
+        return [Sequent(ctx[:-1] + (g,), succ) for g in fs]
     if rule == "Identity":
-        if kids:
-            return bad("takes no premises")
-        if s.context != (s.succedent,):
-            return bad("conclusion must be K => K")
-        return True, ""
-
+        if ctx != (succ,):
+            raise _Misfit("conclusion must be K => K")
+        return []
     if rule == "Domination":
-        if kids:
-            return bad("takes no premises")
-        if s.context != (Dollar(),):
-            return bad("conclusion must be $ => K")
-        return True, ""
-
+        if ctx != (Dollar(),):
+            raise _Misfit("conclusion must be $ => K")
+        return []
     if rule == "Exchange":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        p = kids[0].sequent
         k = node.pos
-        if not 0 <= k < len(p.context) - 1:
-            return bad("swap position out of range")
-        ctx = list(p.context)
-        ctx[k], ctx[k + 1] = ctx[k + 1], ctx[k]
-        if s != Sequent(tuple(ctx), p.succedent):
-            return bad("conclusion is not the premise with adjacent swap")
-        return True, ""
-
-    if rule == "Weakening":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        p = kids[0].sequent
-        if not s.context or s.context[:-1] != p.context \
-                or s.succedent != p.succedent:
-            return bad("conclusion must append one formula to the context")
-        return True, ""
-
-    if rule == "Contraction":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        p = kids[0].sequent
-        if not s.context or p.context != s.context + (s.context[-1],) \
-                or s.succedent != p.succedent:
-            return bad("premise must duplicate the conclusion's last formula")
-        return True, ""
-
+        if not 0 <= k < len(ctx) - 1:
+            raise _Misfit("swap position out of range")
+        return [Sequent(ctx[:k] + (ctx[k + 1], ctx[k]) + ctx[k + 2:], succ)]
     if rule == "RightImpl":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        p = kids[0].sequent
-        succ = s.succedent
         if not (isinstance(succ, Implies) and isinstance(succ.left, Bang)):
-            return bad("succedent must be a resource implication")
-        f, k = succ.left.body, succ.right
-        if p != Sequent(s.context + (f,), k):
-            return bad("premise must move the antecedent into the context")
-        return True, ""
+            raise _Misfit("succedent must be a resource implication")
+        return [Sequent(ctx + (succ.left.body,), succ.right)]
+    if not ctx:
+        raise _Misfit("conclusion context must not be empty")
+    if rule == "Weakening":
+        return [Sequent(ctx[:-1], succ)]
+    if rule == "Contraction":
+        return [Sequent(ctx + (ctx[-1],), succ)]
+    # LeftImpl: G, H, !K -> F => E from G, F => E and H => K; |G| is read
+    # from the first premise
+    last = ctx[-1]
+    if not (isinstance(last, Implies) and isinstance(last.left, Bang)):
+        raise _Misfit("last context formula must be a resource implication")
+    g = len(node.children[0].sequent.context) - 1 if node.children else 0
+    if not 0 <= g < len(ctx):
+        raise _Misfit("first premise's context does not split the conclusion's")
+    return [Sequent(ctx[:g] + (last.right,), succ),
+            Sequent(ctx[g:-1], last.left.body)]
 
-    if rule == "LeftImpl":
-        if len(kids) != 2:
-            return bad("takes two premises")
-        p1, p2 = kids[0].sequent, kids[1].sequent
-        if not s.context:
-            return bad("conclusion needs the implication in its context")
-        last = s.context[-1]
-        if not (isinstance(last, Implies) and isinstance(last.left, Bang)):
-            return bad("last context formula must be a resource implication")
-        k2, f = last.left.body, last.right
-        if p2.succedent != k2:
-            return bad("second premise must prove the implication's antecedent")
-        if not p1.context or p1.context[-1] != f:
-            return bad("first premise must use the implication's consequent")
-        g = p1.context[:-1]
-        h = p2.context
-        if s != Sequent(g + h + (last,), p1.succedent):
-            return bad("conclusion context must be G, H, implication")
-        return True, ""
 
-    if rule == "RightChoiceConj":
-        succ = s.succedent
-        if not isinstance(succ, ChoiceConj):
-            return bad("succedent must be a choice conjunction")
-        if len(kids) != len(succ.parts):
-            return bad("needs one premise per component")
-        for j, kid in enumerate(kids):
-            if kid.sequent != Sequent(s.context, succ.parts[j]):
-                return bad(f"premise {j + 1} must prove component {j + 1}")
-        return True, ""
+def check_rule(node: ProofNode) -> tuple[bool, str]:
+    """Validate one node: its conclusion and side data fit its rule, and its
+    premises are the ones the rule derives the conclusion from."""
+    def bad(msg: str) -> tuple[bool, str]:
+        return False, f"{node.rule} at {fm.render_sequent(node.sequent)}: {msg}"
 
-    if rule == "LeftChoiceConj":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        if not s.context or not isinstance(s.context[-1], ChoiceConj):
-            return bad("last context formula must be a choice conjunction")
-        parts = s.context[-1].parts
-        if not 1 <= node.i <= len(parts):
-            return bad("component index out of range")
-        want = Sequent(s.context[:-1] + (parts[node.i - 1],), s.succedent)
-        if kids[0].sequent != want:
-            return bad("premise must use the chosen component")
-        return True, ""
-
-    if rule == "RightChoiceDisj":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        succ = s.succedent
-        if not isinstance(succ, ChoiceDisj):
-            return bad("succedent must be a choice disjunction")
-        if not 1 <= node.i <= len(succ.parts):
-            return bad("component index out of range")
-        if kids[0].sequent != Sequent(s.context, succ.parts[node.i - 1]):
-            return bad("premise must prove the chosen component")
-        return True, ""
-
-    if rule == "LeftChoiceDisj":
-        if not s.context or not isinstance(s.context[-1], ChoiceDisj):
-            return bad("last context formula must be a choice disjunction")
-        parts = s.context[-1].parts
-        if len(kids) != len(parts):
-            return bad("needs one premise per component")
-        for j, kid in enumerate(kids):
-            want = Sequent(s.context[:-1] + (parts[j],), s.succedent)
-            if kid.sequent != want:
-                return bad(f"premise {j + 1} must use component {j + 1}")
-        return True, ""
-
-    if rule == "RightChoiceAll":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        succ = s.succedent
-        if not isinstance(succ, ChoiceAll):
-            return bad("succedent must be choice-quantified")
-        if not node.y or node.y in _seq_vars(s):
-            return bad(f"eigenvariable {node.y!r} occurs in the conclusion")
-        want = Sequent(s.context,
-                       fm.substitute(succ.body, [(succ.var, Var(node.y))]))
-        if kids[0].sequent != want:
-            return bad("premise must prove the body at the eigenvariable")
-        return True, ""
-
-    if rule == "LeftChoiceAll":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        if not s.context or not isinstance(s.context[-1], ChoiceAll):
-            return bad("last context formula must be choice-quantified")
-        q = s.context[-1]
-        t = fm.term(node.t)
-        if not fm.is_free_for(t, q.var, q.body):
-            return bad(f"term {node.t} is not free for {q.var}")
-        want = Sequent(s.context[:-1] + (fm.substitute(q.body, [(q.var, t)]),),
-                       s.succedent)
-        if kids[0].sequent != want:
-            return bad("premise must use the instantiated body")
-        return True, ""
-
-    if rule == "RightChoiceExists":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        succ = s.succedent
-        if not isinstance(succ, ChoiceExists):
-            return bad("succedent must be choice-quantified")
-        t = fm.term(node.t)
-        if not fm.is_free_for(t, succ.var, succ.body):
-            return bad(f"term {node.t} is not free for {succ.var}")
-        want = Sequent(s.context, fm.substitute(succ.body, [(succ.var, t)]))
-        if kids[0].sequent != want:
-            return bad("premise must prove the instantiated body")
-        return True, ""
-
-    if rule == "LeftChoiceExists":
-        if len(kids) != 1:
-            return bad("takes one premise")
-        if not s.context or not isinstance(s.context[-1], ChoiceExists):
-            return bad("last context formula must be choice-quantified")
-        q = s.context[-1]
-        if not node.y or node.y in _seq_vars(s):
-            return bad(f"eigenvariable {node.y!r} occurs in the conclusion")
-        want = Sequent(s.context[:-1]
-                       + (fm.substitute(q.body, [(q.var, Var(node.y))]),),
-                       s.succedent)
-        if kids[0].sequent != want:
-            return bad("premise must use the body at the eigenvariable")
-        return True, ""
-
-    return bad("unreachable")
+    if node.rule not in RULES:
+        return bad("unknown rule")
+    try:
+        want = _premises(node)
+    except _Misfit as e:
+        return bad(str(e))
+    kids = node.children
+    if len(kids) != len(want):
+        return bad(f"takes {len(want)} premise(s), not {len(kids)}")
+    for j, (kid, w) in enumerate(zip(kids, want), 1):
+        if kid.sequent != w:
+            return bad(f"premise {j} must be {fm.render_sequent(w)}")
+    return True, ""
 
 
 def check_proof(node: ProofNode) -> tuple[bool, str]:
@@ -294,10 +207,7 @@ def compile_proof(node: ProofNode) -> Expr:
 def _compile(node: ProofNode) -> Expr:
     s = node.sequent
     rule = node.rule
-    m = len(s.context) - (0 if rule in ("RightChoiceConj", "RightChoiceDisj",
-                                        "RightChoiceAll", "RightChoiceExists",
-                                        "RightImpl", "Identity", "Domination")
-                          else 1)
+    m = len(s.context) - 1
     ihs = [_compile(kid) for kid in node.children]
 
     if rule == "Identity":

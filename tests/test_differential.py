@@ -13,6 +13,10 @@ with three replications inside one `!`.
 On every legal prefix `legal_moves` and `successors` must also equal a
 reference that lists moves the slow way: a bounded candidate set of either
 player's moves, each stepped from the state and kept if legal.
+
+Random draws meet a malformed move where it matters only now and then, so
+a third, deterministic case tries every corrupted move under every route
+of every shape of size <= 3, at the root and after each first move.
 """
 
 import pytest
@@ -78,10 +82,10 @@ def _agree(game, run) -> bool:
     return legal
 
 
-def _raw_candidates(state, ccap: int, structural: bool) -> list[str]:
+def _raw_candidates(state, structural: bool) -> list[str]:
     """Moves of either player that may be legal at `state`: an atom's own
     moves, each block leaf's candidates under the leaf's route, every
-    component of a finite choice and every numeral up to `ccap` at a choice
+    component of a finite choice and every numeral up to the cap at a choice
     of a constant or of a conjunct of $, and at each recurrence node every
     move some leaf under it may make."""
     if isinstance(state, games._AtomState):
@@ -89,21 +93,21 @@ def _raw_candidates(state, ccap: int, structural: bool) -> list[str]:
     if isinstance(state, games._BlockState):
         return [route + m for (route, _), leaf in zip(state.layout.routes,
                                                       state.leaves)
-                for m in _raw_candidates(leaf, ccap, structural)]
+                for m in _raw_candidates(leaf, structural)]
     if isinstance(state, games._ChoiceState):
-        n = ccap if state.capped else state.options
+        n = games.CHOICE_CAP if state.capped else state.options
         return [str(i) for i in range(1, n + 1)]
     out = [u + ":" for u in state.branches]
     for u, leaf in state.branches.items():
-        inner = _raw_candidates(leaf, ccap, structural)
+        inner = _raw_candidates(leaf, structural)
         for k in range(len(u) + 1):
             out.extend(f"{u[:k]}.{m}" for m in inner)
     return out
 
 
-def _reference_successors(state, player, ccap, structural):
+def _reference_successors(state, player, structural):
     out = []
-    for m in sorted(set(_raw_candidates(state, ccap, structural))):
+    for m in sorted(set(_raw_candidates(state, structural))):
         nxt = advance(state, Labmove(player, m))
         if nxt is not None:
             out.append((m, nxt))
@@ -114,16 +118,15 @@ def _same_successors(state) -> None:
     """`legal_moves` and `successors` list exactly the reference's moves, in
     its order, and each successor has the reference's outcome."""
     for player in (T, B):
-        for ccap in (2, 3):
-            for structural in (False, True):
-                got = successors(state, player, ccap, structural)
-                want = _reference_successors(state, player, ccap, structural)
-                assert legal_moves(state, player, ccap, structural) == [
-                    m for m, _ in want], (player, ccap, structural)
-                assert [m for m, _ in got] == [m for m, _ in want], (
-                    player, ccap, structural)
-                assert [s.outcome() for _, s in got] == [
-                    s.outcome() for _, s in want], (player, ccap, structural)
+        for structural in (False, True):
+            got = successors(state, player, structural)
+            want = _reference_successors(state, player, structural)
+            assert legal_moves(state, player, structural) == [
+                m for m, _ in want], (player, structural)
+            assert [m for m, _ in got] == [m for m, _ in want], (
+                player, structural)
+            assert [s.outcome() for _, s in got] == [
+                s.outcome() for _, s in want], (player, structural)
 
 
 def _extend(game, data, run: list, n: int) -> None:
@@ -163,6 +166,35 @@ def _extend(game, data, run: list, n: int) -> None:
 @given(game=cases(), data=st.data())
 def test_stepping_evaluator_agrees_with_the_whole_run_oracle(game, data):
     _extend(game, data, [], data.draw(st.integers(0, 8)))
+
+
+def _routes(move: str) -> set[str]:
+    """The prefixes of `move` that end in a dot: the routes it passes."""
+    return {move[:k + 1] for k, c in enumerate(move) if c == "."}
+
+
+def test_every_corrupt_move_under_every_route_agrees_with_the_oracle():
+    """Deterministic, so that each grammar edge meets the positions where
+    it matters in every run: for every shape of size <= 3, at the root and
+    after each listed first move, every corrupted move under every route
+    prefix of a listed move, for both players."""
+    for idx, f in enumerate(verify._all_shapes(3)):
+        itp = random_interpretation(idx, verify._signature_for(f), 2)
+        game = GameRef(f, itp, Valuation())
+        root = game.root()
+        firsts = [Labmove(p, m) for p in (T, B) for m in legal_moves(root, p)]
+        for run in [[]] + [[lm] for lm in firsts]:
+            state = advance(root, run[0]) if run else root
+            routes = {""}.union(*(_routes(m) for p in (T, B)
+                                  for m in legal_moves(state, p)))
+            for route in sorted(routes):
+                for edge in CORRUPT:
+                    for p in (T, B):
+                        lm = Labmove(p, route + edge)
+                        nxt = advance(state, lm)
+                        legal, won = _oracle(game, run + [lm])
+                        assert (nxt is not None) is legal, (f, run, lm)
+                        assert nxt is None or nxt.outcome() is won, (f, run, lm)
 
 
 # Where a recurrence sits: its wrapper, the prefix of its moves and the

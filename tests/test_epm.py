@@ -2,8 +2,8 @@ from clgames import formula as fm, intproof, verify
 import pytest
 
 from clgames.epm import (Environment, HaltReason, Machine, PlayContext,
-                         RandomEnv, ScriptEnv, SilentEnv, Strategy,
-                         check_fairness, simulate, wins_against_all)
+                         RandomEnv, ScriptEnv, SilentEnv, Strategy, simulate,
+                         wins_against_all)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation,
                            InterpretationError, T, Valuation, candidate_moves,
                            labmoves, position_legal, successors, winner)
@@ -95,29 +95,22 @@ class TestSimulate:
         assert "B 2.a" in text and "T 1.a" in text
 
 
-class TestFairness:
-    def test_granting_strategy_is_fair(self):
-        t = simulate(build_strategy("ccs"), RandomEnv(1), game(), budget=100)
-        assert check_fairness(t, window=10)
-
-    def test_burst_longer_than_the_window_fails(self):
+class TestBursts:
+    def test_a_burst_from_the_start_wins_quiescent(self):
         # twelve legal machine moves in a row, from the start
         class Burst(Machine):
             def start(self, ctx):
                 return [f"t{i}" for i in range(12)]
         t = simulate(Strategy(Burst()), SilentEnv(), chain_game())
         assert t.verdict is T and t.halted_reason is HaltReason.QUIESCENT
-        assert not check_fairness(t, window=10)
-        assert check_fairness(t, window=13)
 
-    def test_single_grant_then_a_long_burst_fails(self):
+    def test_a_burst_answers_the_first_grant(self):
         class Answer(Machine):
             def on_env(self, move):
                 return [f"t{i}" for i in range(12)]
         env = ScriptEnv([("move", "go"), "stop"])
         t = simulate(Strategy(Answer()), env, chain_game(("go",)))
         assert t.events[0] == ("grant",) and t.verdict is T
-        assert not check_fairness(t, window=10)
 
 
 class TestExhaustive:

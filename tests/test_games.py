@@ -128,8 +128,8 @@ class TestCandidateMoves:
         monkeypatch.setattr(games._BlockPlan, "__call__",
                             lambda plan, itp, val: calls.append(plan)
                             or call(plan, itp, val))
-        assert legal_moves(state, B, ccap=50) == sorted(
-            str(i) for i in range(1, 51))
+        assert legal_moves(state, B) == [
+            str(i) for i in range(1, games.CHOICE_CAP + 1)]
         assert calls == []
         assert state.step(B, "7") is not None and len(calls) == 1
 
@@ -231,19 +231,22 @@ class TestUniversalProblem:
 
     def test_listing_stops_at_a_finite_signature_supply(self):
         # the base and one conjunct per 0-ary letter, and no more than
-        # the cap
-        itp = Interpretation({"P/0": lambda _: FiniteGame(T),
-                              "Q/0": lambda _: FiniteGame(B)})
-        state = game_state(GameRef(fm.parse_formula("$"), itp))
-        assert legal_moves(state, B, ccap=10) == ["1", "2", "3"]
-        assert legal_moves(state, B, ccap=2) == ["1", "2"]
-        assert state.step(B, "3") is not None
-        assert state.step(B, "4") is None
-        itp = Interpretation({"P/0": lambda _: FiniteGame(T),
-                              "R/1": lambda _: FiniteGame(B)})
-        state = game_state(GameRef(fm.parse_formula("$"), itp))
-        assert legal_moves(state, B, ccap=10) == sorted(
-            str(i) for i in range(1, 11))
+        # the cap of 3
+        assert games.CHOICE_CAP == 3
+
+        def dollar(*letters):
+            itp = Interpretation({k: lambda _: FiniteGame(T)
+                                  for k in letters})
+            return game_state(GameRef(fm.parse_formula("$"), itp))
+        state = dollar("P/0")
+        assert legal_moves(state, B) == ["1", "2"]
+        assert state.step(B, "2") is not None
+        assert state.step(B, "3") is None
+        state = dollar("P/0", "Q/0", "S/0")
+        assert legal_moves(state, B) == ["1", "2", "3"]
+        assert state.step(B, "4") is not None
+        assert state.step(B, "5") is None
+        assert legal_moves(dollar("P/0", "R/1"), B) == ["1", "2", "3"]
 
     def test_unresolved_choice_wins_for_the_machine(self):
         itp = Interpretation({"P/0": lambda _: FiniteGame(B)})
@@ -564,7 +567,7 @@ def _materialize(f, max_len):
         node = FiniteGame(state.outcome())
         if depth < max_len:
             for player in (B, T):
-                for m, nxt in successors(state, player, ccap=2):
+                for m, nxt in successors(state, player):
                     node.moves[(player, m)] = build(nxt, depth + 1)
         return node
     return build(GameRef(f, Interpretation({})).root(), 0)

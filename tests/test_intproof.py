@@ -1,13 +1,18 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
 from clgames import formula as fm, intproof, verify
 from clgames.epm import RandomEnv, simulate, wins_against_all
+from clgames.formula import (Bang, ChoiceAll, ChoiceConj, ChoiceDisj,
+                             ChoiceExists, Dollar, Implies, Sequent, Var)
 from clgames.games import GameRef, T, random_interpretation
-from clgames.intproof import (ProofNode, check_proof, check_rule,
-                              compile_proof, curated_theorem_corpus,
-                              proof_from_json, proof_to_json)
+from clgames.intproof import (RULES, ProofNode, _seq_vars, check_proof,
+                              check_rule, compile_proof,
+                              curated_theorem_corpus, proof_from_json,
+                              proof_to_json)
 
 
 def seq(text):
@@ -78,6 +83,280 @@ class TestCheckRule:
         ok, _ = check_rule(ProofNode(seq("Q, P => P"), "Exchange",
                                      (prem,), pos=1))
         assert not ok
+
+
+# ---------------------------------------------------------------------------
+# Reference: one hand-written branch per rule
+
+def _reference_check_rule(node: ProofNode) -> tuple[bool, str]:
+    """The rule checker as it was before premises were derived from the
+    conclusion, one hand-written branch per rule, kept verbatim."""
+    s = node.sequent
+    kids = node.children
+    rule = node.rule
+
+    def bad(msg: str) -> tuple[bool, str]:
+        return False, f"{rule} at {fm.render_sequent(s)}: {msg}"
+
+    if rule not in RULES:
+        return bad("unknown rule")
+
+    if rule == "Identity":
+        if kids:
+            return bad("takes no premises")
+        if s.context != (s.succedent,):
+            return bad("conclusion must be K => K")
+        return True, ""
+
+    if rule == "Domination":
+        if kids:
+            return bad("takes no premises")
+        if s.context != (Dollar(),):
+            return bad("conclusion must be $ => K")
+        return True, ""
+
+    if rule == "Exchange":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        p = kids[0].sequent
+        k = node.pos
+        if not 0 <= k < len(p.context) - 1:
+            return bad("swap position out of range")
+        ctx = list(p.context)
+        ctx[k], ctx[k + 1] = ctx[k + 1], ctx[k]
+        if s != Sequent(tuple(ctx), p.succedent):
+            return bad("conclusion is not the premise with adjacent swap")
+        return True, ""
+
+    if rule == "Weakening":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        p = kids[0].sequent
+        if not s.context or s.context[:-1] != p.context \
+                or s.succedent != p.succedent:
+            return bad("conclusion must append one formula to the context")
+        return True, ""
+
+    if rule == "Contraction":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        p = kids[0].sequent
+        if not s.context or p.context != s.context + (s.context[-1],) \
+                or s.succedent != p.succedent:
+            return bad("premise must duplicate the conclusion's last formula")
+        return True, ""
+
+    if rule == "RightImpl":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        p = kids[0].sequent
+        succ = s.succedent
+        if not (isinstance(succ, Implies) and isinstance(succ.left, Bang)):
+            return bad("succedent must be a resource implication")
+        f, k = succ.left.body, succ.right
+        if p != Sequent(s.context + (f,), k):
+            return bad("premise must move the antecedent into the context")
+        return True, ""
+
+    if rule == "LeftImpl":
+        if len(kids) != 2:
+            return bad("takes two premises")
+        p1, p2 = kids[0].sequent, kids[1].sequent
+        if not s.context:
+            return bad("conclusion needs the implication in its context")
+        last = s.context[-1]
+        if not (isinstance(last, Implies) and isinstance(last.left, Bang)):
+            return bad("last context formula must be a resource implication")
+        k2, f = last.left.body, last.right
+        if p2.succedent != k2:
+            return bad("second premise must prove the implication's antecedent")
+        if not p1.context or p1.context[-1] != f:
+            return bad("first premise must use the implication's consequent")
+        g = p1.context[:-1]
+        h = p2.context
+        if s != Sequent(g + h + (last,), p1.succedent):
+            return bad("conclusion context must be G, H, implication")
+        return True, ""
+
+    if rule == "RightChoiceConj":
+        succ = s.succedent
+        if not isinstance(succ, ChoiceConj):
+            return bad("succedent must be a choice conjunction")
+        if len(kids) != len(succ.parts):
+            return bad("needs one premise per component")
+        for j, kid in enumerate(kids):
+            if kid.sequent != Sequent(s.context, succ.parts[j]):
+                return bad(f"premise {j + 1} must prove component {j + 1}")
+        return True, ""
+
+    if rule == "LeftChoiceConj":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        if not s.context or not isinstance(s.context[-1], ChoiceConj):
+            return bad("last context formula must be a choice conjunction")
+        parts = s.context[-1].parts
+        if not 1 <= node.i <= len(parts):
+            return bad("component index out of range")
+        want = Sequent(s.context[:-1] + (parts[node.i - 1],), s.succedent)
+        if kids[0].sequent != want:
+            return bad("premise must use the chosen component")
+        return True, ""
+
+    if rule == "RightChoiceDisj":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        succ = s.succedent
+        if not isinstance(succ, ChoiceDisj):
+            return bad("succedent must be a choice disjunction")
+        if not 1 <= node.i <= len(succ.parts):
+            return bad("component index out of range")
+        if kids[0].sequent != Sequent(s.context, succ.parts[node.i - 1]):
+            return bad("premise must prove the chosen component")
+        return True, ""
+
+    if rule == "LeftChoiceDisj":
+        if not s.context or not isinstance(s.context[-1], ChoiceDisj):
+            return bad("last context formula must be a choice disjunction")
+        parts = s.context[-1].parts
+        if len(kids) != len(parts):
+            return bad("needs one premise per component")
+        for j, kid in enumerate(kids):
+            want = Sequent(s.context[:-1] + (parts[j],), s.succedent)
+            if kid.sequent != want:
+                return bad(f"premise {j + 1} must use component {j + 1}")
+        return True, ""
+
+    if rule == "RightChoiceAll":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        succ = s.succedent
+        if not isinstance(succ, ChoiceAll):
+            return bad("succedent must be choice-quantified")
+        if not node.y or node.y in _seq_vars(s):
+            return bad(f"eigenvariable {node.y!r} occurs in the conclusion")
+        want = Sequent(s.context,
+                       fm.substitute(succ.body, [(succ.var, Var(node.y))]))
+        if kids[0].sequent != want:
+            return bad("premise must prove the body at the eigenvariable")
+        return True, ""
+
+    if rule == "LeftChoiceAll":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        if not s.context or not isinstance(s.context[-1], ChoiceAll):
+            return bad("last context formula must be choice-quantified")
+        q = s.context[-1]
+        t = fm.term(node.t)
+        if not fm.is_free_for(t, q.var, q.body):
+            return bad(f"term {node.t} is not free for {q.var}")
+        want = Sequent(s.context[:-1] + (fm.substitute(q.body, [(q.var, t)]),),
+                       s.succedent)
+        if kids[0].sequent != want:
+            return bad("premise must use the instantiated body")
+        return True, ""
+
+    if rule == "RightChoiceExists":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        succ = s.succedent
+        if not isinstance(succ, ChoiceExists):
+            return bad("succedent must be choice-quantified")
+        t = fm.term(node.t)
+        if not fm.is_free_for(t, succ.var, succ.body):
+            return bad(f"term {node.t} is not free for {succ.var}")
+        want = Sequent(s.context, fm.substitute(succ.body, [(succ.var, t)]))
+        if kids[0].sequent != want:
+            return bad("premise must prove the instantiated body")
+        return True, ""
+
+    if rule == "LeftChoiceExists":
+        if len(kids) != 1:
+            return bad("takes one premise")
+        if not s.context or not isinstance(s.context[-1], ChoiceExists):
+            return bad("last context formula must be choice-quantified")
+        q = s.context[-1]
+        if not node.y or node.y in _seq_vars(s):
+            return bad(f"eigenvariable {node.y!r} occurs in the conclusion")
+        want = Sequent(s.context[:-1]
+                       + (fm.substitute(q.body, [(q.var, Var(node.y))]),),
+                       s.succedent)
+        if kids[0].sequent != want:
+            return bad("premise must use the body at the eigenvariable")
+        return True, ""
+
+    return bad("unreachable")
+
+
+def _nodes(node):
+    yield node
+    for kid in node.children:
+        yield from _nodes(kid)
+
+
+CORPUS_NODES = [n for _, proof in curated_theorem_corpus()
+                for n in _nodes(proof)]
+SEQUENTS = sorted({n.sequent for n in CORPUS_NODES}, key=fm.render_sequent)
+
+
+def _mutate(rng, node):
+    """`node` with one random change: its rule, side data, premises or
+    conclusion."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return replace(node, rule=rng.choice(RULES + ("Cut",)))
+    if kind == 1:
+        return replace(node, i=rng.randint(-1, 4))
+    if kind == 2:
+        return replace(node, t=rng.choice(["1", "3", "x", "y", "w", "", "Q"]))
+    if kind == 3:
+        return replace(node, y=rng.choice(["", "x", "y", "z", "w"]))
+    if kind == 4:
+        return replace(node, pos=rng.randint(-1, 3))
+    if kind == 5:
+        return replace(node, sequent=rng.choice(SEQUENTS))
+    kids = tuple(ProofNode(rng.choice(SEQUENTS), "Identity")
+                 for _ in range(rng.randint(0, 3)))
+    if kids and rng.random() < 0.5:
+        # replace only premise j of the node's own
+        j = rng.randrange(len(kids))
+        kids = node.children[:j] + kids[j:j + 1] + node.children[j + 1:]
+    return replace(node, children=kids)
+
+
+def _accepts(check, node) -> bool:
+    """Whether `check` accepts `node`; a ValueError (a `t` that is not a
+    term) is a rejection."""
+    try:
+        return check(node)[0]
+    except ValueError:
+        return False
+
+
+class TestAgainstReference:
+    def test_every_corpus_node(self):
+        for node in CORPUS_NODES:
+            assert _accepts(check_rule, node)
+            assert _accepts(_reference_check_rule, node)
+
+    def test_seeded_mutations(self):
+        rng = random.Random(13)
+        accepted = rejected = 0
+        for _ in range(5000):
+            node = rng.choice(CORPUS_NODES)
+            for _ in range(rng.randint(1, 3)):
+                node = _mutate(rng, node)
+            ok = _accepts(check_rule, node)
+            assert ok is _accepts(_reference_check_rule, node), node
+            accepted += ok
+            rejected += not ok
+        # neither verdict is rare, so the agreement is not vacuous
+        assert accepted > 1000 and rejected > 1000, (accepted, rejected)
+
+    def test_a_wrong_premise_names_the_expected_one(self):
+        node = ProofNode(seq("P & Q => P"), "LeftChoiceConj",
+                         (identity("Q => Q"),), i=1)
+        assert check_rule(node) == (
+            False, "LeftChoiceConj at P & Q => P: premise 1 must be P => P")
 
 
 class TestCorpus:
