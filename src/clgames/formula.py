@@ -49,14 +49,17 @@ Term = Var | Const
 
 
 def term(x) -> Term:
-    """Coerce a string/int into a Term."""
+    """Coerce a string/int into a Term: a constant is a positive int or an
+    ASCII numeral [1-9][0-9]*, a variable an identifier starting with a
+    lowercase letter, as in the formula syntax."""
     if isinstance(x, (Var, Const)):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and x >= 1:
         return Const(x)
-    if isinstance(x, str) and x.isdigit():
+    if isinstance(x, str) and x.isascii() and x.isdigit() and x[0] != "0":
         return Const(int(x))
-    if isinstance(x, str) and x and x[0].islower():
+    if isinstance(x, str) and x and x[0].islower() and \
+            all(c.isalnum() or c == "_" for c in x):
         return Var(x)
     raise ValueError(f"not a term: {x!r}")
 

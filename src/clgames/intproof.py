@@ -102,7 +102,10 @@ def _premises(node: ProofNode) -> list[Sequent]:
                     f"eigenvariable {node.y!r} occurs in the conclusion")
             fs = (fm.substitute(f.body, [(f.var, Var(node.y))]),)
         else:
-            t = fm.term(node.t)
+            try:
+                t = fm.term(node.t)
+            except ValueError as e:
+                raise _Misfit(str(e)) from None
             if not fm.is_free_for(t, f.var, f.body):
                 raise _Misfit(f"term {node.t} is not free for {f.var}")
             fs = (fm.substitute(f.body, [(f.var, t)]),)

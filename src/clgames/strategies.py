@@ -283,9 +283,31 @@ def yellow_content(v: ColoredString) -> str:
     return "".join(bit for bit, col in v if col == YELLOW)
 
 
-def is_colored_tree(t: frozenset[ColoredString]) -> bool:
-    """Contents form a tree, are injective, and sibling edges share color."""
-    contents = {content(v) for v in t}
+def colored_contents(t) -> dict[ColoredString, tuple[str, str, str]]:
+    """Each string of `t` with its content, blue content and yellow
+    content, read in one pass over the string."""
+    out = {}
+    for v in t:
+        c = b = y = ""
+        for bit, col in v:
+            c += bit
+            if col == BLUE:
+                b += bit
+            elif col == YELLOW:
+                y += bit
+        out[v] = (c, b, y)
+    return out
+
+
+def is_colored_tree(t: frozenset[ColoredString],
+                    contents: Optional[set[str]] = None) -> bool:
+    """Contents form a tree, are injective, and sibling edges share color.
+
+    `contents` is the set of contents of `t`'s strings, for a caller that
+    has computed them already.
+    """
+    if contents is None:
+        contents = {content(v) for v in t}
     if len(contents) != len(t):
         return False
     if "" not in contents:

@@ -19,12 +19,12 @@ from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
                       ParDisj, Top, conj_impl, par_conj)
 from .games import (B, FiniteGame, GameRef, Labmove, Run, T, Valuation,
-                    advance, bits_leq, game_state, legal_moves, negate_run,
-                    position_legal, prelegal_and_tree, project,
-                    random_interpretation, subrun_upto, successors,
-                    tree_leaves, winner)
+                    advance, bits_leq, game_state, legal_moves,
+                    position_legal, prelegal_and_tree, random_interpretation,
+                    split_bang_move, subrun_upto, successors, tree_leaves,
+                    winner)
 from .strategies import (Expr, blue_content, build_strategy,
-                         colored_tree_leaves, content, is_colored_tree,
+                         colored_contents, content, is_colored_tree,
                          yellow_content)
 
 
@@ -440,59 +440,110 @@ def _all_colored_trees(max_depth: int):
 def check_l5_invariants(run: Run, tree, game: GameRef) -> list[str]:
     """The iteration invariants of the tree-of-trees machine.
 
-    At each permission point: the antecedent position is prelegal with its
-    branch tree equal to the record's contents; the consequent and all its
-    branch views are prelegal; record leaves biject with (outer, inner)
-    leaf pairs via blue/yellow contents; matched single-branch views agree;
-    and the whole position is legal.
+    At each permission point: the record is a colored tree; the antecedent
+    position is prelegal with its branch tree equal to the record's
+    contents; the consequent and all its branch views are prelegal; record
+    leaves biject with (outer, inner) leaf pairs via blue/yellow contents;
+    matched single-branch views agree; and the whole position is legal.
+    Errors are listed in that order.
+
+    The run is read once: each move is parsed a single time into its side
+    of the implication, and every branch tree and branch view is derived
+    from the parsed moves, so this states on one pass what
+    `prelegal_and_tree` and `subrun_upto` state on whole runs.
     """
-    errs = []
     t = frozenset(tree)
-    if not is_colored_tree(t):
+    cols = colored_contents(t)
+    contents = {c for c, _, _ in cols.values()}
+    if not is_colored_tree(t, contents):
         return [f"record is not a colored tree: {sorted(t)}"]
-    phi = negate_run(project(run, "1."))
-    psi = project(run, "2.")
-    ok_phi, tree_phi = prelegal_and_tree(phi)
+    # (player, parsed recurrence move) on each side; the antecedent is
+    # played with the labels swapped
+    ante, cons = [], []
+    for player, mv in run:
+        if mv.startswith("1."):
+            ante.append((player.opponent, split_bang_move(mv[2:])))
+        elif mv.startswith("2."):
+            cons.append((player, split_bang_move(mv[2:])))
+    errs = []
+    ok_phi, tree_phi = _branch_tree(ante)
     if not ok_phi:
         errs.append("antecedent position not prelegal")
-    if tree_phi != frozenset(content(v) for v in t):
+    if tree_phi != contents:
         errs.append("antecedent tree differs from record contents")
-    ok_psi, tree_psi = prelegal_and_tree(psi)
+    ok_psi, tree_psi = _branch_tree(cons)
     if not ok_psi:
         errs.append("consequent position not prelegal")
+    # the consequent's node moves (node, player, parsed payload): an outer
+    # branch view is the payloads at the nodes on its branch
+    cons_nodes = [(p[1], player, split_bang_move(p[2]))
+                  for player, p in cons if p is not None and p[0] == "node"]
+    views = {}
+
+    def outer_view(x: str) -> list:
+        view = views.get(x)
+        if view is None:
+            view = views[x] = [(player, inner) for w, player, inner
+                               in cons_nodes if x.startswith(w)]
+        return view
+
     psi_leaves = tree_leaves(tree_psi)
-    inner_trees = {}
+    inner_leaves = {}
     for x in psi_leaves:
-        sub = subrun_upto(psi, x)
-        ok_sub, tree_sub = prelegal_and_tree(sub)
+        ok_sub, tree_sub = _branch_tree(outer_view(x))
         if not ok_sub:
             errs.append(f"consequent branch view {x!r} not prelegal")
-        inner_trees[x] = tree_leaves(tree_sub)
-    record_leaves = colored_tree_leaves(t)
-    pair_to_leaf = {}
+        inner_leaves[x] = tree_leaves(tree_sub)
+    record_leaves = sorted((v for v, (c, _, _) in cols.items()
+                            if c + "0" not in contents),
+                           key=lambda v: cols[v][0])
+    pairs = set()
     for z in record_leaves:
-        bx, yx = blue_content(z), yellow_content(z)
-        if bx not in psi_leaves:
+        _, bx, yx = cols[z]
+        if bx not in inner_leaves:
             errs.append(f"blue content {bx!r} is not an outer leaf")
             continue
-        if yx not in inner_trees.get(bx, []):
+        if yx not in inner_leaves[bx]:
             errs.append(f"yellow content {yx!r} is not an inner leaf of {bx!r}")
             continue
-        if (bx, yx) in pair_to_leaf:
+        if (bx, yx) in pairs:
             errs.append(f"leaf pair {(bx, yx)} duplicated")
-        pair_to_leaf[(bx, yx)] = z
+        pairs.add((bx, yx))
     for x in psi_leaves:
-        for y in inner_trees[x]:
-            if (x, y) not in pair_to_leaf:
+        for y in inner_leaves[x]:
+            if (x, y) not in pairs:
                 errs.append(f"no record leaf for pair {(x, y)}")
+    ante_nodes = [(p[1], player, p[2])
+                  for player, p in ante if p is not None and p[0] == "node"]
     for z in record_leaves:
-        lhs = subrun_upto(phi, content(z))
-        rhs = subrun_upto(subrun_upto(psi, blue_content(z)), yellow_content(z))
+        c, bx, yx = cols[z]
+        lhs = [(player, rest) for w, player, rest in ante_nodes
+               if c.startswith(w)]
+        rhs = [(player, inner[2]) for player, inner in outer_view(bx)
+               if inner is not None and inner[0] == "node"
+               and yx.startswith(inner[1])]
         if lhs != rhs:
-            errs.append(f"branch views differ at {content(z)!r}")
+            errs.append(f"branch views differ at {c!r}")
     if not position_legal(game, run):
         errs.append("position illegal")
     return errs
+
+
+def _branch_tree(moves) -> tuple[bool, set[str]]:
+    """`prelegal_and_tree` over (player, parsed recurrence move) pairs."""
+    tree = {""}
+    for player, parsed in moves:
+        if parsed is None:
+            return False, tree
+        w = parsed[1]
+        if parsed[0] == "rep":
+            if player is not B or w not in tree or w + "0" in tree:
+                return False, tree
+            tree.add(w + "0")
+            tree.add(w + "1")
+        elif w not in tree:
+            return False, tree
+    return True, tree
 
 
 # ---------------------------------------------------------------------------

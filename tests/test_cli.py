@@ -60,6 +60,18 @@ class TestProofFiles:
         code, out = run_cli(capsys, "check-proof", "int", str(path))
         assert code == 1 and "invalid" in out
 
+    def test_a_bad_term_is_an_invalid_proof(self, capsys, tmp_path):
+        # constants start at 1 and are written without leading zeros
+        for t in ("0", "01", "\u0661", "Q"):
+            proof = {"sequent": "@x.P => P", "rule": "LeftChoiceAll", "t": t,
+                     "premises": [{"sequent": "P => P", "rule": "Identity"}]}
+            path = tmp_path / "bad-term.json"
+            path.write_text(json.dumps(proof))
+            code, out = run_cli(capsys, "check-proof", "int", str(path))
+            assert code == 1, t
+            assert f"invalid: LeftChoiceAll at @x.P => P: not a term: {t!r}" \
+                in out
+
     def test_cl2_proof_check(self, capsys, tmp_path):
         code, out = run_cli(capsys, "prove-cl2", "(P & Q) -> (Q + P)")
         path = tmp_path / "p.cl2"

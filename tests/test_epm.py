@@ -152,6 +152,34 @@ class TestExhaustive:
                           g, budget=300)
         assert replay == cex
 
+    def test_an_unsettled_machine_at_the_depth_limit(self):
+        # copies like `ccs`, then stops copying and never settles after the
+        # environment's second move: the loss shows only at depth 2, where
+        # the silent option runs the play itself on to the budget
+        class Tired(Machine):
+            def __init__(self):
+                self.seen = 0
+
+            @property
+            def settled(self):
+                return self.seen < 2
+
+            def on_env(self, move):
+                self.seen += 1
+                if self.seen >= 2:
+                    return []
+                side = "1." if move.startswith("2.") else "2."
+                return [side + move[2:]]
+
+        assert wins_against_all(Strategy(Tired()), game(), depth=1,
+                                budget=50).leaves == 2
+        res = wins_against_all(Strategy(Tired()), game(), depth=2, budget=50)
+        cex = res.counterexample
+        assert not res.won_all and res.leaves == 3
+        assert cex.run == labmoves(("B", "2.a"), ("T", "1.a"), ("B", "1.b"))
+        assert cex.verdict is B and cex.halted_reason is HaltReason.BUDGET
+        assert (cex.steps, cex.grants) == (50, 49)
+
     def test_silence_wins_when_the_environment_must_move(self):
         # both components are elementary wins: whether or not the
         # environment resolves its choice, doing nothing wins

@@ -58,6 +58,14 @@ class TestCheckRule:
         ok, why = check_rule(node)
         assert not ok and "free" in why
 
+    @pytest.mark.parametrize("t", ["0", "01", "\u0661", "Q", "x)"])
+    def test_term_must_be_a_variable_or_a_canonical_numeral(self, t):
+        node = ProofNode(seq("@x.P => P"), "LeftChoiceAll",
+                         (identity("P => P"),), t=t)
+        assert check_rule(node) == (
+            False, f"LeftChoiceAll at @x.P => P: not a term: {t!r}")
+        assert check_rule(replace(node, t="1")) == (True, "")
+
     def test_left_impl_premise_order(self):
         good = ProofNode(seq("Q, !Q -> P => P"), "LeftImpl",
                          (identity("P => P"), identity("Q => Q")))

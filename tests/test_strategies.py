@@ -1,16 +1,22 @@
+import random
+
 import pytest
 
 from clgames import formula as fm
 from clgames.epm import (PlayContext, RandomEnv, ScriptEnv, Strategy,
                          simulate, wins_against_all)
-from clgames.games import (B, FiniteGame, GameRef, Interpretation, T,
-                           Valuation, random_interpretation)
+from clgames.games import (B, FiniteGame, GameRef, Interpretation, Labmove,
+                           T, Valuation, labmoves, negate_run, position_legal,
+                           prelegal_and_tree, project, random_interpretation,
+                           subrun_upto, tree_leaves)
 from clgames.strategies import (AllClosureMachine, BangClosureMachine,
                                 CcsMachine, L5Machine, Machine, MpMachine,
                                 blue_content, build_machine, build_strategy,
                                 colored_tree_leaves, content, is_colored_tree,
                                 parse_strategy_id, transitivity_machine,
                                 yellow_content)
+from clgames.verify import (check_l5_invariants, named_strategy_games,
+                            random_game)
 
 CTX = PlayContext(Valuation({"y": 4}), (("P", 0), ("Q", 0), ("R", 1)))
 
@@ -376,6 +382,237 @@ class TestLoopInvariants:
         broken = set(m.tree)
         broken.discard((("0", "b"),))
         assert check_l5_invariants(t.run, broken, g)
+
+
+def reference_l5_invariants(run, tree, game) -> list[str]:
+    """The invariant clauses of `verify.check_l5_invariants`, stated on
+    whole runs: each clause derives its runs again with `project`,
+    `negate_run`, `prelegal_and_tree` and `subrun_upto`."""
+    errs = []
+    t = frozenset(tree)
+    if not is_colored_tree(t):
+        return [f"record is not a colored tree: {sorted(t)}"]
+    phi = negate_run(project(run, "1."))
+    psi = project(run, "2.")
+    ok_phi, tree_phi = prelegal_and_tree(phi)
+    if not ok_phi:
+        errs.append("antecedent position not prelegal")
+    if tree_phi != frozenset(content(v) for v in t):
+        errs.append("antecedent tree differs from record contents")
+    ok_psi, tree_psi = prelegal_and_tree(psi)
+    if not ok_psi:
+        errs.append("consequent position not prelegal")
+    psi_leaves = tree_leaves(tree_psi)
+    inner_trees = {}
+    for x in psi_leaves:
+        sub = subrun_upto(psi, x)
+        ok_sub, tree_sub = prelegal_and_tree(sub)
+        if not ok_sub:
+            errs.append(f"consequent branch view {x!r} not prelegal")
+        inner_trees[x] = tree_leaves(tree_sub)
+    record_leaves = colored_tree_leaves(t)
+    pair_to_leaf = {}
+    for z in record_leaves:
+        bx, yx = blue_content(z), yellow_content(z)
+        if bx not in psi_leaves:
+            errs.append(f"blue content {bx!r} is not an outer leaf")
+            continue
+        if yx not in inner_trees.get(bx, []):
+            errs.append(f"yellow content {yx!r} is not an inner leaf of {bx!r}")
+            continue
+        if (bx, yx) in pair_to_leaf:
+            errs.append(f"leaf pair {(bx, yx)} duplicated")
+        pair_to_leaf[(bx, yx)] = z
+    for x in psi_leaves:
+        for y in inner_trees[x]:
+            if (x, y) not in pair_to_leaf:
+                errs.append(f"no record leaf for pair {(x, y)}")
+    for z in record_leaves:
+        lhs = subrun_upto(phi, content(z))
+        rhs = subrun_upto(subrun_upto(psi, blue_content(z)), yellow_content(z))
+        if lhs != rhs:
+            errs.append(f"branch views differ at {content(z)!r}")
+    if not position_legal(game, run):
+        errs.append("position illegal")
+    return errs
+
+
+def _tamper_record(rng, tree):
+    t = set(tree)
+    op = rng.randrange(4)
+    v = rng.choice(sorted(t))
+    if op == 0 and v:
+        t.discard(v)                                  # drop a string
+    elif op == 1:
+        col = rng.choice("by")                        # split a string
+        t |= {v + (("0", col),), v + (("1", col),)}
+    elif op == 2 and v:
+        t.discard(v)                                  # recolor its last edge
+        bit, col = v[-1]
+        t.add(v[:-1] + ((bit, "y" if col == "b" else "b"),))
+    else:
+        t.add(tuple((rng.choice("01"), rng.choice("by"))
+                    for _ in range(rng.randrange(1, 4))))
+    return t
+
+
+def _tamper_run(rng, run):
+    run = list(run)
+    op = rng.randrange(5)
+    k = rng.randrange(len(run)) if run else 0
+    if op == 0 and run:
+        del run[k]                                    # drop a move
+    elif op == 1 and run:
+        lm = run[k]                                   # flip its mover
+        run[k] = Labmove(lm.player.opponent, lm.move)
+    elif op == 2 and run:
+        run.insert(k, run[k])                         # repeat a move
+    elif op == 3 and run:
+        lm = run[k]                                   # flip a node bit
+        i = rng.randrange(len(lm.move))
+        c = {"0": "1", "1": "0"}.get(lm.move[i], lm.move[i])
+        run[k] = Labmove(lm.player, lm.move[:i] + c + lm.move[i + 1:])
+    else:
+        run.append(Labmove(rng.choice((B, T)), rng.choice(
+            ("1.:", "2.:", "2.0.:", "1.0.1.1", "2..1.2", "2...1.2", "3.x",
+             "1.01", "2.0.1.1.2"))))
+    return tuple(run)
+
+
+class TestL5Checker:
+    """`verify.check_l5_invariants` reads the run once; the whole-run
+    statement of its clauses is `reference_l5_invariants`."""
+
+    def test_agrees_with_the_whole_run_statement(self):
+        rng = random.Random(14)
+        val = Valuation({"y": 2})
+        games = [(sid, text) for sid, text, kind in named_strategy_games()
+                 if kind == "l5"]
+        assert len(games) == 2
+        grants = tampered = faulty = 0
+        for sid, text in games:
+            f = fm.parse_formula(text)
+            for k in range(3):
+                game = random_game(f, seed=2000 + 11 * k, valuation=val)
+                for seed in range(8):
+                    strat = build_strategy(sid)
+
+                    def on_grant(run):
+                        nonlocal grants, tampered, faulty
+                        tree = strat.machine.tree
+                        grants += 1
+                        assert check_l5_invariants(run, tree, game) == \
+                            reference_l5_invariants(run, tree, game) == []
+                        for _ in range(3):
+                            cases = [(_tamper_record(rng, tree), run),
+                                     (tree, _tamper_run(rng, run))]
+                            for t, r in cases:
+                                want = reference_l5_invariants(r, t, game)
+                                assert check_l5_invariants(r, t, game) == want
+                                tampered += 1
+                                faulty += bool(want)
+
+                    t = simulate(strat, RandomEnv(41 * k + seed, max_moves=5),
+                                 game, budget=3000, on_grant=on_grant)
+                    assert t.verdict is T
+        assert grants > 100 and faulty > tampered // 2
+
+    def _base(self):
+        """A won play of `!P -> !!P`: an outer and an inner replication,
+        then an antecedent move copied to the consequent."""
+        itp = random_interpretation(6, (("P", 0),), 3)
+        g = GameRef(fm.parse_formula("!P -> !!P"), itp)
+        m = L5Machine()
+        env = ScriptEnv([("move", "2.:"), ("move", "2.0.:"),
+                         ("move", "1.01.1.2"), "stop"])
+        t = simulate(Strategy(m), env, g)
+        assert t.verdict is T
+        assert [lm.move for lm in t.run] == [
+            "2.:", "1.:", "2.0.:", "1.0:", "1.01.1.2", "2.0.1.1.2"]
+        return g, t.run, frozenset(m.tree)
+
+    def _check(self, run, tree, game, want):
+        assert check_l5_invariants(run, tree, game) == want
+        assert reference_l5_invariants(run, tree, game) == want
+
+    def test_untampered_play_keeps_every_invariant(self):
+        g, run, tree = self._base()
+        self._check(run, tree, g, [])
+
+    def test_record_that_is_not_a_colored_tree(self):
+        g, run, tree = self._base()
+        bad = tree | {(("0", "y"),)}              # content "0" twice
+        self._check(run, bad, g,
+                    [f"record is not a colored tree: {sorted(bad)}"])
+
+    def test_antecedent_not_prelegal(self):
+        g, run, tree = self._base()
+        # the environment replicates in the antecedent, the machine's side
+        self._check(run + labmoves(("B", "1.1:")), tree, g,
+                    ["antecedent position not prelegal", "position illegal"])
+
+    def test_antecedent_tree_differs_from_the_record(self):
+        g, run, tree = self._base()
+        # the machine's answer to the inner replication is missing
+        self._check(run[:3], tree, g,
+                    ["antecedent tree differs from record contents"])
+
+    def test_consequent_not_prelegal(self):
+        g, run, tree = self._base()
+        # the machine replicates in the consequent, the environment's side
+        self._check(run + labmoves(("T", "2.1:")), tree, g,
+                    ["consequent position not prelegal", "position illegal"])
+
+    def test_consequent_branch_view_not_prelegal(self):
+        g, run, tree = self._base()
+        # outer branch 1 has no inner node 0
+        self._check(run + labmoves(("B", "2.1.0.1.2")), tree, g,
+                    ["consequent branch view '1' not prelegal",
+                     "position illegal"])
+
+    def test_blue_content_not_an_outer_leaf(self):
+        g, run, tree = self._base()
+        b = ("1", "b")
+        self._check(run, tree | {(b, ("0", "b")), (b, ("1", "b"))}, g,
+                    ["antecedent tree differs from record contents",
+                     "blue content '10' is not an outer leaf",
+                     "blue content '11' is not an outer leaf",
+                     "no record leaf for pair ('1', '')"])
+
+    def test_yellow_content_not_an_inner_leaf(self):
+        g, run, tree = self._base()
+        b = ("1", "b")
+        self._check(run, tree | {(b, ("0", "y")), (b, ("1", "y"))}, g,
+                    ["antecedent tree differs from record contents",
+                     "yellow content '0' is not an inner leaf of '1'",
+                     "yellow content '1' is not an inner leaf of '1'",
+                     "no record leaf for pair ('1', '')"])
+
+    def test_duplicated_leaf_pair(self):
+        g, run, _ = self._base()
+        # contents form a tree, but the strings do not: 01 and 10 both
+        # read blue 0 and yellow 1
+        b0, b1, y0, y1 = ("0", "b"), ("1", "b"), ("0", "y"), ("1", "y")
+        tree = {(), (b0,), (b1,), (b0, y0), (b0, y1), (y1, b0), (y1, b1)}
+        self._check(run, tree, g,
+                    ["antecedent tree differs from record contents",
+                     "leaf pair ('0', '1') duplicated",
+                     "yellow content '1' is not an inner leaf of '1'",
+                     "no record leaf for pair ('1', '')",
+                     "branch views differ at '10'"])
+
+    def test_branch_views_differ(self):
+        g, run, tree = self._base()
+        # the copy lands at inner branch 0 instead of 1
+        moved = run[:-1] + (Labmove(T, "2.0.0.1.2"),)
+        self._check(moved, tree, g, ["branch views differ at '00'",
+                                     "branch views differ at '01'"])
+
+    def test_position_illegal(self):
+        g, run, tree = self._base()
+        # a well-formed exchange of a move P does not have
+        self._check(run + labmoves(("B", "2.1..9"), ("T", "1.1.9")), tree, g,
+                    ["position illegal"])
 
 
 class TestRegistry:
