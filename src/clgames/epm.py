@@ -403,9 +403,7 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
         if leaves > max_leaves:
             raise BudgetExceeded(f"exhaustive search exceeded {max_leaves} leaves")
         if not play.strategy.settled:
-            # at the depth limit nothing uses `play` after this, so it
-            # runs on itself instead of a fork
-            t = (play if decisions >= depth else play.fork()).until_settled()
+            t = play.fork().until_settled()
             if t.verdict is not T:
                 return t
         elif play.state.outcome() is not T:

@@ -24,6 +24,7 @@ requires parentheses.  Sequents are written `F1, F2 => K` or `=> K`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,13 @@ class Const:
 Term = Var | Const
 
 
+def _numeral(s: str) -> Optional[int]:
+    """The value of an ASCII numeral [1-9][0-9]*, else None."""
+    if s.isascii() and s.isdigit() and s[0] != "0":
+        return int(s)
+    return None
+
+
 def term(x) -> Term:
     """Coerce a string/int into a Term: a constant is a positive int or an
     ASCII numeral [1-9][0-9]*, a variable an identifier starting with a
@@ -56,11 +64,12 @@ def term(x) -> Term:
         return x
     if isinstance(x, int) and x >= 1:
         return Const(x)
-    if isinstance(x, str) and x.isascii() and x.isdigit() and x[0] != "0":
-        return Const(int(x))
-    if isinstance(x, str) and x and x[0].islower() and \
-            all(c.isalnum() or c == "_" for c in x):
-        return Var(x)
+    if isinstance(x, str):
+        n = _numeral(x)
+        if n is not None:
+            return Const(n)
+        if x and x[0].islower() and all(c.isalnum() or c == "_" for c in x):
+            return Var(x)
     raise ValueError(f"not a term: {x!r}")
 
 

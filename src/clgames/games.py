@@ -48,7 +48,7 @@ from typing import Callable, Optional
 from . import formula as fm
 from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Const, Dollar, Elem, Formula, Implies,
-                      Neg, ParConj, ParDisj, Top)
+                      Neg, ParConj, ParDisj, Top, _numeral)
 
 SPADE = "♠"   # reserved always-illegal move symbol
 CHOICE_CAP = 3  # listed choices of a constant or of a conjunct of $
@@ -140,31 +140,40 @@ def prelegal_and_tree(run: Run) -> tuple[bool, frozenset[str]]:
     and grows the tree by w0, w1; a move "w.alpha" requires w to be a
     current node.  Returns (False, tree-so-far) at the first violation.
     """
-    tree = {""}
-    for lm in run:
-        parsed = split_bang_move(lm.move)
-        if parsed is None:
-            return False, frozenset(tree)
-        if parsed[0] == "rep":
-            w = parsed[1]
-            if lm.player is not B or w not in tree or w + "0" in tree:
-                return False, frozenset(tree)
-            tree.add(w + "0")
-            tree.add(w + "1")
-        else:
-            if parsed[1] not in tree:
-                return False, frozenset(tree)
-    return True, frozenset(tree)
+    ok, tree = branch_tree((lm.player, split_bang_move(lm.move))
+                           for lm in run)
+    return ok, frozenset(tree)
 
 
 def subrun_upto(run: Run, u: str) -> Run:
     """The single-branch view of a recurrence run along bit string u."""
-    out = []
-    for lm in run:
-        parsed = split_bang_move(lm.move)
-        if parsed is not None and parsed[0] == "node" and bits_leq(parsed[1], u):
-            out.append(Labmove(lm.player, parsed[2]))
-    return tuple(out)
+    parsed = [(lm.player, split_bang_move(lm.move)) for lm in run]
+    return tuple(Labmove(p, m) for p, m in branch_view(parsed, u))
+
+
+def branch_tree(moves) -> tuple[bool, set[str]]:
+    """`prelegal_and_tree` over (player, split_bang_move(move)) pairs."""
+    tree = {""}
+    for player, parsed in moves:
+        if parsed is None:
+            return False, tree
+        w = parsed[1]
+        if parsed[0] == "rep":
+            if player is not B or w not in tree or w + "0" in tree:
+                return False, tree
+            tree.add(w + "0")
+            tree.add(w + "1")
+        elif w not in tree:
+            return False, tree
+    return True, tree
+
+
+def branch_view(moves, u: str) -> list:
+    """`subrun_upto` over (player, split_bang_move(move)) pairs: the
+    (player, alpha) of each move "w.alpha" with w an initial segment of u."""
+    return [(player, parsed[2]) for player, parsed in moves
+            if parsed is not None and parsed[0] == "node"
+            and bits_leq(parsed[1], u)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +192,6 @@ class FiniteGame:
 
 ELEMENTARY_WIN = FiniteGame(T)
 ELEMENTARY_LOSS = FiniteGame(B)
-
-
-def _numeral(s: str) -> Optional[int]:
-    """The value of an ASCII numeral [1-9][0-9]*, else None."""
-    if s.isascii() and s.isdigit() and s[0] != "0":
-        return int(s)
-    return None
 
 
 def _largest(lo: int, ok: Callable[[int], bool]) -> int:

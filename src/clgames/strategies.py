@@ -24,8 +24,8 @@ from typing import Optional
 from . import cl2, formula as fm
 from .epm import Machine, PlayContext, Strategy
 from .formula import (Atom, ChoiceAll, ChoiceConj, ChoiceDisj,
-                      ChoiceExists, Dollar, Formula, Implies)
-from .games import _numeral, bits_leq, grounded_atom_index, split_bang_move
+                      ChoiceExists, Dollar, Formula, Implies, _numeral)
+from .games import bits_leq, grounded_atom_index, split_bang_move
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +299,9 @@ def colored_contents(t) -> dict[ColoredString, tuple[str, str, str]]:
     return out
 
 
-def is_colored_tree(t: frozenset[ColoredString],
-                    contents: Optional[set[str]] = None) -> bool:
-    """Contents form a tree, are injective, and sibling edges share color.
-
-    `contents` is the set of contents of `t`'s strings, for a caller that
-    has computed them already.
-    """
-    if contents is None:
-        contents = {content(v) for v in t}
+def is_colored_tree(t: frozenset[ColoredString]) -> bool:
+    """Contents form a tree, are injective, and sibling edges share color."""
+    contents = {content(v) for v in t}
     if len(contents) != len(t):
         return False
     if "" not in contents:
@@ -324,10 +318,13 @@ def is_colored_tree(t: frozenset[ColoredString],
     return True
 
 
-def colored_tree_leaves(t: frozenset[ColoredString]) -> list[ColoredString]:
-    contents = {content(v) for v in t}
-    leaves = [v for v in t if content(v) + "0" not in contents]
-    return sorted(leaves, key=content)
+def colored_tree_leaves(contents: dict[ColoredString, str]
+                        ) -> list[ColoredString]:
+    """The strings of a colored tree, given with their contents, whose
+    contents are leaves, sorted by content."""
+    nodes = set(contents.values())
+    leaves = [v for v, c in contents.items() if c + "0" not in nodes]
+    return sorted(leaves, key=contents.__getitem__)
 
 
 class L5Machine(Machine):
@@ -348,7 +345,7 @@ class L5Machine(Machine):
         self.parked = False
 
     def _leaves(self) -> list[ColoredString]:
-        return colored_tree_leaves(frozenset(self.tree))
+        return colored_tree_leaves({v: content(v) for v in self.tree})
 
     def on_env(self, move: str) -> list[str]:
         if self.parked:

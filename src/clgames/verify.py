@@ -19,13 +19,13 @@ from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
                       ParDisj, Top, conj_impl, par_conj)
 from .games import (B, FiniteGame, GameRef, Labmove, Run, T, Valuation,
-                    advance, bits_leq, game_state, legal_moves,
-                    position_legal, prelegal_and_tree, random_interpretation,
-                    split_bang_move, subrun_upto, successors, tree_leaves,
-                    winner)
+                    advance, bits_leq, branch_tree, branch_view, game_state,
+                    legal_moves, position_legal, prelegal_and_tree,
+                    random_interpretation, split_bang_move, subrun_upto,
+                    successors, tree_leaves, winner)
 from .strategies import (Expr, blue_content, build_strategy,
-                         colored_contents, content, is_colored_tree,
-                         yellow_content)
+                         colored_contents, colored_tree_leaves, content,
+                         is_colored_tree, yellow_content)
 
 
 @dataclass
@@ -449,54 +449,44 @@ def check_l5_invariants(run: Run, tree, game: GameRef) -> list[str]:
 
     The run is read once: each move is parsed a single time into its side
     of the implication, and every branch tree and branch view is derived
-    from the parsed moves, so this states on one pass what
-    `prelegal_and_tree` and `subrun_upto` state on whole runs.
+    from the parsed moves with `branch_tree` and `branch_view`, the cores
+    of `prelegal_and_tree` and `subrun_upto`.
     """
     t = frozenset(tree)
-    cols = colored_contents(t)
-    contents = {c for c, _, _ in cols.values()}
-    if not is_colored_tree(t, contents):
+    if not is_colored_tree(t):
         return [f"record is not a colored tree: {sorted(t)}"]
+    cols = colored_contents(t)
     # (player, parsed recurrence move) on each side; the antecedent is
-    # played with the labels swapped
+    # played with the labels swapped, and a consequent move at a node
+    # carries its payload parsed too, for the branch views' inner trees
     ante, cons = [], []
     for player, mv in run:
         if mv.startswith("1."):
             ante.append((player.opponent, split_bang_move(mv[2:])))
         elif mv.startswith("2."):
-            cons.append((player, split_bang_move(mv[2:])))
+            p = split_bang_move(mv[2:])
+            if p is not None and p[0] == "node":
+                p = ("node", p[1], split_bang_move(p[2]))
+            cons.append((player, p))
     errs = []
-    ok_phi, tree_phi = _branch_tree(ante)
+    ok_phi, tree_phi = branch_tree(ante)
     if not ok_phi:
         errs.append("antecedent position not prelegal")
-    if tree_phi != contents:
+    if tree_phi != {c for c, _, _ in cols.values()}:
         errs.append("antecedent tree differs from record contents")
-    ok_psi, tree_psi = _branch_tree(cons)
+    ok_psi, tree_psi = branch_tree(cons)
     if not ok_psi:
         errs.append("consequent position not prelegal")
-    # the consequent's node moves (node, player, parsed payload): an outer
-    # branch view is the payloads at the nodes on its branch
-    cons_nodes = [(p[1], player, split_bang_move(p[2]))
-                  for player, p in cons if p is not None and p[0] == "node"]
-    views = {}
-
-    def outer_view(x: str) -> list:
-        view = views.get(x)
-        if view is None:
-            view = views[x] = [(player, inner) for w, player, inner
-                               in cons_nodes if x.startswith(w)]
-        return view
-
     psi_leaves = tree_leaves(tree_psi)
+    views = {x: branch_view(cons, x) for x in psi_leaves}
     inner_leaves = {}
     for x in psi_leaves:
-        ok_sub, tree_sub = _branch_tree(outer_view(x))
+        ok_sub, tree_sub = branch_tree(views[x])
         if not ok_sub:
             errs.append(f"consequent branch view {x!r} not prelegal")
         inner_leaves[x] = tree_leaves(tree_sub)
-    record_leaves = sorted((v for v, (c, _, _) in cols.items()
-                            if c + "0" not in contents),
-                           key=lambda v: cols[v][0])
+    record_leaves = colored_tree_leaves({v: c for v, (c, _, _)
+                                         in cols.items()})
     pairs = set()
     for z in record_leaves:
         _, bx, yx = cols[z]
@@ -513,37 +503,14 @@ def check_l5_invariants(run: Run, tree, game: GameRef) -> list[str]:
         for y in inner_leaves[x]:
             if (x, y) not in pairs:
                 errs.append(f"no record leaf for pair {(x, y)}")
-    ante_nodes = [(p[1], player, p[2])
-                  for player, p in ante if p is not None and p[0] == "node"]
     for z in record_leaves:
         c, bx, yx = cols[z]
-        lhs = [(player, rest) for w, player, rest in ante_nodes
-               if c.startswith(w)]
-        rhs = [(player, inner[2]) for player, inner in outer_view(bx)
-               if inner is not None and inner[0] == "node"
-               and yx.startswith(inner[1])]
-        if lhs != rhs:
+        view = views[bx] if bx in views else branch_view(cons, bx)
+        if branch_view(ante, c) != branch_view(view, yx):
             errs.append(f"branch views differ at {c!r}")
     if not position_legal(game, run):
         errs.append("position illegal")
     return errs
-
-
-def _branch_tree(moves) -> tuple[bool, set[str]]:
-    """`prelegal_and_tree` over (player, parsed recurrence move) pairs."""
-    tree = {""}
-    for player, parsed in moves:
-        if parsed is None:
-            return False, tree
-        w = parsed[1]
-        if parsed[0] == "rep":
-            if player is not B or w not in tree or w + "0" in tree:
-                return False, tree
-            tree.add(w + "0")
-            tree.add(w + "1")
-        elif w not in tree:
-            return False, tree
-    return True, tree
 
 
 # ---------------------------------------------------------------------------

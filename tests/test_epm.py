@@ -155,7 +155,7 @@ class TestExhaustive:
     def test_an_unsettled_machine_at_the_depth_limit(self):
         # copies like `ccs`, then stops copying and never settles after the
         # environment's second move: the loss shows only at depth 2, where
-        # the silent option runs the play itself on to the budget
+        # the silent option runs a fork of the play on to the budget
         class Tired(Machine):
             def __init__(self):
                 self.seen = 0
