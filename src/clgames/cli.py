@@ -8,8 +8,8 @@ import os
 import sys
 
 from . import cl2, formula as fm, intproof, verify as verify_mod
-from .epm import (RandomEnv, ScriptEnv, SilentEnv, Strategy, simulate,
-                  wins_against_all)
+from .epm import (BudgetExceeded, RandomEnv, ScriptEnv, SilentEnv, Strategy,
+                  simulate, wins_against_all)
 from .games import (B, GameRef, Labmove, Valuation, advance,
                     legal_moves, load_interpretation, random_interpretation)
 from .strategies import build_strategy
@@ -234,7 +234,9 @@ def main(argv=None) -> int:
     p.add_argument("--interp", help="interpretation file (JSON)")
     p.add_argument("--val", help="valuation, e.g. 'x=3,y=5,default=1'")
     p.add_argument("--env", default="random",
-                   help="silent | random | human | script:FILE | exhaustive:DEPTH")
+                   help="silent | random | human | script:FILE |"
+                        " exhaustive:DEPTH (exit 1 on a counterexample, 2"
+                        " when the search passes 100000 leaves)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--env-moves", type=int, default=6)
     p.add_argument("--budget", type=int, default=4000)
@@ -257,7 +259,7 @@ def main(argv=None) -> int:
     except fm.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, KeyError, ValueError) as e:
+    except (BudgetExceeded, FileNotFoundError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

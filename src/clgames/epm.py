@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .games import (B, GameRef, InterpretationError, Labmove, Player, Run,
-                    Signature, State, T, Valuation, advance, game_state,
-                    legal_moves, successors)
+                    Signature, State, T, Valuation, advance, legal_moves,
+                    successors)
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ class _Play:
         self.strategy = strategy
         self.budget = budget
         self.run: list[Labmove] = []
-        self.state: State = game_state(game)
+        self.state: State = game.root()
         self.events: list = []
         self.steps = 0
         self.grants = 0

@@ -460,9 +460,9 @@ def _tokenize(text: str):
                 i += len(sym)
                 break
         else:
-            if c.isdigit():
+            if "0" <= c <= "9":
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 toks.append(("INT", text[i:j], i))
                 i = j
@@ -578,9 +578,10 @@ class _Parser:
     def term(self) -> Term:
         kind, val, pos = self.next()
         if kind == "INT":
-            v = int(val)
-            if v < 1:
-                raise ParseError("constants start at 1", pos)
+            v = _numeral(val)
+            if v is None:
+                raise ParseError(f"constants are numerals 1, 2, ..., got"
+                                 f" {val!r}", pos)
             return Const(v)
         if kind == "IDENT" and val[0].islower():
             return Var(val)

@@ -95,23 +95,8 @@ def labmoves(*pairs) -> Run:
     return tuple(Labmove(Player(p), m) for p, m in pairs)
 
 
-def negate_run(run: Run) -> Run:
-    return tuple(Labmove(lm.player.opponent, lm.move) for lm in run)
-
-
-def project(run: Run, prefix: str) -> Run:
-    """Keep labmoves whose move starts with `prefix`, stripping it."""
-    return tuple(Labmove(lm.player, lm.move[len(prefix):])
-                 for lm in run if lm.move.startswith(prefix))
-
-
 # ---------------------------------------------------------------------------
 # Bit-string trees and recurrence plumbing
-
-def bits_leq(w: str, u: str) -> bool:
-    """w is a (not necessarily proper) initial segment of u."""
-    return u.startswith(w)
-
 
 def tree_leaves(tree: frozenset[str]) -> list[str]:
     return sorted(w for w in tree if w + "0" not in tree)
@@ -134,25 +119,20 @@ def split_bang_move(move: str):
 
 
 def prelegal_and_tree(run: Run) -> tuple[bool, frozenset[str]]:
-    """Check recurrence well-formedness and build the branch tree.
-
-    A replication "w:" must come from the environment at a current leaf w
-    and grows the tree by w0, w1; a move "w.alpha" requires w to be a
-    current node.  Returns (False, tree-so-far) at the first violation.
-    """
+    """`branch_tree` of a recurrence run given as labmoves."""
     ok, tree = branch_tree((lm.player, split_bang_move(lm.move))
                            for lm in run)
     return ok, frozenset(tree)
 
 
-def subrun_upto(run: Run, u: str) -> Run:
-    """The single-branch view of a recurrence run along bit string u."""
-    parsed = [(lm.player, split_bang_move(lm.move)) for lm in run]
-    return tuple(Labmove(p, m) for p, m in branch_view(parsed, u))
-
-
 def branch_tree(moves) -> tuple[bool, set[str]]:
-    """`prelegal_and_tree` over (player, split_bang_move(move)) pairs."""
+    """Check recurrence well-formedness and build the branch tree of a run
+    given as (player, split_bang_move(move)) pairs.
+
+    A replication "w:" must come from the environment at a current leaf w
+    and grows the tree by w0, w1; a move "w.alpha" requires w to be a
+    current node.  Returns (False, tree-so-far) at the first violation.
+    """
     tree = {""}
     for player, parsed in moves:
         if parsed is None:
@@ -169,11 +149,12 @@ def branch_tree(moves) -> tuple[bool, set[str]]:
 
 
 def branch_view(moves, u: str) -> list:
-    """`subrun_upto` over (player, split_bang_move(move)) pairs: the
-    (player, alpha) of each move "w.alpha" with w an initial segment of u."""
+    """The single-branch view along bit string u of a recurrence run given
+    as (player, split_bang_move(move)) pairs: the (player, alpha) of each
+    move "w.alpha" with w an initial segment of u."""
     return [(player, parsed[2]) for player, parsed in moves
             if parsed is not None and parsed[0] == "node"
-            and bits_leq(parsed[1], u)]
+            and u.startswith(parsed[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +331,16 @@ class Valuation:
 
 @dataclass
 class GameRef:
-    """A constant game: formula + interpretation + valuation (+ prefix).
-
-    The optional prefix realizes prefixation: this ref denotes the game the
-    base formula evolves to after the prefix has been played.
-    """
+    """A constant game: formula + interpretation + valuation."""
     formula: Formula
     interp: Interpretation
     valuation: Valuation = field(default_factory=Valuation)
-    prefix: Run = ()
     _root: Optional["State"] = field(default=None, init=False, repr=False,
                                      compare=False)
 
     def root(self) -> "State":
-        """The state before the prefix and any move, built once: states are
-        persistent, so every replay of this game can start from it."""
+        """The state before any move, built once: states are persistent, so
+        every replay of this game can start from it."""
         if self._root is None:
             self._root = initial_state(self.formula, self.interp,
                                        self.valuation)
@@ -373,12 +349,6 @@ class GameRef:
 
 class IllegalPositionError(ValueError):
     pass
-
-
-def prefixation(g: GameRef, pos: Run) -> GameRef:
-    if not position_legal(g, pos):
-        raise IllegalPositionError(f"prefix {pos} is not a legal position")
-    return GameRef(g.formula, g.interp, g.valuation, g.prefix + tuple(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +740,11 @@ def successors(state: State, player: Player,
 
 
 def _replay(g: GameRef, run: Run) -> tuple[State, Optional[Labmove]]:
-    """Step g's root state through its prefix and `run`: the state after
-    the longest legal prefix, and the first illegal labmove (None when the
-    whole run is legal)."""
+    """Step g's root state through `run`: the state after the longest legal
+    prefix, and the first illegal labmove (None when the whole run is
+    legal)."""
     state = g.root()
-    for lm in g.prefix + tuple(run):
+    for lm in run:
         nxt = advance(state, lm)
         if nxt is None:
             return state, lm
@@ -962,22 +932,3 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
             else FiniteGame(T))
     return Interpretation(letters, base)
 
-
-def observationally_equal(a: GameRef, b: GameRef, max_len: int) -> bool:
-    """Compare two games on all runs up to max_len moves that `successors`
-    lists."""
-    def moves(state: State) -> dict:
-        return {(p, m): nxt for p in (T, B)
-                for m, nxt in successors(state, p)}
-
-    def rec(sa: State, sb: State, depth: int) -> bool:
-        if sa.outcome() is not sb.outcome():
-            return False
-        if depth >= max_len:
-            return True
-        moves_a, moves_b = moves(sa), moves(sb)
-        if moves_a.keys() != moves_b.keys():
-            return False
-        return all(rec(moves_a[k], moves_b[k], depth + 1)
-                   for k in sorted(moves_a))
-    return rec(game_state(a), game_state(b), 0)

@@ -25,7 +25,7 @@ from . import cl2, formula as fm
 from .epm import Machine, PlayContext, Strategy
 from .formula import (Atom, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, _numeral)
-from .games import bits_leq, grounded_atom_index, split_bang_move
+from .games import grounded_atom_index, split_bang_move
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +299,21 @@ def colored_contents(t) -> dict[ColoredString, tuple[str, str, str]]:
     return out
 
 
+_SIBLINGS = ({("0", BLUE), ("1", BLUE)}, {("0", YELLOW), ("1", YELLOW)})
+
+
 def is_colored_tree(t: frozenset[ColoredString]) -> bool:
-    """Contents form a tree, are injective, and sibling edges share color."""
-    contents = {content(v) for v in t}
-    if len(contents) != len(t):
-        return False
-    if "" not in contents:
-        return False
-    for c in contents:
-        if c and c[:-1] not in contents:
-            return False
-        if (c + "0" in contents) != (c + "1" in contents):
-            return False
+    """`()` is in `t`, every other string's parent is in `t`, and each
+    string's children in `t` are none or exactly v+("0", c) and v+("1", c)
+    for one color c."""
+    children = {v: set() for v in t}
     for v in t:
-        for b0, b1 in ((BLUE, YELLOW), (YELLOW, BLUE)):
-            if v + (("0", b0),) in t and v + (("1", b1),) in t:
+        if v:
+            if v[:-1] not in children:
                 return False
-    return True
+            children[v[:-1]].add(v[-1])
+    return () in children and all(not kids or kids in _SIBLINGS
+                                  for kids in children.values())
 
 
 def colored_tree_leaves(contents: dict[ColoredString, str]
@@ -371,7 +369,8 @@ class L5Machine(Machine):
             if parsed2[0] == "rep":                      # inner replication
                 u = parsed2[1]
                 vs = [v for v in self._leaves()
-                      if bits_leq(w, blue_content(v)) and yellow_content(v) == u]
+                      if blue_content(v).startswith(w)
+                      and yellow_content(v) == u]
                 out = [f"1.{content(v)}:" for v in vs]
                 for v in vs:
                     self.tree.add(v + (("0", YELLOW),))
@@ -379,7 +378,8 @@ class L5Machine(Machine):
                 return out
             u, alpha = parsed2[1], parsed2[2]            # inner ordinary move
             vs = [v for v in self._leaves()
-                  if bits_leq(w, blue_content(v)) and bits_leq(u, yellow_content(v))]
+                  if blue_content(v).startswith(w)
+                  and yellow_content(v).startswith(u)]
             return [f"1.{content(v)}.{alpha}" for v in vs]
         if move.startswith("1."):
             parsed = split_bang_move(move[2:])
@@ -387,7 +387,7 @@ class L5Machine(Machine):
                 self.parked = True
                 return []
             w, alpha = parsed[1], parsed[2]
-            vs = [v for v in self._leaves() if bits_leq(w, content(v))]
+            vs = [v for v in self._leaves() if content(v).startswith(w)]
             return [f"2.{blue_content(v)}.{yellow_content(v)}.{alpha}" for v in vs]
         self.parked = True
         return []
@@ -501,7 +501,7 @@ class BangClosureMachine(Machine):
         w, alpha = parsed[1], parsed[2]
         out = []
         for u in sorted(self.copies):
-            if bits_leq(w, u):
+            if u.startswith(w):
                 out.extend(f"{u}.{r}" for r in self.copies[u].on_env(alpha))
         return out
 

@@ -19,10 +19,9 @@ from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
                       ParDisj, Top, conj_impl, par_conj)
 from .games import (B, FiniteGame, GameRef, Labmove, Run, T, Valuation,
-                    advance, bits_leq, branch_tree, branch_view, game_state,
-                    legal_moves, position_legal, prelegal_and_tree,
-                    random_interpretation, split_bang_move, subrun_upto,
-                    successors, tree_leaves, winner)
+                    advance, branch_tree, branch_view, labmoves, legal_moves,
+                    position_legal, prelegal_and_tree, random_interpretation,
+                    split_bang_move, successors, tree_leaves, winner)
 from .strategies import (Expr, blue_content, build_strategy,
                          colored_contents, colored_tree_leaves, content,
                          is_colored_tree, yellow_content)
@@ -397,8 +396,8 @@ def verify_lemma10(max_len: int = 4) -> Report:
             if not _pair_embeddable(wv, uv):
                 continue
             r.count("pairs")
-            if bits_leq(blue_content(wv), blue_content(uv)) and \
-                    bits_leq(yellow_content(wv), yellow_content(uv)):
+            if blue_content(uv).startswith(blue_content(wv)) and \
+                    yellow_content(uv).startswith(yellow_content(wv)):
                 if not _is_prefix_tuple(wv, uv):
                     r.fail(f"branch-order violation: {wv} vs {uv}")
     # plus literal enumeration of all colored trees of depth <= 3
@@ -410,8 +409,8 @@ def verify_lemma10(max_len: int = 4) -> Report:
         branches = sorted(tree, key=content)
         for wv in branches:
             for uv in branches:
-                if bits_leq(blue_content(wv), blue_content(uv)) and \
-                        bits_leq(yellow_content(wv), yellow_content(uv)):
+                if blue_content(uv).startswith(blue_content(wv)) and \
+                        yellow_content(uv).startswith(yellow_content(wv)):
                     if not _is_prefix_tuple(wv, uv):
                         r.fail(f"branch-order violation in tree: {wv} vs {uv}")
     return r
@@ -443,14 +442,15 @@ def check_l5_invariants(run: Run, tree, game: GameRef) -> list[str]:
     At each permission point: the record is a colored tree; the antecedent
     position is prelegal with its branch tree equal to the record's
     contents; the consequent and all its branch views are prelegal; record
-    leaves biject with (outer, inner) leaf pairs via blue/yellow contents;
+    leaves biject with (outer, inner) leaf pairs via blue/yellow contents
+    (the leaves of a colored tree have distinct pairs, so it is enough that
+    every leaf's pair is a leaf pair and every leaf pair is some leaf's);
     matched single-branch views agree; and the whole position is legal.
     Errors are listed in that order.
 
     The run is read once: each move is parsed a single time into its side
     of the implication, and every branch tree and branch view is derived
-    from the parsed moves with `branch_tree` and `branch_view`, the cores
-    of `prelegal_and_tree` and `subrun_upto`.
+    from the parsed moves with `branch_tree` and `branch_view`.
     """
     t = frozenset(tree)
     if not is_colored_tree(t):
@@ -496,8 +496,6 @@ def check_l5_invariants(run: Run, tree, game: GameRef) -> list[str]:
         if yx not in inner_leaves[bx]:
             errs.append(f"yellow content {yx!r} is not an inner leaf of {bx!r}")
             continue
-        if (bx, yx) in pairs:
-            errs.append(f"leaf pair {(bx, yx)} duplicated")
         pairs.add((bx, yx))
     for x in psi_leaves:
         for y in inner_leaves[x]:
@@ -588,7 +586,7 @@ def verify_corpus(interps: int = 10, plays_per: int = 100,
 def _structural_script(f: Formula, sig, val) -> list:
     """A deterministic interpretation-independent environment script: up to
     four seeded structural environment moves in a row, then "stop"."""
-    state = game_state(GameRef(f, random_interpretation(1, sig, 3), val))
+    state = GameRef(f, random_interpretation(1, sig, 3), val).root()
     rng = random.Random(99)
     directives = []
     for _ in range(4):
@@ -687,14 +685,14 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
 
 @_timed
 def verify_micro() -> Report:
-    from .games import labmoves
     r = Report("micro-examples")
 
     # single-branch view of a recurrence run
     g = labmoves(("T", ".a1"), ("B", ":"), ("B", "1.a2"), ("T", "0.a3"),
                  ("B", "1:"), ("T", "10.a4"))
-    got = subrun_upto(g, "101000")
-    want = labmoves(("T", "a1"), ("B", "a2"), ("T", "a4"))
+    got = branch_view([(lm.player, split_bang_move(lm.move)) for lm in g],
+                      "101000")
+    want = [(T, "a1"), (B, "a2"), (T, "a4")]
     r.require(got == want, f"branch view mismatch: {got}")
     r.count("checks")
 
@@ -714,16 +712,16 @@ def verify_micro() -> Report:
               and yellow_content(v) == "001", "colored contents")
     r.count("checks")
 
-    # prefixation collapses a resolved choice to its component
-    from .games import observationally_equal, prefixation
+    # a resolved choice is its component: the environment's choice of A_i
+    # in A1 & A2 leads to the atom state over A_i's letter game
     for i in (1, 2):
         sig = (("A1", 0), ("A2", 0))
         itp = random_interpretation(3, sig, 2)
         big = GameRef(ChoiceConj((Atom("A1"), Atom("A2"))), itp)
-        view = prefixation(big, labmoves(("B", str(i))))
-        direct = GameRef(Atom(f"A{i}"), itp)
-        r.require(observationally_equal(view, direct, 3),
-                  f"choice prefixation identity at {i}")
+        chosen = advance(big.root(), Labmove(B, str(i)))
+        direct = GameRef(Atom(f"A{i}"), itp).root()
+        r.require(type(chosen) is type(direct) and chosen.node is direct.node,
+                  f"choice resolution identity at {i}")
         r.count("checks")
     return r
 

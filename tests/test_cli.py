@@ -143,6 +143,15 @@ class TestPlay:
         assert code == 0
         assert "T in every branch" in out
 
+    def test_exhaustive_search_out_of_leaves_is_an_error(self, capsys):
+        # exit 1 would claim a counterexample; the search has no verdict
+        code = main(["play", "--game", "!(P & Q) -> !(P & Q)",
+                     "--strategy", "ccs", "--env", "exhaustive:8"])
+        captured = capsys.readouterr()
+        assert code == 2 and "counterexample" not in captured.out
+        assert captured.err == \
+            "error: exhaustive search exceeded 100000 leaves\n"
+
     def test_compiled_proof_play(self, capsys, tmp_path):
         proof = [p for n, p in intproof.curated_theorem_corpus()
                  if n == "impl-intro"][0]
@@ -358,7 +367,9 @@ class TestMalformedInput:
                  "play --game P->P --interp FILE --env random"),
                 ('{"letters": {"P/0": {"game": {"winner": "T"}},'
                  ' "Q/0": {"game": {"winner": "T", "moves": {"B:a": 1}}}}}',
-                 "play --game P&Q --interp FILE --env exhaustive:2")):
+                 "play --game P&Q --interp FILE --env exhaustive:2"),
+                ("", "check-formula R(01)"),
+                ("", "check-formula R(\u0661)")):
             path = tmp_path / "input"
             path.write_text(text)
             assert _exit_code(args.replace("FILE", str(path)).split()) == 2

@@ -65,6 +65,13 @@ class TestParsing:
     def test_lowercase_identifier_is_elementary(self):
         assert fm.parse_formula("p -> P") == Implies(Elem("p"), P())
 
+    @pytest.mark.parametrize("text", ["R(0)", "R(01)", "R(\u0661)"])
+    def test_constants_are_canonical_ascii_numerals(self, text):
+        # [1-9][0-9]*, the syntax of `formula.term` and of moves
+        with pytest.raises(fm.ParseError):
+            fm.parse_formula(text)
+        assert fm.parse_formula("R(10)").args == (fm.Const(10),)
+
 
 class TestFreeVars:
     def test_bound_occurrence(self):

@@ -8,14 +8,13 @@ from clgames import formula as fm, games, oracle
 from clgames.formula import Atom, Bang
 from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            Interpretation, Labmove, MoveStatus, T, Valuation,
-                           candidate_moves, classify_move,
-                           enumerate_grounded_atoms, game_state,
-                           grounded_atom_index, labmoves, legal_moves,
-                           load_interpretation,
-                           negate_run, observationally_equal, position_legal,
-                           prefixation, prelegal_and_tree, project,
-                           random_interpretation, subrun_upto, successors,
-                           tree_leaves, winner)
+                           advance, branch_view, candidate_moves,
+                           classify_move, enumerate_grounded_atoms,
+                           game_state, grounded_atom_index, labmoves,
+                           legal_moves, load_interpretation, position_legal,
+                           prelegal_and_tree, random_interpretation,
+                           split_bang_move, successors, tree_leaves, winner)
+from wholerun import negate_run, project, subrun_upto
 
 
 def interp_ab():
@@ -27,6 +26,22 @@ def interp_ab():
 def ref(text, itp=None, val=None):
     return GameRef(fm.parse_formula(text), itp or interp_ab(),
                    val or Valuation())
+
+
+def same_game(a, b, depth: int) -> bool:
+    """States `a` and `b` have the same outcome and the same legal moves
+    on every run of up to `depth` moves."""
+    if a.outcome() is not b.outcome():
+        return False
+    if depth == 0:
+        return True
+    for p in (T, B):
+        moves = legal_moves(a, p)
+        if moves != legal_moves(b, p) or not all(
+                same_game(a.step(p, m), b.step(p, m), depth - 1)
+                for m in moves):
+            return False
+    return True
 
 
 class TestClassifyMove:
@@ -172,21 +187,13 @@ class TestWinner:
 
 class TestPrefixation:
     def test_resolved_choice_is_the_component(self):
+        # the state after a choice of A_i plays as A_i's own game
         itp = interp_ab()
-        for i in (1, 2):
-            view = prefixation(ref("A1 & A2", itp), labmoves(("B", str(i))))
-            assert observationally_equal(view, ref(f"A{i}", itp), 3)
-        for i in (1, 2):
-            view = prefixation(ref("A1 + A2", itp), labmoves(("T", str(i))))
-            assert observationally_equal(view, ref(f"A{i}", itp), 3)
-
-    def test_empty_prefix_is_identity(self):
-        g = ref("A1 -> A2")
-        assert observationally_equal(prefixation(g, ()), g, 3)
-
-    def test_illegal_prefix_is_an_error(self):
-        with pytest.raises(IllegalPositionError):
-            prefixation(ref("A1 & A2"), labmoves(("B", "7")))
+        for text, chooser in (("A1 & A2", B), ("A1 + A2", T)):
+            root = ref(text, itp).root()
+            for i in (1, 2):
+                chosen = advance(root, Labmove(chooser, str(i)))
+                assert same_game(chosen, ref(f"A{i}", itp).root(), 3)
 
 
 class TestRunUtilities:
@@ -217,6 +224,9 @@ class TestRunUtilities:
             ("T", "a1"), ("B", "a2"), ("T", "a4"))
         assert subrun_upto(labmoves(("B", ":")), "0") == ()
         assert subrun_upto(g, "") == labmoves(("T", "a1"))
+        parsed = [(lm.player, split_bang_move(lm.move)) for lm in g]
+        for u in ("101000", "0", "1", ""):
+            assert branch_view(parsed, u) == list(subrun_upto(g, u))
 
 
 class TestUniversalProblem:
@@ -256,9 +266,9 @@ class TestUniversalProblem:
         base = FiniteGame(B, {(B, "z"): FiniteGame(T)})
         itp = Interpretation({"P/0": lambda _: FiniteGame(T)}, base)
         g = GameRef(fm.parse_formula("$"), itp)
-        view = prefixation(g, labmoves(("B", "1")))
+        chosen = advance(g.root(), Labmove(B, "1"))
         direct = GameRef(Atom("Z"), Interpretation({"Z/0": lambda _: base}))
-        assert observationally_equal(view, direct, 2)
+        assert same_game(chosen, direct.root(), 3)
 
     def test_finite_signature_exhausts(self):
         itp = Interpretation({"P/0": lambda _: FiniteGame(T)})

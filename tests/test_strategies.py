@@ -6,17 +6,18 @@ from clgames import formula as fm
 from clgames.epm import (PlayContext, RandomEnv, ScriptEnv, Strategy,
                          simulate, wins_against_all)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation, Labmove,
-                           T, Valuation, labmoves, negate_run, position_legal,
-                           prelegal_and_tree, project, random_interpretation,
-                           subrun_upto, tree_leaves)
+                           T, Valuation, labmoves, position_legal,
+                           prelegal_and_tree, random_interpretation,
+                           tree_leaves)
 from clgames.strategies import (AllClosureMachine, BangClosureMachine,
                                 CcsMachine, L5Machine, Machine, MpMachine,
                                 blue_content, build_machine, build_strategy,
                                 colored_tree_leaves, content, is_colored_tree,
                                 parse_strategy_id, transitivity_machine,
                                 yellow_content)
-from clgames.verify import (check_l5_invariants, named_strategy_games,
-                            random_game)
+from clgames.verify import (_all_colored_trees, check_l5_invariants,
+                            named_strategy_games, random_game)
+from wholerun import negate_run, project, subrun_upto
 
 CTX = PlayContext(Valuation({"y": 4}), (("P", 0), ("Q", 0), ("R", 1)))
 
@@ -199,6 +200,21 @@ class TestColoredTrees:
         not_injective = frozenset({(), (("0", "b"),), (("1", "b"),),
                                    (("0", "y"),)})
         assert not is_colored_tree(not_injective)
+        # contents form a tree, but 1y0b and 1y1b have no parent 1y
+        b0, b1, y0, y1 = ("0", "b"), ("1", "b"), ("0", "y"), ("1", "y")
+        assert not is_colored_tree(frozenset(
+            {(), (b0,), (b1,), (b0, y0), (b0, y1), (y1, b0), (y1, b1)}))
+
+    def test_leaves_have_distinct_blue_and_yellow_contents(self):
+        trees = 0
+        for tree in _all_colored_trees(3):
+            t = frozenset(tree)
+            assert is_colored_tree(t)
+            leaves = colored_tree_leaves({v: content(v) for v in t})
+            pairs = {(blue_content(v), yellow_content(v)) for v in leaves}
+            assert len(pairs) == len(leaves), tree
+            trees += 1
+        assert trees == 723
 
     def test_leaves_sorted_by_content(self):
         t = frozenset({(), (("0", "b"),), (("1", "b"),)})
@@ -349,8 +365,6 @@ class TestLoopInvariants:
         # at every permission point of the !A -> A copy-cat: the antecedent
         # moves all sit at the root branch, and the root-branch view is the
         # label-dual of the consequent run
-        from clgames.games import negate_run, project, random_interpretation
-
         itp = random_interpretation(6, (("A", 0),), 3)
         g = GameRef(fm.parse_formula("!A -> A"), itp)
         failures = []
@@ -421,8 +435,6 @@ def reference_l5_invariants(run, tree, game) -> list[str]:
         if yx not in inner_trees.get(bx, []):
             errs.append(f"yellow content {yx!r} is not an inner leaf of {bx!r}")
             continue
-        if (bx, yx) in pair_to_leaf:
-            errs.append(f"leaf pair {(bx, yx)} duplicated")
         pair_to_leaf[(bx, yx)] = z
     for x in psi_leaves:
         for y in inner_trees[x]:
@@ -591,19 +603,14 @@ class TestL5Checker:
 
     def test_duplicated_leaf_pair(self):
         g, run, _ = self._base()
-        # contents form a tree, but the strings do not: 01 and 10 both
-        # read blue 0 and yellow 1.  Only such a record reaches this
-        # clause, because `is_colored_tree` does not check that the
-        # strings themselves are prefix-closed (1y0b has no parent 1y);
-        # once it does, this case and the clause it reaches go away.
+        # contents form a tree and 01 and 10 both read blue 0 and yellow 1,
+        # but the strings do not: 1y0b and 1y1b have no parent 1y.  In a
+        # colored tree, blue and yellow contents determine the leaf, so a
+        # duplicated leaf pair is caught as a record that is no tree.
         b0, b1, y0, y1 = ("0", "b"), ("1", "b"), ("0", "y"), ("1", "y")
         tree = {(), (b0,), (b1,), (b0, y0), (b0, y1), (y1, b0), (y1, b1)}
         self._check(run, tree, g,
-                    ["antecedent tree differs from record contents",
-                     "leaf pair ('0', '1') duplicated",
-                     "yellow content '1' is not an inner leaf of '1'",
-                     "no record leaf for pair ('1', '')",
-                     "branch views differ at '10'"])
+                    [f"record is not a colored tree: {sorted(tree)}"])
 
     def test_branch_views_differ(self):
         g, run, tree = self._base()
