@@ -21,11 +21,13 @@ general atoms by bot, negative by top -- is a classical tautology.
 Proof search walks each formula once: `_Scan` records its surface choice
 and general-atom occurrences with their polarities and its elementary
 names, and rules (a), (b) and (c) read their instances from that record.
-Stability takes one more walk, which computes the elementarization's
-truth table straight from the formula as a bit set over all assignments
-to the surface elementary names (one bit per assignment), without
-building the elementarized formula; the formula is stable when every bit
-is set.
+The proof checker reads the same record: a (b) or (c) step is justified
+when its choice or atom pair is one the scan lists for its formula and it
+cites that instance's premise.  Stability takes one more walk, which
+computes the elementarization's truth table straight from the formula as
+a bit set over all assignments to the surface elementary names (one bit
+per assignment), without building the elementarized formula; the formula
+is stable when every bit is set.
 
 Extraction turns a proof of a general-base formula into a machine: (b)
 steps fire their recorded choice move, (a) steps wait for the environment
@@ -59,25 +61,7 @@ def _check_cl2(f: Formula) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Polarity, elementarization, stability and rule instances
-
-def polarity_and_surface(f: Formula, path: Path) -> tuple[str, str]:
-    """Polarity counts negations (implication antecedents count as one);
-    surface means no choice connective strictly above."""
-    neg = 0
-    surface = True
-    g = f
-    for k in path:
-        if isinstance(g, Neg):
-            neg += 1
-        elif isinstance(g, Implies) and k == 0:
-            neg += 1
-        elif isinstance(g, (ChoiceConj, ChoiceDisj)):
-            surface = False
-        g = fm.children(g)[k]
-    return ("positive" if neg % 2 == 0 else "negative",
-            "surface" if surface else "buried")
-
+# Elementarization, stability and rule instances
 
 def elementarization(f: Formula) -> Formula:
     _check_cl2(f)
@@ -334,12 +318,14 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
 
 
 def check_proof(proof: CL2Proof) -> tuple[bool, str]:
-    """Re-derive every step's justification; returns (ok, diagnostic)."""
+    """Re-derive every step's justification from the scan of its formula,
+    the one proof search reads; returns (ok, diagnostic)."""
     if not proof.steps:
         return False, "empty proof"
     for idx, step in enumerate(proof.steps):
-        if any(j >= idx for j in step.premises):
-            return False, f"step {idx}: forward premise reference"
+        if any(not 0 <= j < idx for j in step.premises):
+            return False, f"step {idx}: premise reference out of range"
+        cited = [proof.steps[j].formula for j in step.premises]
         f = step.formula
         try:
             scan = _Scan(f)
@@ -348,52 +334,31 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
         if step.rule == "a":
             if not scan.stable():
                 return False, f"step {idx}: not stable"
-            want = {h for _, _, h in scan.premises(env=True)}
-            have = {proof.steps[j].formula for j in step.premises}
-            if want != have:
+            if {h for _, _, h in scan.premises(env=True)} != set(cited):
                 return False, f"step {idx}: premise set mismatch"
-        elif step.rule == "b":
-            if len(step.premises) != 1:
-                return False, f"step {idx}: needs one premise"
-            try:
-                g = fm.subformula_at(f, step.path)
-            except ValueError as e:
-                return False, f"step {idx}: {e}"
-            pol, surf = polarity_and_surface(f, step.path)
-            ok = (isinstance(g, ChoiceConj) and pol == "negative") or \
-                 (isinstance(g, ChoiceDisj) and pol == "positive")
-            if not ok or surf != "surface":
-                return False, f"step {idx}: bad choice occurrence"
-            if not 1 <= step.index <= len(g.parts):
-                return False, f"step {idx}: choice index out of range"
-            h = fm.replace_at(f, step.path, g.parts[step.index - 1])
-            if h != proof.steps[step.premises[0]].formula:
-                return False, f"step {idx}: premise does not match replacement"
+            continue
+        if step.rule == "b":
+            want = next((h for path, i, h in scan.premises(env=False)
+                         if path == step.path and i == step.index), None)
+            if want is None:
+                return False, (f"step {idx}: no machine choice at path "
+                               f"{_path_str(step.path)}, index {step.index}")
         elif step.rule == "c":
-            if len(step.premises) != 1:
-                return False, f"step {idx}: needs one premise"
-            try:
-                gp = fm.subformula_at(f, step.pos_path)
-                gn = fm.subformula_at(f, step.neg_path)
-            except ValueError as e:
-                return False, f"step {idx}: {e}"
-            if not (isinstance(gp, Atom) and isinstance(gn, Atom)
-                    and gp.letter == gn.letter):
-                return False, f"step {idx}: occurrences are not one general atom"
-            pp, sp = polarity_and_surface(f, step.pos_path)
-            pn, sn = polarity_and_surface(f, step.neg_path)
-            if (pp, pn) != ("positive", "negative"):
-                return False, f"step {idx}: matched occurrences must have opposite polarities"
-            if (sp, sn) != ("surface", "surface"):
-                return False, f"step {idx}: occurrences must be surface"
+            letters = {(path, pos): a for path, a, pos in scan.atoms}
+            letter = letters.get((step.pos_path, True))
+            if letter is None or letter != letters.get((step.neg_path, False)):
+                return False, (f"step {idx}: no positive and negative surface "
+                               f"occurrence of one general atom at paths "
+                               f"{_path_str(step.pos_path)},"
+                               f"{_path_str(step.neg_path)}")
             if step.atom in scan.names:
                 return False, f"step {idx}: atom {step.atom} already occurs"
-            h = fm.replace_at(f, step.pos_path, Elem(step.atom))
-            h = fm.replace_at(h, step.neg_path, Elem(step.atom))
-            if h != proof.steps[step.premises[0]].formula:
-                return False, f"step {idx}: premise does not match replacement"
+            want = fm.replace_at(f, step.pos_path, Elem(step.atom))
+            want = fm.replace_at(want, step.neg_path, Elem(step.atom))
         else:
             return False, f"step {idx}: unknown rule {step.rule!r}"
+        if cited != [want]:
+            return False, f"step {idx}: premise does not match replacement"
     return True, ""
 
 
@@ -442,6 +407,8 @@ def proof_from_text(text: str) -> CL2Proof:
         rule = kv.get("rule", "")
         prem_text = kv.get("premises", "[]").strip("[]")
         premises = tuple(int(x) - 1 for x in prem_text.split(",") if x)
+        if any(j < 0 for j in premises):
+            raise ValueError(f"premise numbers start at 1: {line!r}")
         if rule == "b":
             step = CL2Step(f, "b", premises, path=_parse_path(kv["path"]),
                            index=int(kv["i"]))
@@ -452,8 +419,8 @@ def proof_from_text(text: str) -> CL2Proof:
         elif rule == "a":
             branches = []
             for path, i, h in a_premises(f):
-                hit = next((j for j in premises if steps[j].formula == h),
-                           None)
+                hit = next((j for j in premises
+                            if j < len(steps) and steps[j].formula == h), None)
                 if hit is not None:
                     branches.append((path, i, hit))
             step = CL2Step(f, "a", premises, tuple(branches))

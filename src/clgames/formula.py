@@ -231,16 +231,6 @@ def replace_child(f: Formula, k: int, sub: Formula) -> Formula:
     raise ValueError(f"{type(f).__name__} has no children")
 
 
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    g = f
-    for k in path:
-        kids = children(g)
-        if not 0 <= k < len(kids):
-            raise ValueError(f"bad path {path} in {render(f)}")
-        g = kids[k]
-    return g
-
-
 def replace_at(f: Formula, path: tuple[int, ...], sub: Formula) -> Formula:
     if not path:
         return sub

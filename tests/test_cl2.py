@@ -1,4 +1,6 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -6,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from clgames import cl2, formula as fm, strategies, verify
 from clgames.cl2 import (CL2Step, ProofMachine, a_premises, b_options,
                          c_options, check_proof, elementarization, is_stable,
-                         polarity_and_surface, proof_from_text, proof_to_text,
-                         prove, solution_machine)
+                         proof_from_text, proof_to_text, prove,
+                         solution_machine)
 from clgames.epm import (Machine, PlayContext, RandomEnv, Strategy, simulate,
                          wins_against_all)
 from clgames.formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Implies,
@@ -22,15 +24,19 @@ def F(text):
 
 class TestPolarity:
     def test_negation_flips(self):
-        assert polarity_and_surface(F("~P"), (0,)) == ("negative", "surface")
+        assert cl2._Scan(F("~P")).atoms == [((0,), "P", False)]
 
     def test_implication_antecedent_counts_as_a_negation(self):
-        f = F("(P & Q) -> S")
-        assert polarity_and_surface(f, (0,)) == ("negative", "surface")
+        scan = cl2._Scan(F("(P & Q) -> S"))
+        assert [(p, pos) for p, _, pos in scan.choices] == [((0,), False)]
+        assert scan.atoms == [((1,), "S", True)]
 
     def test_buried_under_a_choice(self):
         f = F("Q + (P /\\ S)")
-        assert polarity_and_surface(f, (1, 0)) == ("positive", "buried")
+        scan = cl2._Scan(f)
+        # only the choice itself is on the surface; P at (1, 0) is buried
+        assert scan.choices == [((), f, True)]
+        assert scan.atoms == []
 
 
 class TestElementarization:
@@ -86,8 +92,9 @@ class TestRules:
         ppos, pneg, name, h = opts[0]
         assert name == "p"
         assert fm.render(h) == "p -> p"
-        assert polarity_and_surface(f, ppos)[0] == "positive"
-        assert polarity_and_surface(f, pneg)[0] == "negative"
+        positive = {path: pos for path, _, pos in cl2._Scan(f).atoms}
+        assert positive[ppos] is True
+        assert positive[pneg] is False
 
 
 class TestProve:
@@ -163,14 +170,18 @@ class TestChecker:
                       path=(7,), index=1)
         ok, why = check_proof(cl2.CL2Proof(proof.steps + (bad,)))
         assert not ok
-        assert why == f"step {len(proof.steps)}: bad path (7,) in P & Q -> P"
+        assert why == (f"step {len(proof.steps)}: no machine choice at "
+                       "path 7, index 1")
 
     @pytest.mark.parametrize("pos, neg, why", [
-        # The message names the root formula; the id keeps the case's
-        # earlier name, from when it named the subformula P.
-        pytest.param((1,), (0, 3), "bad path (0, 3) in P -> P",
+        # The ids keep the names the cases were generated with when the
+        # messages were "bad path ... in ...".
+        pytest.param((1,), (0, 3), "no positive and negative surface "
+                     "occurrence of one general atom at paths 1,0.3",
                      id="pos0-neg0-bad path (0, 3) in P"),
-        ((-1,), (0,), "bad path (-1,) in P -> P"),
+        pytest.param((-1,), (0,), "no positive and negative surface "
+                     "occurrence of one general atom at paths -1,0",
+                     id="pos1-neg1-bad path (-1,) in P -> P"),
     ])
     def test_bad_channel_path_is_an_invalid_step(self, pos, neg, why):
         proof = prove(F("P -> P"))
@@ -178,6 +189,31 @@ class TestChecker:
                       atom="q")
         ok, got = check_proof(cl2.CL2Proof(proof.steps + (bad,)))
         assert (ok, got) == (False, f"step {len(proof.steps)}: {why}")
+
+    @pytest.mark.parametrize("text, pos, neg, where", [
+        ("~P \\/ ~P \\/ top", (0, 0), (1, 0), "0.0,1.0"),
+        ("P \\/ P \\/ top", (0,), (1,), "0,1"),
+    ])
+    def test_a_channel_needs_one_positive_and_one_negative(self, text, pos,
+                                                          neg, where):
+        # the cited premise is the replacement, and is stable
+        f = F(text)
+        h = fm.replace_at(fm.replace_at(f, pos, Elem("p")), neg, Elem("p"))
+        proof = cl2.CL2Proof((
+            CL2Step(h, "a", ()),
+            CL2Step(f, "c", (0,), pos_path=pos, neg_path=neg, atom="p")))
+        assert check_proof(proof) == (
+            False, "step 1: no positive and negative surface occurrence of "
+            f"one general atom at paths {where}")
+
+    def test_premise_reference_before_the_first_step(self):
+        # -1 would index from the end: the later step p \/ ~p, which is
+        # exactly the replacement the (b) step needs
+        proof = cl2.CL2Proof((
+            CL2Step(F("(p \\/ ~p) + Q"), "b", (-1,), path=(), index=1),
+            CL2Step(F("p \\/ ~p"), "a", ())))
+        assert check_proof(proof) == (
+            False, "step 0: premise reference out of range")
 
     def test_text_round_trip(self):
         proof = prove(F("(P & Q) -> (Q + P)"))
@@ -428,3 +464,155 @@ def test_the_scan_agrees_with_the_per_rule_walks(f):
     proof = prove(f, max_nodes=5000)
     if proof is not None:
         assert check_proof(proof) == (True, "")
+
+
+# ---------------------------------------------------------------------------
+# Differential property: the checker, which reads each step's scan, against
+# the checker it replaced, which walked each cited path twice: once for the
+# node there and once more for its polarity and surface.
+
+def _ref_subformula_at(f, path):
+    g = f
+    for k in path:
+        kids = fm.children(g)
+        if not 0 <= k < len(kids):
+            raise ValueError(f"bad path {path} in {fm.render(f)}")
+        g = kids[k]
+    return g
+
+
+def _ref_polarity_and_surface(f, path):
+    neg = 0
+    surface = True
+    g = f
+    for k in path:
+        if isinstance(g, Neg):
+            neg += 1
+        elif isinstance(g, Implies) and k == 0:
+            neg += 1
+        elif isinstance(g, (ChoiceConj, ChoiceDisj)):
+            surface = False
+        g = fm.children(g)[k]
+    return ("positive" if neg % 2 == 0 else "negative",
+            "surface" if surface else "buried")
+
+
+def _ref_check_proof(proof):
+    if not proof.steps:
+        return False, "empty proof"
+    for idx, step in enumerate(proof.steps):
+        if any(j >= idx for j in step.premises):
+            return False, f"step {idx}: forward premise reference"
+        f = step.formula
+        try:
+            scan = cl2._Scan(f)
+        except ValueError as e:
+            return False, f"step {idx}: {e}"
+        if step.rule == "a":
+            if not scan.stable():
+                return False, f"step {idx}: not stable"
+            want = {h for _, _, h in scan.premises(env=True)}
+            have = {proof.steps[j].formula for j in step.premises}
+            if want != have:
+                return False, f"step {idx}: premise set mismatch"
+        elif step.rule == "b":
+            if len(step.premises) != 1:
+                return False, f"step {idx}: needs one premise"
+            try:
+                g = _ref_subformula_at(f, step.path)
+            except ValueError as e:
+                return False, f"step {idx}: {e}"
+            pol, surf = _ref_polarity_and_surface(f, step.path)
+            ok = (isinstance(g, ChoiceConj) and pol == "negative") or \
+                 (isinstance(g, ChoiceDisj) and pol == "positive")
+            if not ok or surf != "surface":
+                return False, f"step {idx}: bad choice occurrence"
+            if not 1 <= step.index <= len(g.parts):
+                return False, f"step {idx}: choice index out of range"
+            h = fm.replace_at(f, step.path, g.parts[step.index - 1])
+            if h != proof.steps[step.premises[0]].formula:
+                return False, f"step {idx}: premise does not match replacement"
+        elif step.rule == "c":
+            if len(step.premises) != 1:
+                return False, f"step {idx}: needs one premise"
+            try:
+                gp = _ref_subformula_at(f, step.pos_path)
+                gn = _ref_subformula_at(f, step.neg_path)
+            except ValueError as e:
+                return False, f"step {idx}: {e}"
+            if not (isinstance(gp, Atom) and isinstance(gn, Atom)
+                    and gp.letter == gn.letter):
+                return False, f"step {idx}: occurrences are not one general atom"
+            pp, sp = _ref_polarity_and_surface(f, step.pos_path)
+            pn, sn = _ref_polarity_and_surface(f, step.neg_path)
+            if (pp, pn) != ("positive", "negative"):
+                return False, f"step {idx}: matched occurrences must have opposite polarities"
+            if (sp, sn) != ("surface", "surface"):
+                return False, f"step {idx}: occurrences must be surface"
+            if step.atom in scan.names:
+                return False, f"step {idx}: atom {step.atom} already occurs"
+            h = fm.replace_at(f, step.pos_path, Elem(step.atom))
+            h = fm.replace_at(h, step.neg_path, Elem(step.atom))
+            if h != proof.steps[step.premises[0]].formula:
+                return False, f"step {idx}: premise does not match replacement"
+        else:
+            return False, f"step {idx}: unknown rule {step.rule!r}"
+    return True, ""
+
+
+# paths that leave every formula, or go through a leaf, or run negative
+PATHS = [(), (0,), (1,), (2,), (0, 0), (0, 1), (1, 0), (1, 1), (0, 1, 0),
+         (1, 0, 1), (7,), (-1,), (0, 3), (0, -1)]
+
+
+def _mutate(rng, proof):
+    """One random edit of one step of the proof.  Added premise numbers
+    stay at 0 or above: a negative one read from the end in the replaced
+    checker (see test_premise_reference_before_the_first_step)."""
+    steps = list(proof.steps)
+    k = rng.randrange(len(steps))
+    s = steps[k]
+    own = s.pos_path, s.neg_path, s.path
+    paths = PATHS + [p for p in own if p] + [p + (0,) for p in own] + \
+        [p[:-1] for p in own if p]
+    kind = rng.randrange(8)
+    if kind == 0:
+        s = replace(s, path=rng.choice(paths))
+    elif kind == 1:
+        side = rng.choice(["pos_path", "neg_path"])
+        s = replace(s, **{side: rng.choice(paths)})
+    elif kind == 2:
+        s = replace(s, index=rng.randrange(5))
+    elif kind == 3:
+        names = sorted(cl2._Scan(s.formula).names) + ["p", "q", "z", "p_2"]
+        s = replace(s, atom=rng.choice(names))
+    elif kind == 4:
+        s = replace(s, pos_path=s.neg_path, neg_path=s.pos_path)
+    elif kind == 5 and s.premises:
+        prem = list(s.premises)
+        del prem[rng.randrange(len(prem))]
+        s = replace(s, premises=tuple(prem))
+    elif kind == 6:
+        prem = list(s.premises)
+        prem.insert(rng.randrange(len(prem) + 1), rng.randrange(len(steps)))
+        s = replace(s, premises=tuple(prem))
+    else:
+        s = replace(s, rule=rng.choice("abcd"))
+    steps[k] = s
+    return cl2.CL2Proof(tuple(steps))
+
+
+def test_the_checker_agrees_with_the_per_path_walks():
+    proofs = [prove(inst) for _, inst in verify.schema_instances()]
+    assert len(proofs) == 81
+    for proof in proofs:
+        assert check_proof(proof) == _ref_check_proof(proof) == (True, "")
+    rng = random.Random(20061)
+    rejected = 0
+    for n in range(6000):
+        proof = _mutate(rng, proofs[n % len(proofs)])
+        ok = check_proof(proof)[0]
+        assert ok == _ref_check_proof(proof)[0], proof_to_text(proof)
+        rejected += not ok
+    # most edits break the proof; the rest change nothing it checks
+    assert 3000 < rejected < 6000

@@ -95,7 +95,17 @@ class TestProofFiles:
                         "i=1\n")
         code, out = run_cli(capsys, "check-proof", "cl2", str(path))
         assert code == 1
-        assert "invalid: step 2: bad path (7,) in P & Q -> P" in out
+        assert "invalid: step 2: no machine choice at path 7, index 1" in out
+
+    def test_cl2_forward_premise_is_invalid(self, capsys, tmp_path):
+        # the (a) step's premises are matched against the steps read so
+        # far, so the later step 2 is not looked up
+        path = tmp_path / "forward.cl2"
+        path.write_text("1. P & Q ; rule=a ; premises=[2]\n"
+                        "2. P ; rule=a ; premises=[]\n")
+        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
+        assert code == 1
+        assert "invalid: step 0: premise reference out of range" in out
 
 
 class TestPlay:
@@ -293,7 +303,7 @@ CL2_LINE = often(st.builds(
     "{}. {}; rule={}; premises=[{}]{}".format,
     st.integers(0, 4), st.sampled_from(["P -> P", "p -> p", "P", "(P"]),
     st.sampled_from(["a", "b", "c", "d"]),
-    st.sampled_from(["", "1", "9", "0", "x"]),
+    st.sampled_from(["", "1", "9", "0", "-5", "x"]),
     st.sampled_from(["", "; path=", "; path=1; i=9", "; path=x,",
                      "; path=1,0; atom=p", "; path=0; i=1"])),
     st.text(max_size=12))
@@ -368,6 +378,14 @@ class TestMalformedInput:
                 ('{"letters": {"P/0": {"game": {"winner": "T"}},'
                  ' "Q/0": {"game": {"winner": "T", "moves": {"B:a": 1}}}}}',
                  "play --game P&Q --interp FILE --env exhaustive:2"),
+                # premise numbers start at 1; 0 and -5 would index the
+                # steps from the end
+                ("1. (p \\/ ~p) + Q ; rule=b ; premises=[0] ; path=e ; i=1\n"
+                 "2. p \\/ ~p ; rule=a ; premises=[]\n",
+                 "check-proof cl2 FILE"),
+                ("1. p -> p ; rule=a ; premises=[]\n"
+                 "2. P -> P ; rule=c ; premises=[-5] ; path=1,0 ; atom=p\n",
+                 "check-proof cl2 FILE"),
                 ("", "check-formula R(01)"),
                 ("", "check-formula R(\u0661)")):
             path = tmp_path / "input"
