@@ -228,8 +228,6 @@ class CL2Step:
     formula: Formula
     rule: str                                   # "a" | "b" | "c"
     premises: tuple[int, ...] = ()
-    # rule (a): ((path, i, premise index), ...) descriptors
-    branches: tuple[tuple[Path, int, int], ...] = ()
     path: Path = ()                             # rule (b)
     index: int = 0                              # rule (b)
     pos_path: Path = ()                         # rule (c)
@@ -299,9 +297,8 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
             return seen[id(node)]
         if node[0] == "a":
             _, g, kids = node
-            branches = tuple((path, i, emit(sub)) for path, i, sub in kids)
-            prem = tuple(sorted({ix for _, _, ix in branches}))
-            step = CL2Step(g, "a", prem, branches)
+            prem = tuple(sorted({emit(sub) for _, _, sub in kids}))
+            step = CL2Step(g, "a", prem)
         elif node[0] == "b":
             _, g, path, i, sub = node
             step = CL2Step(g, "b", (emit(sub),), path=path, index=i)
@@ -322,43 +319,43 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
     the one proof search reads; returns (ok, diagnostic)."""
     if not proof.steps:
         return False, "empty proof"
-    for idx, step in enumerate(proof.steps):
-        if any(not 0 <= j < idx for j in step.premises):
-            return False, f"step {idx}: premise reference out of range"
+    for n, step in enumerate(proof.steps, start=1):
+        if any(not 0 <= j < n - 1 for j in step.premises):
+            return False, f"step {n}: premise reference out of range"
         cited = [proof.steps[j].formula for j in step.premises]
         f = step.formula
         try:
             scan = _Scan(f)
         except ValueError as e:
-            return False, f"step {idx}: {e}"
+            return False, f"step {n}: {e}"
         if step.rule == "a":
             if not scan.stable():
-                return False, f"step {idx}: not stable"
+                return False, f"step {n}: not stable"
             if {h for _, _, h in scan.premises(env=True)} != set(cited):
-                return False, f"step {idx}: premise set mismatch"
+                return False, f"step {n}: premise set mismatch"
             continue
         if step.rule == "b":
             want = next((h for path, i, h in scan.premises(env=False)
                          if path == step.path and i == step.index), None)
             if want is None:
-                return False, (f"step {idx}: no machine choice at path "
+                return False, (f"step {n}: no machine choice at path "
                                f"{_path_str(step.path)}, index {step.index}")
         elif step.rule == "c":
             letters = {(path, pos): a for path, a, pos in scan.atoms}
             letter = letters.get((step.pos_path, True))
             if letter is None or letter != letters.get((step.neg_path, False)):
-                return False, (f"step {idx}: no positive and negative surface "
+                return False, (f"step {n}: no positive and negative surface "
                                f"occurrence of one general atom at paths "
                                f"{_path_str(step.pos_path)},"
                                f"{_path_str(step.neg_path)}")
             if step.atom in scan.names:
-                return False, f"step {idx}: atom {step.atom} already occurs"
+                return False, f"step {n}: atom {step.atom} already occurs"
             want = fm.replace_at(f, step.pos_path, Elem(step.atom))
             want = fm.replace_at(want, step.neg_path, Elem(step.atom))
         else:
-            return False, f"step {idx}: unknown rule {step.rule!r}"
+            return False, f"step {n}: unknown rule {step.rule!r}"
         if cited != [want]:
-            return False, f"step {idx}: premise does not match replacement"
+            return False, f"step {n}: premise does not match replacement"
     return True, ""
 
 
@@ -399,6 +396,8 @@ def proof_from_text(text: str) -> CL2Proof:
             continue
         head, *fields = [p.strip() for p in line.split(";")]
         num, _, formula_text = head.partition(".")
+        if num.strip() != str(len(steps) + 1):
+            raise ValueError(f"step {len(steps) + 1} is numbered {num!r}")
         f = fm.parse_formula(formula_text)
         kv = {}
         for fld in fields:
@@ -417,13 +416,7 @@ def proof_from_text(text: str) -> CL2Proof:
             step = CL2Step(f, "c", premises, pos_path=_parse_path(ppos),
                            neg_path=_parse_path(pneg), atom=kv["atom"])
         elif rule == "a":
-            branches = []
-            for path, i, h in a_premises(f):
-                hit = next((j for j in premises
-                            if j < len(steps) and steps[j].formula == h), None)
-                if hit is not None:
-                    branches.append((path, i, hit))
-            step = CL2Step(f, "a", premises, tuple(branches))
+            step = CL2Step(f, "a", premises)
         else:
             raise ValueError(f"bad proof line {line!r}")
         steps.append(step)
@@ -443,12 +436,15 @@ def _move_prefix(f: Formula, path: Path) -> str:
     return "".join(out)
 
 
-def _instruction(step: CL2Step) -> tuple:
-    """What the machine does at a proof step, with its move strings:
+def _instruction(proof: CL2Proof, step: CL2Step) -> tuple:
+    """What the machine does at a checked proof step, with its move strings:
 
     ("b", full choice move, next step)
     ("c", (channel prefix, channel prefix), next step)
     ("a", ((full choice move, premise), ...))
+
+    A stable step pairs each environment choice's premise with the first
+    cited step whose formula it is.
     """
     f = step.formula
     if step.rule == "b":
@@ -457,8 +453,10 @@ def _instruction(step: CL2Step) -> tuple:
     if step.rule == "c":
         return ("c", (_move_prefix(f, step.pos_path),
                       _move_prefix(f, step.neg_path)), step.premises[0])
-    return ("a", tuple((_move_prefix(f, path) + str(i), prem)
-                       for path, i, prem in step.branches))
+    return ("a", tuple((_move_prefix(f, path) + str(i),
+                        next(j for j in step.premises
+                             if proof.steps[j].formula == h))
+                       for path, i, h in _Scan(f).premises(env=True)))
 
 
 class ProofMachine(Machine):
@@ -479,7 +477,7 @@ class ProofMachine(Machine):
             raise ValueError(f"invalid proof: {why}")
         if not fm.is_general_base(proof.conclusion):
             raise ValueError("conclusion is not general-base")
-        self.instructions = tuple(_instruction(s) for s in proof.steps)
+        self.instructions = tuple(_instruction(proof, s) for s in proof.steps)
         self.step = len(proof.steps) - 1
         self.channels: list[tuple[str, str]] = []
         self.log: list[str] = []

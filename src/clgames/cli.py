@@ -11,9 +11,8 @@ from . import cl2, formula as fm, intproof, verify as verify_mod
 from .epm import (BudgetExceeded, RandomEnv, ScriptEnv, SilentEnv, Strategy,
                   simulate, wins_against_all)
 from .games import (B, GameRef, Labmove, Valuation, advance,
-                    legal_moves, load_interpretation, random_interpretation)
+                    legal_moves, load_interpretation)
 from .strategies import build_strategy
-from .verify import _signature_for
 
 
 def _default_seed() -> int:
@@ -21,6 +20,8 @@ def _default_seed() -> int:
 
 
 def _parse_valuation(text: str | None) -> Valuation:
+    """'x=3,y=5,default=1': each key a variable or `default`, each value a
+    numeral 1, 2, ...; anything else raises ValueError."""
     if not text:
         return Valuation()
     assign = {}
@@ -29,11 +30,16 @@ def _parse_valuation(text: str | None) -> Valuation:
         chunk = chunk.strip()
         if not chunk:
             continue
-        k, _, v = chunk.partition("=")
-        if k.strip() == "default":
-            default = int(v)
+        k, _, v = (part.strip() for part in chunk.partition("="))
+        n = fm._numeral(v)
+        if n is None:
+            raise ValueError(f"valuation value {v!r} is not a numeral 1, 2, ...")
+        if k == "default":
+            default = n
+        elif isinstance(fm.term(k), fm.Var):
+            assign[k] = n
         else:
-            assign[k.strip()] = int(v)
+            raise ValueError(f"valuation key {k!r} is not a variable")
     return Valuation(assign, default)
 
 
@@ -42,11 +48,9 @@ def _load_game(args) -> GameRef:
     val = _parse_valuation(getattr(args, "val", None))
     if getattr(args, "interp", None):
         with open(args.interp, encoding="utf-8") as fh:
-            itp = load_interpretation(fh.read())
-    else:
-        sig = _signature_for(f)
-        itp = random_interpretation(getattr(args, "seed", 1) or 1, sig, 3)
-    return GameRef(f, itp, val)
+            return GameRef(f, load_interpretation(fh.read()), val)
+    return verify_mod.random_game(f, getattr(args, "seed", 1) or 1,
+                                  valuation=val)
 
 
 class HumanEnv:

@@ -605,6 +605,9 @@ def parse_sequent(text: str) -> Sequent:
     ctx = ()
     if left.strip():
         ctx = tuple(parse_formula(ch) for ch in split_top_level(left))
+    arities: dict = {}                  # one letter, one arity, sequent-wide
+    for f in ctx + (succ,):
+        _check_arities(f, arities)
     return Sequent(ctx, succ)
 
 

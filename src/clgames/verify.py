@@ -7,6 +7,7 @@ the command line and pytest agree on what "passing" means.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -167,10 +168,13 @@ def random_game(f: Formula, seed: int, depth: int = 3,
 
 
 def play_random(strategy_expr_or_id, game: GameRef, seed: int,
-                max_moves: int = 5, budget: int = 3000):
+                max_moves: int = 5, budget: int = 3000, grant_hook=None):
+    """One seeded random play; `grant_hook(strategy, game)`, if given,
+    builds the play's `on_grant` callback from the fresh strategy."""
     strat = _fresh_strategy(strategy_expr_or_id)
     env = RandomEnv(seed, max_moves=max_moves)
-    return simulate(strat, env, game, budget=budget)
+    on_grant = grant_hook(strat, game) if grant_hook else None
+    return simulate(strat, env, game, budget=budget, on_grant=on_grant)
 
 
 def _fresh_strategy(spec) -> Strategy:
@@ -180,15 +184,18 @@ def _fresh_strategy(spec) -> Strategy:
     return build_strategy(spec)
 
 
-def batch_random_plays(report: Report, label: str, spec, formula: Formula,
-                       interps: int, plays_per: int):
-    for k in range(interps):
-        game = random_game(formula, seed=1000 + 7 * k)
-        for j in range(plays_per):
-            t = play_random(spec, game, seed=31 * k + j)
+def batch_random_plays(report: Report, label: str, spec, plays,
+                       max_moves: int = 5, grant_hook=None):
+    """Play `spec` once per seed of each (game, seeds) pair in `plays`,
+    counting plays; the first lost play fails the report and ends the
+    batch."""
+    for k, (game, seeds) in enumerate(plays):
+        for s in seeds:
+            t = play_random(spec, game, seed=s, max_moves=max_moves,
+                            grant_hook=grant_hook)
             report.count("plays")
             if t.verdict is not T:
-                report.fail(f"{label}: lost play (interp {k}, seed {31 * k + j}):"
+                report.fail(f"{label}: lost (interp {k}, seed {s}):"
                             f" run {list(t.run)}")
                 return
 
@@ -262,7 +269,9 @@ def verify_schemata(interps: int = 5, plays_per: int = 50,
             continue
         r.count("instances")
         exhaustive_check(r, label, expr, inst, depth=exhaustive_depth)
-        batch_random_plays(r, label, expr, inst, interps, plays_per)
+        plays = [(random_game(inst, seed=1000 + 7 * k),
+                  range(31 * k, 31 * k + plays_per)) for k in range(interps)]
+        batch_random_plays(r, label, expr, plays)
         if not r.passed:
             break
     return r
@@ -329,25 +338,14 @@ def _l5_checker(r: Report, sid: str, strat: Strategy, game: GameRef):
 def verify_named(plays_total: int = 500, exhaustive_depth: int = 3) -> Report:
     r = Report("named-strategies")
     val = Valuation({"y": 2})
+    plays_per = max(1, plays_total // 5)
     for sid, game_text, kind in named_strategy_games():
         f = fm.parse_formula(game_text)
-        interps = 5
-        plays_per = max(1, plays_total // interps)
-        for k in range(interps):
-            game = random_game(f, seed=2000 + 11 * k, valuation=val)
-            for j in range(plays_per):
-                strat = _fresh_strategy(sid)
-                on_grant = (_l5_checker(r, sid, strat, game) if kind == "l5"
-                            else None)
-                env = RandomEnv(41 * k + j, max_moves=5)
-                t = simulate(strat, env, game, budget=3000, on_grant=on_grant)
-                r.count("plays")
-                if t.verdict is not T:
-                    r.fail(f"{sid} on {game_text}: lost (interp {k},"
-                           f" seed {41 * k + j}): run {list(t.run)}")
-                    break
-            if not r.passed:
-                break
+        plays = [(random_game(f, seed=2000 + 11 * k, valuation=val),
+                  range(41 * k, 41 * k + plays_per)) for k in range(5)]
+        hook = functools.partial(_l5_checker, r, sid) if kind == "l5" else None
+        batch_random_plays(r, f"{sid} on {game_text}", sid, plays,
+                           grant_hook=hook)
         exhaustive_check(r, sid, sid, f, depth=exhaustive_depth, valuation=val)
         r.count("strategies")
         if not r.passed:
@@ -540,53 +538,38 @@ def verify_corpus(interps: int = 10, plays_per: int = 100,
             continue
         expr = intproof.compile_proof(proof)
         f = fm.sequent_to_formula(proof.sequent)
-        sig = _signature_for(f)
         # seeded random plays across interpretations
-        for k in range(interps):
-            itp = random_interpretation(3000 + 13 * k, sig, 3)
-            game = GameRef(f, itp, val)
-            for j in range(plays_per):
-                t = play_random(expr, game, seed=97 * k + j, max_moves=4)
-                r.count("plays")
-                if t.verdict is not T:
-                    r.fail(f"{name}: lost (interp {k}, seed {97 * k + j}):"
-                           f" run {list(t.run)}")
-                    break
-            if not r.passed:
-                break
+        plays = [(random_game(f, seed=3000 + 13 * k, valuation=val),
+                  range(97 * k, 97 * k + plays_per)) for k in range(interps)]
+        batch_random_plays(r, name, expr, plays, max_moves=4)
         if not r.passed:
             break
         exhaustive_check(r, name, expr, f, depth=exhaustive_depth,
                          valuation=val)
         # interpretation blindness: identical traces on fixed scripts
-        script = _structural_script(f, sig, val)
+        script = _structural_script(random_game(f, seed=1, valuation=val))
         traces = []
         for k in range(3):
-            itp = random_interpretation(7777 + k, sig, 3)
-            game = GameRef(f, itp, val)
+            game = random_game(f, seed=7777 + k, valuation=val)
             t = simulate(expr.strategy(), ScriptEnv(script), game, budget=2000)
             traces.append(tuple(t.run))
             r.require(t.verdict is T, f"{name}: lost scripted play {k}")
         r.require(len(set(traces)) == 1,
                   f"{name}: traces differ across interpretations")
         r.count("blindness-probes")
-        # universal-problem base insensitivity
-        for bi, base in enumerate(DOLLAR_BASES):
-            itp = random_interpretation(4242, sig, 3, dollar_base=base)
-            game = GameRef(f, itp, val)
-            for j in range(10):
-                t = play_random(expr, game, seed=555 + j, max_moves=4)
-                if t.verdict is not T:
-                    r.fail(f"{name}: lost with alternate base {bi}")
-                    break
+        # universal-problem base insensitivity, one pair per base
+        bases = [(random_game(f, seed=4242, dollar_base=base, valuation=val),
+                  range(555, 565)) for base in DOLLAR_BASES]
+        batch_random_plays(r, f"{name} with alternate bases", expr, bases,
+                           max_moves=4)
         r.count("compiled")
     return r
 
 
-def _structural_script(f: Formula, sig, val) -> list:
+def _structural_script(game: GameRef) -> list:
     """A deterministic interpretation-independent environment script: up to
     four seeded structural environment moves in a row, then "stop"."""
-    state = GameRef(f, random_interpretation(1, sig, 3), val).root()
+    state = game.root()
     rng = random.Random(99)
     directives = []
     for _ in range(4):

@@ -170,7 +170,7 @@ class TestChecker:
                       path=(7,), index=1)
         ok, why = check_proof(cl2.CL2Proof(proof.steps + (bad,)))
         assert not ok
-        assert why == (f"step {len(proof.steps)}: no machine choice at "
+        assert why == (f"step {len(proof.steps) + 1}: no machine choice at "
                        "path 7, index 1")
 
     @pytest.mark.parametrize("pos, neg, why", [
@@ -188,7 +188,7 @@ class TestChecker:
         bad = CL2Step(F("P -> P"), "c", (0,), pos_path=pos, neg_path=neg,
                       atom="q")
         ok, got = check_proof(cl2.CL2Proof(proof.steps + (bad,)))
-        assert (ok, got) == (False, f"step {len(proof.steps)}: {why}")
+        assert (ok, got) == (False, f"step {len(proof.steps) + 1}: {why}")
 
     @pytest.mark.parametrize("text, pos, neg, where", [
         ("~P \\/ ~P \\/ top", (0, 0), (1, 0), "0.0,1.0"),
@@ -203,7 +203,7 @@ class TestChecker:
             CL2Step(h, "a", ()),
             CL2Step(f, "c", (0,), pos_path=pos, neg_path=neg, atom="p")))
         assert check_proof(proof) == (
-            False, "step 1: no positive and negative surface occurrence of "
+            False, "step 2: no positive and negative surface occurrence of "
             f"one general atom at paths {where}")
 
     def test_premise_reference_before_the_first_step(self):
@@ -213,7 +213,7 @@ class TestChecker:
             CL2Step(F("(p \\/ ~p) + Q"), "b", (-1,), path=(), index=1),
             CL2Step(F("p \\/ ~p"), "a", ())))
         assert check_proof(proof) == (
-            False, "step 0: premise reference out of range")
+            False, "step 1: premise reference out of range")
 
     def test_text_round_trip(self):
         proof = prove(F("(P & Q) -> (Q + P)"))
@@ -232,19 +232,18 @@ class TestChecker:
         f = F("(TOP -> TOP) & (top -> top)")
         proof = prove(f)
         assert check_proof(proof) == (True, "")
-        root = proof.steps[-1]
-        cited = {(path, i): proof.steps[j].formula
-                 for path, i, j in root.branches}
-        assert cited == {(path, i): h for path, i, h in a_premises(f)}
+        _, root = cl2._instruction(proof, proof.steps[-1])
+        cited = {move: proof.steps[j].formula for move, j in root}
+        assert cited == {str(i): h for _, i, h in a_premises(f)}
         elem = Implies(Elem("top"), Elem("top"))
-        assert cited[((), 2)] == Implies(Top(), Top()) != elem
+        assert cited["2"] == Implies(Top(), Top()) != elem
         # the elementary step cited for the constant premise
         old = cl2.CL2Proof((
             CL2Step(elem, "a", ()),
             CL2Step(F("TOP -> TOP"), "c", (0,), pos_path=(1,),
                     neg_path=(0,), atom="top"),
-            CL2Step(f, "a", (0, 1), (((), 1, 1), ((), 2, 0)))))
-        assert check_proof(old) == (False, "step 2: premise set mismatch")
+            CL2Step(f, "a", (0, 1))))
+        assert check_proof(old) == (False, "step 3: premise set mismatch")
 
 
 class TestExtraction:
@@ -276,6 +275,21 @@ class TestExtraction:
         res = wins_against_all(Strategy(solution_machine(f)), g, depth=2)
         assert res.won_all
 
+    def test_stable_step_follows_the_premise_each_choice_produces(self):
+        # the cited premises may come in any order: each environment
+        # choice leads to the cited step whose formula it produces
+        f = F("(P -> P) & (Q /\\ P -> P)")
+        proof = prove(f)
+        root = proof.steps[-1]
+        assert len(root.premises) == 2
+        swapped = cl2.CL2Proof(proof.steps[:-1] + (
+            replace(root, premises=root.premises[::-1]),))
+        assert check_proof(swapped) == (True, "")
+        itp = random_interpretation(3, (("P", 0), ("Q", 0)), 2)
+        res = wins_against_all(Strategy(ProofMachine(swapped)),
+                               GameRef(f, itp), depth=3)
+        assert res.won_all
+
     def test_channels_catch_up_on_buffered_moves(self):
         # environment moves inside atom components before resolving the
         # choice; the late channels must replay them
@@ -300,7 +314,7 @@ def _walked_prefix(f, path):
     return "".join(out)
 
 
-def _walked(step):
+def _walked(proof, step):
     f = step.formula
     if step.rule == "b":
         return ("b", _walked_prefix(f, step.path) + str(step.index),
@@ -308,8 +322,10 @@ def _walked(step):
     if step.rule == "c":
         return ("c", (_walked_prefix(f, step.pos_path),
                       _walked_prefix(f, step.neg_path)), step.premises[0])
-    return ("a", tuple((_walked_prefix(f, path) + str(i), prem)
-                       for path, i, prem in step.branches))
+    return ("a", tuple((_walked_prefix(f, path) + str(i),
+                        next(j for j in step.premises
+                             if proof.steps[j].formula == h))
+                       for path, i, h in _ref_choices(f, env=True)))
 
 
 def _proof_machines(m):
@@ -338,7 +354,8 @@ def test_instructions_match_the_per_step_walk():
     for text in texts + EMBEDDED:
         proof = prove(F(text))
         machine = strategies._prototype(Expr("cl2", text))
-        assert machine.instructions == tuple(map(_walked, proof.steps)), text
+        assert machine.instructions == tuple(_walked(proof, step)
+                                             for step in proof.steps), text
     # the embedded machines are forks of those prototypes
     l6b = strategies.L6bMachine(F("!$ -> $"))
     l6b.start(PlayContext(Valuation(), ()))

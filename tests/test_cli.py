@@ -95,17 +95,16 @@ class TestProofFiles:
                         "i=1\n")
         code, out = run_cli(capsys, "check-proof", "cl2", str(path))
         assert code == 1
-        assert "invalid: step 2: no machine choice at path 7, index 1" in out
+        assert "invalid: step 3: no machine choice at path 7, index 1" in out
 
     def test_cl2_forward_premise_is_invalid(self, capsys, tmp_path):
-        # the (a) step's premises are matched against the steps read so
-        # far, so the later step 2 is not looked up
+        # a premise must be an earlier step
         path = tmp_path / "forward.cl2"
         path.write_text("1. P & Q ; rule=a ; premises=[2]\n"
                         "2. P ; rule=a ; premises=[]\n")
         code, out = run_cli(capsys, "check-proof", "cl2", str(path))
         assert code == 1
-        assert "invalid: step 0: premise reference out of range" in out
+        assert "invalid: step 1: premise reference out of range" in out
 
 
 class TestPlay:
@@ -301,7 +300,8 @@ INTERPRETATION = often(st.fixed_dictionaries({
 
 CL2_LINE = often(st.builds(
     "{}. {}; rule={}; premises=[{}]{}".format,
-    st.integers(0, 4), st.sampled_from(["P -> P", "p -> p", "P", "(P"]),
+    often(st.just("N"), st.sampled_from(["0", "2", "01", "x", ""])),
+    st.sampled_from(["P -> P", "p -> p", "P", "(P"]),
     st.sampled_from(["a", "b", "c", "d"]),
     st.sampled_from(["", "1", "9", "0", "-5", "x"]),
     st.sampled_from(["", "; path=", "; path=1; i=9", "; path=x,",
@@ -311,7 +311,16 @@ SCRIPT_LINE = often(st.one_of(
     st.builds("move {}".format, st.sampled_from(["2.a", "1.a", "2.", "♠"])
               | st.text(max_size=4)),
     st.sampled_from(["pass", "stop", "# c", ""])), st.text(max_size=12))
-CL2_TEXT = st.lists(CL2_LINE, max_size=5).map("\n".join)
+
+
+def _numbered(lines: list[str]) -> str:
+    """Number each line drawn as "N. ..." by its position, as proof text
+    must be."""
+    return "\n".join(f"{k}{line[1:]}" if line.startswith("N.") else line
+                     for k, line in enumerate(lines, start=1))
+
+
+CL2_TEXT = st.lists(CL2_LINE, max_size=5).map(_numbered)
 SCRIPT_TEXT = st.lists(SCRIPT_LINE, max_size=5).map("\n".join)
 
 
@@ -386,6 +395,19 @@ class TestMalformedInput:
                 ("1. p -> p ; rule=a ; premises=[]\n"
                  "2. P -> P ; rule=c ; premises=[-5] ; path=1,0 ; atom=p\n",
                  "check-proof cl2 FILE"),
+                # proof-text step numbers must be the line positions
+                ("2. p -> p ; rule=a ; premises=[]\n"
+                 "1. P -> P ; rule=c ; premises=[1] ; path=1,0 ; atom=p\n",
+                 "check-proof cl2 FILE"),
+                ("x. p -> p ; rule=a ; premises=[]\n", "check-proof cl2 FILE"),
+                # valuation values are numerals, keys variables or default
+                ("", "play --game P->P --val x=0 --env silent"),
+                ("", "play --game P->P --val x=01 --env silent"),
+                ("", "play --game P->P --val x=\u0661 --env silent"),
+                ("", "play --game P->P --val x=+3 --env silent"),
+                ("", "play --game P->P --val default=-1 --env silent"),
+                ("", "play --game P->P --val X=3 --env silent"),
+                ("", "play --game P->P --val 3=3 --env silent"),
                 ("", "check-formula R(01)"),
                 ("", "check-formula R(\u0661)")):
             path = tmp_path / "input"

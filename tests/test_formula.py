@@ -137,6 +137,13 @@ class TestSequents:
         got = fm.sequent_to_formula(s)
         assert got == Implies(ParConj((Bang(P()), Bang(Q()))), P())
 
+    @pytest.mark.parametrize("text", ["R => R(1)", "R(1), R(1,2) => P",
+                                      "R(1) => @x.R(x, x)"])
+    def test_one_arity_per_letter_across_the_sequent(self, text):
+        # `!R -> R(1)` is refused as a formula; its sequent must be too
+        with pytest.raises(fm.ParseError):
+            fm.parse_sequent(text)
+
     def test_sublanguage_enforced(self):
         with pytest.raises(ValueError):
             Sequent((ParConj((P(), Q())),), P())

@@ -1,0 +1,60 @@
+"""The acceptance suites' loss paths: a strategy that loses makes the play
+batch and the exhaustive search fail their report, with a message that
+replays the loss, and a batch's grant hook sees every grant of every play.
+
+`l6c` on `P -> P` always loses: its opening move `1.:` replicates an
+antecedent that is not a `!` game, which is illegal there.
+"""
+
+from clgames import formula as fm, verify
+from clgames.games import B, Valuation
+
+LOSER, LOSING_GAME = "l6c", fm.parse_formula("P -> P")
+
+
+def test_a_lost_play_fails_the_batch_after_one_play():
+    games = [verify.random_game(LOSING_GAME, seed=k) for k in (1, 2)]
+    report = verify.Report("loss")
+    # the first pair has no seeds, so the loss is in pair 1
+    verify.batch_random_plays(report, "l6c on P -> P", LOSER,
+                              [(games[0], []), (games[1], [7, 8])])
+    assert not report.passed
+    assert report.counters == {"plays": 1}
+    t = verify.play_random(LOSER, games[1], seed=7)
+    assert t.verdict is B
+    assert report.failures == [
+        f"l6c on P -> P: lost (interp 1, seed 7): run {list(t.run)}"]
+
+
+def test_a_losing_strategy_fails_the_exhaustive_search():
+    report = verify.Report("loss")
+    verify.exhaustive_check(report, LOSER, LOSER, LOSING_GAME, depth=2)
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith(
+        "l6c: exhaustive adversary win failed (seed 5): run [")
+
+
+def test_the_grant_hook_fires_once_per_grant_of_each_play():
+    val = Valuation({"y": 2})
+    f = fm.parse_formula("!(P & Q) -> !!(P & Q)")
+    plays = [(verify.random_game(f, seed=2000 + 11 * k, valuation=val),
+              range(41 * k, 41 * k + 4)) for k in range(2)]
+    report = verify.Report("l5")
+    built = []
+
+    def hook(strat, game):
+        built.append((strat, game))
+        return verify._l5_checker(report, "l5", strat, game)
+    verify.batch_random_plays(report, "l5", "l5", plays, grant_hook=hook)
+    assert report.passed, report.failures
+    assert report.counters["plays"] == 8
+    # one hook per play, each with that play's fresh strategy and game
+    assert len(built) == 8 and len({id(s) for s, _ in built}) == 8
+    assert [id(g) for _, g in built] == \
+        [id(g) for g, seeds in plays for _ in seeds]
+    grants = sum(verify.play_random("l5", game, seed=s).grants
+                 for game, seeds in plays for s in seeds)
+    assert grants > 8
+    assert report.counters["l5-invariant-points"] == grants
+
