@@ -174,14 +174,19 @@ class _Scan:
                 for k, name in enumerate(self.surface)}
         return _table(self.f, True, rows, full) == full
 
+    def resolvable(self, env: bool) -> list[tuple[Path, Formula]]:
+        """(path, node) for each surface choice the environment resolves
+        (positive conjunctions, negative disjunctions: rule (a)) if env,
+        else for each the machine resolves (rule (b))."""
+        return [(path, g) for path, g, pos in self.choices
+                if ((type(g) is ChoiceConj) == pos) == env]
+
     def premises(self, env: bool):
-        """(path, i, premise) for each surface choice the environment
-        resolves (positive conjunctions, negative disjunctions: rule (a))
-        if env, else for each the machine resolves (rule (b))."""
-        for path, g, pos in self.choices:
-            if ((type(g) is ChoiceConj) == pos) == env:
-                for i, part in enumerate(g.parts, start=1):
-                    yield path, i, fm.replace_at(self.f, path, part)
+        """(path, i, premise) for each component of each choice
+        `resolvable(env)` lists."""
+        for path, g in self.resolvable(env):
+            for i, part in enumerate(g.parts, start=1):
+                yield path, i, fm.replace_at(self.f, path, part)
 
     def c_options(self):
         pos_occ: dict[str, list[Path]] = {}
@@ -194,10 +199,27 @@ class _Scan:
             while name in self.names:
                 name = f"{base}_{k}"
                 k += 1
+            atom = Elem(name)
             for ppos in pos_occ[letter]:
                 for pneg in neg_occ[letter]:
-                    h = fm.replace_at(self.f, ppos, Elem(name))
-                    yield ppos, pneg, name, fm.replace_at(h, pneg, Elem(name))
+                    yield ppos, pneg, name, _c_premise(self.f, ppos, pneg, atom)
+
+
+def _c_premise(f: Formula, ppos: Path, pneg: Path, atom: Elem) -> Formula:
+    """Rule (c)'s premise: f with the elementary `atom` at two atom
+    occurrences.  Their paths, of two distinct leaves, share a prefix and
+    then part; every node on either path is copied once."""
+    d = 0
+    while ppos[d] == pneg[d]:
+        d += 1
+    g = f
+    for k in ppos[:d]:
+        g = fm.children(g)[k]
+    kids = list(fm.children(g))
+    for path in (ppos, pneg):
+        kids[path[d]] = fm.replace_at(kids[path[d]], path[d + 1:], atom)
+    g = Implies(*kids) if type(g) is Implies else type(g)(tuple(kids))
+    return fm.replace_at(f, ppos[:d], g)
 
 
 def is_stable(f: Formula) -> bool:
@@ -251,16 +273,21 @@ class SearchBudgetExceeded(RuntimeError):
 def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
     """Backward proof search; complete for this fragment, so None means
     refuted.  Raises SearchBudgetExceeded when the node budget runs out."""
-    memo: dict[Formula, object] = {}
+    # formula -> a cell holding its node once searched; one setdefault per
+    # call hashes the formula once, where a probe and a later store would
+    # each hash it again
+    memo: dict[Formula, list] = {}
     visits = [0]
 
     def search(g: Formula):
-        if g in memo:
-            return memo[g]
+        cell = memo.setdefault(g, [])
+        if cell:
+            return cell[0]
         scan = _Scan(g)
         visits[0] += 1
         if visits[0] > max_nodes:
-            raise SearchBudgetExceeded(f"gave up after {max_nodes} nodes")
+            raise SearchBudgetExceeded(
+                f"proof search gave up after {max_nodes} nodes")
         node = None
         if scan.stable():
             kids = []
@@ -283,7 +310,7 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
                 if sub is not None:
                     node = ("c", g, ppos, pneg, name, sub)
                     break
-        memo[g] = node
+        cell.append(node)
         return node
 
     root = search(f)
@@ -335,11 +362,12 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
                 return False, f"step {n}: premise set mismatch"
             continue
         if step.rule == "b":
-            want = next((h for path, i, h in scan.premises(env=False)
-                         if path == step.path and i == step.index), None)
-            if want is None:
+            g = next((g for path, g in scan.resolvable(env=False)
+                      if path == step.path), None)
+            if g is None or not 1 <= step.index <= len(g.parts):
                 return False, (f"step {n}: no machine choice at path "
                                f"{_path_str(step.path)}, index {step.index}")
+            want = fm.replace_at(f, step.path, g.parts[step.index - 1])
         elif step.rule == "c":
             letters = {(path, pos): a for path, a, pos in scan.atoms}
             letter = letters.get((step.pos_path, True))
@@ -350,8 +378,8 @@ def check_proof(proof: CL2Proof) -> tuple[bool, str]:
                                f"{_path_str(step.neg_path)}")
             if step.atom in scan.names:
                 return False, f"step {n}: atom {step.atom} already occurs"
-            want = fm.replace_at(f, step.pos_path, Elem(step.atom))
-            want = fm.replace_at(want, step.neg_path, Elem(step.atom))
+            want = _c_premise(f, step.pos_path, step.neg_path,
+                              Elem(step.atom))
         else:
             return False, f"step {n}: unknown rule {step.rule!r}"
         if cited != [want]:

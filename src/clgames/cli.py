@@ -15,10 +15,6 @@ from .games import (B, GameRef, Labmove, Valuation, advance,
 from .strategies import build_strategy
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CL_SEED", "1"))
-
-
 def _parse_valuation(text: str | None) -> Valuation:
     """'x=3,y=5,default=1': each key a variable or `default`, each value a
     numeral 1, 2, ...; anything else raises ValueError."""
@@ -43,14 +39,21 @@ def _parse_valuation(text: str | None) -> Valuation:
     return Valuation(assign, default)
 
 
+def _seed(args) -> int:
+    """The play's one seed: --seed, else CL_SEED, else 1.  It seeds both the
+    random interpretation and the random environment."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("CL_SEED", "1"))
+
+
 def _load_game(args) -> GameRef:
     f = fm.parse_formula(args.game)
-    val = _parse_valuation(getattr(args, "val", None))
-    if getattr(args, "interp", None):
+    val = _parse_valuation(args.val)
+    if args.interp:
         with open(args.interp, encoding="utf-8") as fh:
             return GameRef(f, load_interpretation(fh.read()), val)
-    return verify_mod.random_game(f, getattr(args, "seed", 1) or 1,
-                                  valuation=val)
+    return verify_mod.random_game(f, _seed(args), valuation=val)
 
 
 class HumanEnv:
@@ -128,11 +131,10 @@ def cmd_compile(args) -> int:
 
 def _make_env(args):
     spec = args.env
-    seed = args.seed if args.seed is not None else _default_seed()
     if spec == "silent":
         return SilentEnv()
     if spec == "random":
-        return RandomEnv(seed, max_moves=args.env_moves)
+        return RandomEnv(_seed(args), max_moves=args.env_moves)
     if spec == "human":
         return HumanEnv()
     if spec.startswith("script:"):
@@ -240,7 +242,9 @@ def main(argv=None) -> int:
     p.add_argument("--env", default="random",
                    help="silent | random | human | script:FILE |"
                         " exhaustive:DEPTH (exit 1 on a counterexample, 2"
-                        " when the search passes 100000 leaves)")
+                        " when the search passes 100000 leaves); any play"
+                        " exits 2 when building a cl2 strategy's proof"
+                        " passes its node budget")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--env-moves", type=int, default=6)
     p.add_argument("--budget", type=int, default=4000)
@@ -263,7 +267,8 @@ def main(argv=None) -> int:
     except fm.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, FileNotFoundError, KeyError, ValueError) as e:
+    except (BudgetExceeded, cl2.SearchBudgetExceeded, FileNotFoundError,
+            KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

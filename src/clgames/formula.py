@@ -7,6 +7,9 @@ The surface grammar (ASCII):
                                         integer constants
     elementary   p, q, r                lowercase nullary atoms (only used
                                         by the propositional fragment)
+    identifiers  [A-Za-z][A-Za-z0-9_]*  ASCII only, so that no two distinct
+                                        names print alike; a letter starts
+                                        uppercase, a variable lowercase
     constants    top, bot, $
     negation     ~F
     recurrence   !F
@@ -23,6 +26,7 @@ requires parentheses.  Sequents are written `F1, F2 => K` or `=> K`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,10 +60,13 @@ def _numeral(s: str) -> Optional[int]:
     return None
 
 
+_VARIABLE = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
 def term(x) -> Term:
     """Coerce a string/int into a Term: a constant is a positive int or an
-    ASCII numeral [1-9][0-9]*, a variable an identifier starting with a
-    lowercase letter, as in the formula syntax."""
+    ASCII numeral [1-9][0-9]*, a variable an ASCII identifier starting with
+    a lowercase letter, as in the formula syntax."""
     if isinstance(x, (Var, Const)):
         return x
     if isinstance(x, int) and x >= 1:
@@ -68,7 +75,7 @@ def term(x) -> Term:
         n = _numeral(x)
         if n is not None:
             return Const(n)
-        if x and x[0].islower() and all(c.isalnum() or c == "_" for c in x):
+        if _VARIABLE.fullmatch(x):
             return Var(x)
     raise ValueError(f"not a term: {x!r}")
 
@@ -209,33 +216,32 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def replace_child(f: Formula, k: int, sub: Formula) -> Formula:
-    if isinstance(f, Neg):
-        return Neg(sub)
-    if isinstance(f, Bang):
-        return Bang(sub)
-    if isinstance(f, ChoiceAll):
-        return ChoiceAll(f.var, sub)
-    if isinstance(f, ChoiceExists):
-        return ChoiceExists(f.var, sub)
-    if isinstance(f, Implies):
-        return Implies(sub, f.right) if k == 0 else Implies(f.left, sub)
-    if isinstance(f, ParConj):
-        return ParConj(f.parts[:k] + (sub,) + f.parts[k + 1:])
-    if isinstance(f, ParDisj):
-        return ParDisj(f.parts[:k] + (sub,) + f.parts[k + 1:])
-    if isinstance(f, ChoiceConj):
-        return ChoiceConj(f.parts[:k] + (sub,) + f.parts[k + 1:])
-    if isinstance(f, ChoiceDisj):
-        return ChoiceDisj(f.parts[:k] + (sub,) + f.parts[k + 1:])
-    raise ValueError(f"{type(f).__name__} has no children")
+_VARIADIC = frozenset({ParConj, ParDisj, ChoiceConj, ChoiceDisj})
 
 
 def replace_at(f: Formula, path: tuple[int, ...], sub: Formula) -> Formula:
+    """f with its subformula at `path` replaced by `sub`; only the nodes
+    along the path are copied.  Raises IndexError for a path that leaves f."""
     if not path:
         return sub
     k = path[0]
-    return replace_child(f, k, replace_at(children(f)[k], path[1:], sub))
+    cls = type(f)
+    if cls in _VARIADIC:
+        parts = f.parts
+        if 0 <= k < len(parts):
+            return cls(parts[:k] + (replace_at(parts[k], path[1:], sub),)
+                       + parts[k + 1:])
+    elif cls is Implies:
+        if k == 0:
+            return Implies(replace_at(f.left, path[1:], sub), f.right)
+        if k == 1:
+            return Implies(f.left, replace_at(f.right, path[1:], sub))
+    elif k == 0:
+        if cls is Neg or cls is Bang:
+            return cls(replace_at(f.body, path[1:], sub))
+        if cls is ChoiceAll or cls is ChoiceExists:
+            return cls(f.var, replace_at(f.body, path[1:], sub))
+    raise IndexError(f"{cls.__name__} has no child {k}")
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -299,7 +305,7 @@ def _subst(f: Formula, m: dict) -> Formula:
         return f
     out = f
     for k, c in enumerate(kids):
-        out = replace_child(out, k, _subst(c, m))
+        out = replace_at(out, (k,), _subst(c, m))
     return out
 
 
@@ -431,41 +437,34 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_SYMBOLS = ["->", "/\\", "\\/", "=>", "(", ")", ",", ".", "~", "!", "@", "?",
-            "&", "+", "$"]
+# One alternative per token kind, tried in order at each position:
+# whitespace, the symbols (two-character ones first), numerals,
+# identifiers, and any other single character, which is an error.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<symbol>->|/\\|\\/|=>|[(),.~!@?&+$])"
+                    r"|(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(text: str):
+    """(kind, text, position) per token, ending with EOF; a symbol is its
+    own kind."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append((sym, sym, i))
-                i += len(sym)
-                break
-        else:
-            if "0" <= c <= "9":
-                j = i
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                toks.append(("INT", text[i:j], i))
-                i = j
-            elif c.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("IDENT", text[i:j], i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("EOF", "", n))
+        tok = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        toks.append((tok if kind == "symbol" else kind, tok, m.start()))
+    toks.append(("EOF", "", len(text)))
     return toks
+
+
+# each chain operator: its node class and the other operator of its level,
+# which may not follow it unparenthesized
+_DISJUNCTIONS = {"\\/": (ParDisj, "+"), "+": (ChoiceDisj, "\\/")}
+_CONJUNCTIONS = {"/\\": (ParConj, "&"), "&": (ChoiceConj, "/\\")}
 
 
 class _Parser:
@@ -496,30 +495,33 @@ class _Parser:
         return self.implication()
 
     def implication(self) -> Formula:
-        left = self.level(_PREC_OR)
+        left = self.disjunction()
         if self.peek()[0] == "->":
             self.next()
             return Implies(left, self.implication())
         return left
 
-    def level(self, prec: int) -> Formula:
-        pairs = {_PREC_OR: (("\\/", ParDisj), ("+", ChoiceDisj)),
-                 _PREC_AND: (("/\\", ParConj), ("&", ChoiceConj))}
-        sub = (lambda: self.level(_PREC_AND)) if prec == _PREC_OR else self.prefix
-        first = sub()
-        ops = pairs[prec]
-        tok = self.peek()[0]
-        for sym, cls in ops:
-            if tok == sym:
-                parts = [first]
-                while self.peek()[0] == sym:
-                    self.next()
-                    parts.append(sub())
-                other = ops[1 - [s for s, _ in ops].index(sym)][0]
-                if self.peek()[0] == other:
-                    self.fail(f"mixing {sym!r} and {other!r} needs parentheses")
-                return cls(tuple(parts))
-        return first
+    def disjunction(self) -> Formula:
+        return self.chain(_DISJUNCTIONS, self.conjunction)
+
+    def conjunction(self) -> Formula:
+        return self.chain(_CONJUNCTIONS, self.prefix)
+
+    def chain(self, ops, operand) -> Formula:
+        """One operand, or a chain of one operator of `ops` collected into a
+        single variadic node."""
+        first = operand()
+        sym = self.peek()[0]
+        if sym not in ops:
+            return first
+        cls, other = ops[sym]
+        parts = [first]
+        while self.peek()[0] == sym:
+            self.next()
+            parts.append(operand())
+        if self.peek()[0] == other:
+            self.fail(f"mixing {sym!r} and {other!r} needs parentheses")
+        return cls(tuple(parts))
 
     def prefix(self) -> Formula:
         kind, val, pos = self.peek()

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cl2, formula as fm, intproof, oracle
-from .epm import (RandomEnv, ScriptEnv, Strategy, simulate,
+from .epm import (BudgetExceeded, RandomEnv, ScriptEnv, Strategy, simulate,
                   wins_against_all)
 from .formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, Neg, ParConj,
@@ -206,7 +206,12 @@ def exhaustive_check(report: Report, label: str, spec, formula: Formula,
     for seed in seeds:
         game = random_game(formula, seed=seed, depth=2, valuation=valuation)
         strat = _fresh_strategy(spec)
-        result = wins_against_all(strat, game, depth=depth)
+        try:
+            result = wins_against_all(strat, game, depth=depth)
+        except BudgetExceeded as e:
+            report.fail(f"{label}: exhaustive search gave no verdict (seed"
+                        f" {seed}): {e}")
+            return
         report.count("exhaustive-leaves", result.leaves)
         if not result.won_all:
             report.fail(f"{label}: exhaustive adversary win failed (seed"
@@ -264,7 +269,7 @@ def verify_schemata(interps: int = 5, plays_per: int = 50,
             # building the prototype proves the instance, and ProofMachine
             # checks the proof and that its conclusion is general-base
             expr.strategy()
-        except ValueError as e:
+        except (ValueError, cl2.SearchBudgetExceeded) as e:
             r.fail(f"{label}: {e}")
             continue
         r.count("instances")

@@ -368,6 +368,47 @@ def test_instructions_match_the_per_step_walk():
     assert {id(m.instructions) for m in embedded} == shared
 
 
+def test_strategy_construction_repeats_no_work(monkeypatch):
+    # over the schema instances: one call of prove scans each formula it
+    # searches once, and check_proof scans each step once and derives one
+    # premise per rule (b) step, the cited choice's
+    scanned, derived = [], []
+    real_replace_at = fm.replace_at
+    depth = [0]
+
+    class CountingScan(cl2._Scan):
+        def __init__(self, f):
+            scanned.append(f)
+            super().__init__(f)
+
+    def replace_at(f, path, sub):       # records the outermost calls only
+        if not depth[0]:
+            derived.append(f)
+        depth[0] += 1
+        try:
+            return real_replace_at(f, path, sub)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cl2, "_Scan", CountingScan)
+    monkeypatch.setattr(fm, "replace_at", replace_at)
+    b_steps = 0
+    for label, inst in verify.schema_instances():
+        scanned.clear()
+        proof = prove(inst)
+        assert len(scanned) == len(set(scanned)), label
+        assert {s.formula for s in proof.steps} <= set(scanned), label
+        scanned.clear()
+        derived.clear()
+        assert check_proof(proof) == (True, "")
+        assert len(scanned) == len(proof.steps), label
+        for step in proof.steps:
+            if step.rule == "b":
+                b_steps += 1
+                assert sum(f is step.formula for f in derived) == 1, label
+    assert b_steps > 0
+
+
 # ---------------------------------------------------------------------------
 # Differential property: the one-walk scan against the rules' definitions,
 # restated directly: every occurrence in preorder, filtered per rule, and

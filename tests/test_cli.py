@@ -6,7 +6,7 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clgames import intproof
+from clgames import cl2, intproof
 from clgames.cli import main
 
 
@@ -39,6 +39,14 @@ class TestProve:
         code, out = run_cli(capsys, "prove-cl2", "P -> P /\\ P")
         assert code == 1
         assert "not provable" in out
+
+    def test_search_out_of_nodes_is_an_error(self, capsys, monkeypatch):
+        # exit 1 would claim the formula is refuted; the search has no answer
+        monkeypatch.setattr(cl2.prove, "__defaults__", (3,))
+        code = main(["prove-cl2", "(P & Q) -> (P & Q)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: proof search gave up after 3 nodes\n"
 
 
 class TestProofFiles:
@@ -238,10 +246,15 @@ class TestVerifyCommand:
         assert "[PASS] micro-examples" in out
 
     def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CL_SEED", "17")
-        code, out = run_cli(capsys, "play", "--game", "P -> P",
-                            "--strategy", "ccs", "--env", "random")
+        # CL_SEED seeds the interpretation as well as the environment
+        play = ("play", "--game", "P -> P", "--strategy", "ccs", "--env",
+                "random")
+        _, given = run_cli(capsys, *play, "--seed", "5")
+        monkeypatch.setenv("CL_SEED", "5")
+        code, out = run_cli(capsys, *play)
         assert code == 0
+        assert out == given
+        assert "T 1.1" in out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +422,11 @@ class TestMalformedInput:
                 ("", "play --game P->P --val X=3 --env silent"),
                 ("", "play --game P->P --val 3=3 --env silent"),
                 ("", "check-formula R(01)"),
-                ("", "check-formula R(\u0661)")):
+                ("", "check-formula R(\u0661)"),
+                # identifiers are ASCII
+                ("", "check-formula \u00c9"),
+                ("", "check-formula \u0420->P"),
+                ("", "check-formula P\u00b2")):
             path = tmp_path / "input"
             path.write_text(text)
             assert _exit_code(args.replace("FILE", str(path)).split()) == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,22 @@ class TestParsing:
         with pytest.raises(fm.ParseError):
             fm.parse_formula(text)
         assert fm.parse_formula("R(10)").args == (fm.Const(10),)
+
+    @pytest.mark.parametrize("text, pos", [
+        ("\u00c9", 0), ("\u0420 -> P", 0), ("P\u00b2", 1)])
+    def test_identifiers_are_ascii(self, text, pos):
+        # a Cyrillic \u0420 would print like P and still be another letter
+        with pytest.raises(fm.ParseError) as e:
+            fm.parse_formula(text)
+        assert e.value.pos == pos
+        assert str(e.value) == \
+            f"unexpected character {text[pos]!r} (at position {pos})"
+
+    @pytest.mark.parametrize("text", ["\u00e9", "x\u00b2", "x\u0440"])
+    def test_variables_are_ascii_identifiers(self, text):
+        with pytest.raises(ValueError):
+            fm.term(text)
+        assert fm.term("x_1Y") == Var("x_1Y")
 
 
 class TestFreeVars:
@@ -156,6 +174,71 @@ class TestSequents:
 
 
 # ---------------------------------------------------------------------------
+# The regex tokenizer against the character loop it replaced, kept here as
+# the reference.
+
+_OLD_SYMBOLS = ["->", "/\\", "\\/", "=>", "(", ")", ",", ".", "~", "!", "@",
+                "?", "&", "+", "$"]
+
+
+def _old_tokenize(text: str):
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for sym in _OLD_SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append((sym, sym, i))
+                i += len(sym)
+                break
+        else:
+            if "0" <= c <= "9":
+                j = i
+                while j < n and "0" <= text[j] <= "9":
+                    j += 1
+                toks.append(("INT", text[i:j], i))
+                i = j
+            elif c.isalpha():
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                toks.append(("IDENT", text[i:j], i))
+                i = j
+            else:
+                raise fm.ParseError(f"unexpected character {c!r}", i)
+    toks.append(("EOF", "", n))
+    return toks
+
+
+# every symbol whole, each of its characters alone, identifier and numeral
+# characters, whitespace, and characters no token starts with
+_PIECES = _OLD_SYMBOLS + list("-/\\=>") + list("PQxy_019") + \
+    [" ", "\t", "\n", "\x0b"] + list("#*<]")
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except fm.ParseError as e:
+        return ("error", e.pos, str(e))
+
+
+def test_the_regex_tokenizer_agrees_with_the_character_loop():
+    rng = random.Random(1919)
+    errors = 0
+    for _ in range(5000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(16)))
+        got = _tokens_or_error(fm._tokenize, text)
+        assert got == _tokens_or_error(_old_tokenize, text), repr(text)
+        errors += got[0] == "error"
+    assert 1000 < errors < 4000         # both outcomes are well exercised
+
+
+# ---------------------------------------------------------------------------
 # Property tests
 
 _leaf = st.sampled_from([P(), Q(), Atom("R", (Var("x"),)), Dollar(), Top(),
@@ -196,3 +279,41 @@ def test_substituting_a_constant_eliminates_the_variable(f):
 @given(formulas)
 def test_free_vars_subset_of_all_vars(f):
     assert fm.free_vars(f) <= fm.all_vars(f)
+
+
+# ---------------------------------------------------------------------------
+# replace_at, which copies each node on the path in one recursion, against
+# a rebuild of each node from its children
+
+def _ref_replace_at(f, path, sub):
+    """Rebuild each node along the path from its children."""
+    if not path:
+        return sub
+    k, kids = path[0], list(fm.children(f))
+    kids[k] = _ref_replace_at(kids[k], path[1:], sub)
+    if isinstance(f, Implies):
+        return Implies(*kids)
+    if isinstance(f, (ChoiceAll, ChoiceExists)):
+        return type(f)(f.var, kids[0])
+    if isinstance(f, (Neg, Bang)):
+        return type(f)(kids[0])
+    return type(f)(tuple(kids))
+
+
+def _nodes(f, path=()):
+    """(path, subformula) for every node of f."""
+    yield path, f
+    for k, c in enumerate(fm.children(f)):
+        yield from _nodes(c, path + (k,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas)
+def test_replace_at_copies_the_path_as_a_rebuild_would(f):
+    for path, g in _nodes(f):
+        assert fm.replace_at(f, path, Dollar()) == \
+            _ref_replace_at(f, path, Dollar())
+        # one step past the last child (or into a leaf), or negative
+        for k in (len(fm.children(g)), -1):
+            with pytest.raises(IndexError):
+                fm.replace_at(f, path + (k,), Top())

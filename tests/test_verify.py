@@ -1,12 +1,13 @@
 """The acceptance suites' loss paths: a strategy that loses makes the play
 batch and the exhaustive search fail their report, with a message that
 replays the loss, and a batch's grant hook sees every grant of every play.
+A proof or exhaustive search that runs out of budget fails the report too.
 
 `l6c` on `P -> P` always loses: its opening move `1.:` replicates an
 antecedent that is not a `!` game, which is illegal there.
 """
 
-from clgames import formula as fm, verify
+from clgames import cl2, epm, formula as fm, strategies, verify
 from clgames.games import B, Valuation
 
 LOSER, LOSING_GAME = "l6c", fm.parse_formula("P -> P")
@@ -33,6 +34,28 @@ def test_a_losing_strategy_fails_the_exhaustive_search():
     assert len(report.failures) == 1
     assert report.failures[0].startswith(
         "l6c: exhaustive adversary win failed (seed 5): run [")
+
+
+def test_an_exhaustive_search_out_of_leaves_fails_the_report(monkeypatch):
+    monkeypatch.setattr(epm.wins_against_all, "__defaults__", (2000, 3))
+    report = verify.Report("budget")
+    verify.exhaustive_check(report, "ccs", "ccs", LOSING_GAME, depth=2)
+    assert report.failures == [
+        "ccs: exhaustive search gave no verdict (seed 5): exhaustive search"
+        " exceeded 3 leaves"]
+
+
+def test_a_proof_search_out_of_nodes_fails_the_instance(monkeypatch):
+    monkeypatch.setattr(cl2.prove, "__defaults__", (3,))
+    strategies._prototype.cache_clear()        # so every instance is proved
+    report = verify.verify_schemata(interps=1, plays_per=1,
+                                    exhaustive_depth=1)
+    first_label = verify.schema_instances()[0][0]
+    assert not report.passed
+    assert report.failures[0] == \
+        f"{first_label}: proof search gave up after 3 nodes"
+    assert all(f.endswith(": proof search gave up after 3 nodes")
+               for f in report.failures)
 
 
 def test_the_grant_hook_fires_once_per_grant_of_each_play():
