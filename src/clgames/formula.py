@@ -82,6 +82,10 @@ def term(x) -> Term:
 
 # ---------------------------------------------------------------------------
 # Formulas
+#
+# A dataclass's generated hash reads only its fields, so P /\ Q, P \/ Q,
+# P & Q and P + Q would all hash alike; each node class hashes its own class
+# with its fields instead.
 
 @dataclass(frozen=True)
 class Atom:
@@ -92,31 +96,43 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
+    def __hash__(self):
+        return hash((Atom, self.letter, self.args))
+
 
 @dataclass(frozen=True)
 class Elem:
     """Nullary elementary atom (lowercase); propositional fragment only."""
     name: str
 
+    def __hash__(self):
+        return hash((Elem, self.name))
+
 
 @dataclass(frozen=True)
 class Top:
-    pass
+    def __hash__(self):
+        return hash((Top,))
 
 
 @dataclass(frozen=True)
 class Bot:
-    pass
+    def __hash__(self):
+        return hash((Bot,))
 
 
 @dataclass(frozen=True)
 class Dollar:
-    pass
+    def __hash__(self):
+        return hash((Dollar,))
 
 
 @dataclass(frozen=True)
 class Neg:
     body: "Formula"
+
+    def __hash__(self):
+        return hash((Neg, self.body))
 
 
 @dataclass(frozen=True)
@@ -127,6 +143,9 @@ class ParConj:
         if len(self.parts) < 2:
             raise ValueError("parallel conjunction needs >= 2 parts")
 
+    def __hash__(self):
+        return hash((ParConj, self.parts))
+
 
 @dataclass(frozen=True)
 class ParDisj:
@@ -136,11 +155,17 @@ class ParDisj:
         if len(self.parts) < 2:
             raise ValueError("parallel disjunction needs >= 2 parts")
 
+    def __hash__(self):
+        return hash((ParDisj, self.parts))
+
 
 @dataclass(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
+
+    def __hash__(self):
+        return hash((Implies, self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -151,6 +176,9 @@ class ChoiceConj:
         if len(self.parts) < 2:
             raise ValueError("choice conjunction needs >= 2 parts")
 
+    def __hash__(self):
+        return hash((ChoiceConj, self.parts))
+
 
 @dataclass(frozen=True)
 class ChoiceDisj:
@@ -160,11 +188,17 @@ class ChoiceDisj:
         if len(self.parts) < 2:
             raise ValueError("choice disjunction needs >= 2 parts")
 
+    def __hash__(self):
+        return hash((ChoiceDisj, self.parts))
+
 
 @dataclass(frozen=True)
 class ChoiceAll:
     var: str
     body: "Formula"
+
+    def __hash__(self):
+        return hash((ChoiceAll, self.var, self.body))
 
 
 @dataclass(frozen=True)
@@ -172,10 +206,16 @@ class ChoiceExists:
     var: str
     body: "Formula"
 
+    def __hash__(self):
+        return hash((ChoiceExists, self.var, self.body))
+
 
 @dataclass(frozen=True)
 class Bang:
     body: "Formula"
+
+    def __hash__(self):
+        return hash((Bang, self.body))
 
 
 Formula = (Atom | Elem | Top | Bot | Dollar | Neg | ParConj | ParDisj

@@ -24,11 +24,11 @@ A state lists its legal moves as strings (`legal_moves`); the state a move
 leads to is built only when the move is stepped, so a choice instantiates
 only the component that is chosen.
 
-Each game's formula is compiled once into a plan.  A maximal block of
-parallel connectives and negations becomes one flat state: its leaves
-(atoms, choices, recurrences) are laid out once with their route prefixes
-and polarities, so a move reaches its leaf by one route lookup however
-deeply the block nests.
+Each game's formula is compiled into a plan once per run of games of one
+formula.  A maximal block of parallel connectives and negations becomes one
+flat state: its leaves (atoms, choices, recurrences) are laid out once with
+their route prefixes and polarities, so a move reaches its leaf by one route
+lookup however deeply the block nests.
 
 The letter games of a random interpretation are built directly as explicit
 `FiniteGame` trees, bottom-up, without compiling or stepping any state.
@@ -40,6 +40,7 @@ import copy
 import enum
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from math import comb
@@ -548,23 +549,37 @@ class _BangState(State):
     def moves(self, player, structural):
         # A move at node w is legal when every leaf under w accepts it, so
         # it is among the legal moves of some leaf under w: try their union,
-        # stepping each leaf that did not list the move itself.
+        # stepping each leaf that did not list the move itself.  A node
+        # with one leaf under it lists that leaf's moves as they are.
         branches = self.branches
         out = [u + ":" for u in branches] if player is B else []
-        own = {u: state.moves(player, structural)
-               for u, state in branches.items()}
-        for w in {u[:k] for u in branches for k in range(len(u) + 1)}:
-            under = [u for u in branches if u.startswith(w)]
-            for m in {m for u in under for m in own[u]}:
-                if all(m in own[u] or branches[u].step(player, m) is not None
-                       for u in under):
+        own = {}
+        for u, state in branches.items():
+            moves = state.moves(player, structural)
+            if moves:
+                own[u] = moves
+        if not own:
+            return out
+        under = {}
+        for u in branches:
+            for k in range(len(u) + 1):
+                under.setdefault(u[:k], []).append(u)
+        for w, us in under.items():
+            if len(us) == 1:
+                moves = own.get(us[0])
+                if moves:
+                    out += [f"{w}.{m}" for m in moves]
+                continue
+            for m in {m for u in us if u in own for m in own[u]}:
+                if all(m in own.get(u, ()) or branches[u].step(player, m)
+                       is not None for u in us):
                     out.append(f"{w}.{m}")
         return out
 
 
-# A plan is a formula compiled once per game: called with an interpretation
-# and a valuation, it returns the initial state of the formula's game.  A
-# game's root keeps its plans and layouts alive, so they are slotted.
+# A plan is a compiled formula: called with an interpretation and a
+# valuation, it returns the initial state of the formula's game.  A game's
+# root keeps its plans and layouts alive, so they are slotted.
 
 Plan = Callable[[Interpretation, Valuation], State]
 
@@ -709,10 +724,24 @@ def _block_plan(f: Formula) -> _BlockPlan:
     return _BlockPlan(_Layout(tuple(routes), trie, tree), tuple(plans))
 
 
+# The formula last compiled by `initial_state` and its plan.  Callers build
+# all games of one formula in a row, and a plan is never changed once
+# compiled, so the games of one formula object share one plan.  The key is
+# the object itself, not its value, so a miss costs one `is` test and the
+# slot never grows.
+_last_plan: tuple[Optional[Formula], Optional[Plan]] = (None, None)
+
+
 def initial_state(f: Formula, itp: Interpretation, val: Valuation) -> State:
     """The state of the game of `f` before any move: `f` is compiled once
-    into a plan, which later choices instantiate without compiling again."""
-    return _plan(f)(itp, val)
+    per run of games of the same formula object into a plan, which later
+    choices instantiate without compiling again."""
+    global _last_plan
+    last, plan = _last_plan
+    if last is not f:
+        plan = _plan(f)
+        _last_plan = f, plan
+    return plan(itp, val)
 
 
 def advance(state: State, lm: Labmove) -> Optional[State]:
@@ -835,6 +864,10 @@ def _node_to_game(node: dict, env: dict[str, int]) -> FiniteGame:
     return game
 
 
+# A letter key as formulas name letters: an ASCII letter name and a numeral
+_LETTER_KEY = re.compile(r"([A-Z][A-Za-z0-9_]*)/(0|[1-9][0-9]*)")
+
+
 def load_interpretation(text_or_obj) -> Interpretation:
     """An interpretation from its JSON form; ValueError when it has the wrong
     shape.  Letter games are built on first use, from checked nodes."""
@@ -844,13 +877,17 @@ def load_interpretation(text_or_obj) -> Interpretation:
         raise ValueError("an interpretation is an object of 'letters'")
     letters = {}
     for key, spec in obj.get("letters", {}).items():
-        name, _, arity = key.partition("/")
+        letter = _LETTER_KEY.fullmatch(key)
+        if letter is None:
+            raise ValueError(f"letter key {key!r} is not NAME/ARITY: NAME is"
+                             f" a letter [A-Z][A-Za-z0-9_]* and ARITY a"
+                             f" numeral 0, 1, 2, ...")
         params = spec.get("params", []) if isinstance(spec, dict) else None
-        if not (name and arity.isascii() and arity.isdigit()
-                and isinstance(params, list) and "game" in spec
-                and all(isinstance(p, str) for p in params)):
-            raise ValueError(f"letter {key!r} needs a NAME/ARITY key, a"
-                             f" 'game' and a list of parameter names")
+        if not (isinstance(params, list) and "game" in spec
+                and all(isinstance(p, str) for p in params)
+                and len(params) <= int(letter[2])):
+            raise ValueError(f"letter {key!r} needs a 'game' and a list of"
+                             f" at most {letter[2]} parameter names")
         node = _checked_node(spec["game"])
 
         def make(node=node, params=tuple(params)):

@@ -400,6 +400,16 @@ class TestMalformedInput:
                 ('{"letters": {"P/0": {"game": {"winner": "T"}},'
                  ' "Q/0": {"game": {"winner": "T", "moves": {"B:a": 1}}}}}',
                  "play --game P&Q --interp FILE --env exhaustive:2"),
+                # letter keys are NAME/ARITY as formulas name letters, with
+                # at most ARITY parameters
+                ('{"letters": {"\u0420/0": {"game": {"winner": "T"}},'
+                 ' "7 x/1": {"game": {"winner": "T"}}}}',
+                 "play --game P->P --strategy ccs --interp FILE --env random"),
+                ('{"letters": {"P/01": {"game": {"winner": "T"}}}}',
+                 "play --game P->P --strategy ccs --interp FILE --env random"),
+                ('{"letters": {"P/0": {"params": ["x"],'
+                 ' "game": {"winner": "T"}}}}',
+                 "play --game P->P --strategy ccs --interp FILE --env random"),
                 # premise numbers start at 1; 0 and -5 would index the
                 # steps from the end
                 ("1. (p \\/ ~p) + Q ; rule=b ; premises=[0] ; path=e ; i=1\n"

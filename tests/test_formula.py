@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clgames import formula as fm
+from clgames import formula as fm, verify
 from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
                              ChoiceDisj, ChoiceExists, Dollar, Elem,
                              Implies, Neg, ParConj, ParDisj, Sequent, Top,
@@ -265,7 +265,18 @@ formulas = st.recursive(_leaf, _combine, max_leaves=8)
 @settings(max_examples=150, deadline=None)
 @given(formulas)
 def test_render_parse_round_trip(f):
-    assert fm.parse_formula(fm.render(f)) == f
+    g = fm.parse_formula(fm.render(f))
+    assert g == f and hash(g) == hash(f)
+
+
+def test_formula_hashes_tell_node_classes_apart():
+    # the nodes in each group have the same fields
+    for group in (["P /\\ Q", "P \\/ Q", "P & Q", "P + Q"], ["~P", "!P"],
+                  ["@x.R(x)", "?x.R(x)"], ["top", "bot", "$"]):
+        hashes = {hash(fm.parse_formula(text)) for text in group}
+        assert len(hashes) == len(group), group
+    shapes = verify._all_shapes(4)
+    assert len({hash(f) for f in shapes}) == len(shapes) == 2850
 
 
 @settings(max_examples=100, deadline=None)

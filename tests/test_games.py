@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clgames import formula as fm, games, oracle
+from clgames import formula as fm, games, oracle, verify
 from clgames.formula import Atom, Bang
 from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            Interpretation, Labmove, MoveStatus, T, Valuation,
@@ -379,6 +380,32 @@ class TestInterpretationFiles:
         g2 = itp.letter_game("Q", (2,))
         assert g2.winner is B and (T, "go") in g2.moves
 
+    @pytest.mark.parametrize("key", [
+        "\u0420/0", "7 x/1", "P/01", "P/", "/0", "p/0", "top/0", "P/-1",
+        "P/1/2", "P /0", "P/0 ", "P/\u0661", "P\u00b2/0", "P"])
+    def test_letter_keys_use_the_formula_grammar(self, key):
+        # a key no formula can name was kept, and play then failed with
+        # "letter P/0 not interpreted"
+        spec = {"letters": {key: {"game": {"winner": "T"}}}}
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            load_interpretation(spec)
+
+    def test_letter_keys_that_formulas_name_load(self):
+        itp = load_interpretation({"letters": {
+            k: {"game": {"winner": "T"}} for k in ("P/0", "R_2x/1", "Ab9/10")}})
+        assert itp.signature == (("Ab9", 10), ("P", 0), ("R_2x", 1))
+
+    def test_a_letter_lists_at_most_its_arity_of_parameters(self):
+        # zip dropped the parameters past the arity
+        game = {"cases": [{"when": {"y": 1}, "winner": "B"}],
+                "default": {"winner": "T"}}
+        with pytest.raises(ValueError, match="'R/1'"):
+            load_interpretation({"letters": {
+                "R/1": {"params": ["x", "y"], "game": game}}})
+        itp = load_interpretation({"letters": {
+            "R/2": {"params": ["x"], "game": game}}})
+        assert itp.letter_game("R", (1, 1)).winner is T
+
 
 # ---------------------------------------------------------------------------
 # Structural properties
@@ -619,3 +646,115 @@ def test_letter_games_step_no_state(monkeypatch):
     trees = [itp.letter_game("P", ()), *(itp.letter_game("R", (k,))
                                          for k in range(1, 40))]
     assert any(tree.moves for tree in trees)
+
+
+# ---------------------------------------------------------------------------
+# Listing a recurrence's moves, against a scan of every node over every leaf
+
+def _scan_bang_moves(state, player, structural):
+    """`_BangState.moves` as first written: the set of all prefixes of all
+    leaves, and for each prefix a scan of every leaf for those under it."""
+    branches = state.branches
+    out = [u + ":" for u in branches] if player is B else []
+    own = {u: s.moves(player, structural) for u, s in branches.items()}
+    for w in {u[:k] for u in branches for k in range(len(u) + 1)}:
+        under = [u for u in branches if u.startswith(w)]
+        for m in {m for u in under for m in own[u]}:
+            if all(m in own[u] or branches[u].step(player, m) is not None
+                   for u in under):
+                out.append(f"{w}.{m}")
+    return out
+
+
+def _bang_states(state):
+    """Every recurrence state inside `state`, `state` included."""
+    if isinstance(state, games._BangState):
+        yield state
+        for branch in state.branches.values():
+            yield from _bang_states(branch)
+    elif isinstance(state, games._BlockState):
+        for leaf in state.leaves:
+            yield from _bang_states(leaf)
+
+
+def test_bang_listing_matches_the_scan_of_every_node():
+    formulas = [fm.parse_formula(text)
+                for _, text, _ in verify.named_strategy_games()]
+    formulas += [f for f in verify._all_shapes(4) if "!" in fm.render(f)]
+    listings = below_root = 0
+    for idx, f in enumerate(formulas):
+        for seed in range(4):
+            game = verify.random_game(f, seed=seed,
+                                      valuation=Valuation({"y": 2}))
+            rng = random.Random(f"{idx}/{seed}")
+            state = game.root()
+            # a move elsewhere leaves a recurrence's state as it was
+            compared = {}
+            for _ in range(10):
+                for bang in _bang_states(state):
+                    if id(bang) in compared:
+                        continue
+                    compared[id(bang)] = bang
+                    for player, structural in itertools.product(
+                            (T, B), (False, True)):
+                        got = bang.moves(player, structural)
+                        assert len(set(got)) == len(got), got
+                        assert sorted(got) == sorted(_scan_bang_moves(
+                            bang, player, structural)), fm.render(f)
+                        listings += 1
+                        below_root += any(m[0] in "01" for m in got
+                                          if not m.endswith(":"))
+                player = rng.choice((T, B))
+                moves = legal_moves(state, player)
+                if moves:
+                    state = state.step(player, rng.choice(moves))
+    assert listings > 50_000 and below_root > 1_000
+
+
+# ---------------------------------------------------------------------------
+# One plan per run of games of one formula object
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The formulas `games._plan` compiles from `initial_state`, in order;
+    the components a compile recurses into are not counted."""
+    seen, depth, plan = [], [0], games._plan
+
+    def counting(f):
+        if not depth[0]:
+            seen.append(f)
+        depth[0] += 1
+        try:
+            return plan(f)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(games, "_plan", counting)
+    monkeypatch.setattr(games, "_last_plan", (None, None))
+    return seen
+
+
+def test_games_of_one_formula_object_compile_once(compiled):
+    f = fm.parse_formula("!(P & Q) -> !P")
+    for seed in (1, 2):
+        verify.random_game(f, seed=seed).root()
+    assert compiled == [f]
+    # an equal formula is another object, and compiles again
+    g = fm.parse_formula("!(P & Q) -> !P")
+    verify.random_game(g, seed=1).root()
+    assert len(compiled) == 2 and compiled[1] is g
+
+
+def test_alternating_formulas_each_compile_and_keep_their_games(compiled):
+    a = fm.parse_formula("!(P & Q) -> !P")
+    b = fm.parse_formula("@x.R(x) -> !R(2) /\\ ~Q")
+    itp = random_interpretation(4, (("P", 0), ("Q", 0), ("R", 1)), 2)
+    roots = [(f, GameRef(f, itp).root()) for f in (a, b, a)]
+    assert [id(f) for f in compiled] == [id(a), id(b), id(a)]
+    for f, root in roots:
+        assert same_game(root, games._plan(f)(itp, Valuation()), 3)
+
+
+def test_criterion_3_compiles_each_named_game_once(compiled):
+    report = verify.verify_named(plays_total=5, exhaustive_depth=1)
+    assert report.passed, report.failures
+    assert len(compiled) == report.counters["strategies"] == 39
