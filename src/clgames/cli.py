@@ -78,11 +78,7 @@ class HumanEnv:
 
 
 def cmd_check_formula(args) -> int:
-    try:
-        f = fm.parse_formula(args.formula)
-    except fm.ParseError as e:
-        print(f"parse error: {e}")
-        return 2
+    f = fm.parse_formula(args.formula)
     print(f"ok: {fm.render(f)}")
     print(f"free variables: {sorted(fm.free_vars(f))}")
     print(f"sublanguage member: {fm.is_int_formula(f)}")
@@ -140,7 +136,7 @@ def _make_env(args):
     if spec.startswith("script:"):
         with open(spec[7:], encoding="utf-8") as fh:
             return ScriptEnv.from_text(fh.read())
-    raise SystemExit(f"unknown environment {spec!r}")
+    raise ValueError(f"unknown environment {spec!r}")
 
 
 def _strategy_for(args) -> Strategy:
@@ -158,8 +154,10 @@ def cmd_play(args) -> int:
     game = _load_game(args)
     strategy = _strategy_for(args)
     if args.env.startswith("exhaustive:"):
-        depth = int(args.env.split(":", 1)[1])
-        result = wins_against_all(strategy, game, depth=depth)
+        depth = args.env.removeprefix("exhaustive:")
+        if not (depth.isascii() and depth.isdigit()):
+            raise ValueError(f"bad search depth in {args.env!r}")
+        result = wins_against_all(strategy, game, depth=int(depth))
         print(f"explored {result.leaves} environment behaviors")
         if result.won_all:
             print("verdict: T in every branch")

@@ -8,8 +8,11 @@ next move, or None to grant permission.  At a grant the environment
 answers `on_permission(state, run)` with at most one move (None stays
 silent), where `state` is the game state after `run`; it sees the same
 run the machine sees, and draws its legal moves from `legal_moves(state, B)`.
-The simulator checks environment moves for legality itself, so an illegal
-environment move ends the play with an immediate machine win.
+The stepper checks each environment move before the machine sees it: an
+illegal one ends the play with an immediate machine win, so machines are
+handed only legal moves and never check them again.  A move a machine
+cannot read (only possible on a game it was not built for) raises, and
+the play ends `machine_fault`.
 
 One play stepper runs this protocol for both random play (`simulate`) and
 exhaustive search (`wins_against_all`): the machine acts until it grants

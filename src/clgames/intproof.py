@@ -38,9 +38,6 @@ class ProofNode:
     y: str = ""           # eigenvariable (RightChoiceAll / LeftChoiceExists)
     pos: int = -1         # swap position (Exchange)
 
-    def count_nodes(self) -> int:
-        return 1 + sum(c.count_nodes() for c in self.children)
-
     def rules_used(self) -> frozenset[str]:
         out = frozenset({self.rule})
         for c in self.children:

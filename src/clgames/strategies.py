@@ -38,21 +38,21 @@ class CcsMachine(Machine):
     first resolve the choices on which the two sides of F -> G differ.
     `start` makes the `opening` moves, with "{t}" standing for the value of
     the term `t`.  With a `trigger`, nothing is mirrored until the
-    environment moves a numeral c (at most `limit`, when set) right after
-    that prefix; the machine answers with the `answer` moves, "{c}"
-    standing for c, then mirrors the moves it held under the `hold` prefix
-    meanwhile.  Any other move before the trigger gets no answer.
+    environment moves a numeral c right after that prefix (any c the game
+    allows); the machine answers with the `answer` moves, "{c}" standing
+    for c, then mirrors the moves it held under the `hold` prefix meanwhile.
+    Any other move before the trigger, or outside both components (`ccs`
+    is the CLI default on any game), gets no answer.
     """
 
     def __init__(self, opening: tuple[str, ...] = (), t=None,
-                 trigger: Optional[str] = None, limit: Optional[int] = None,
+                 trigger: Optional[str] = None,
                  answer: tuple[str, ...] = (), hold: Optional[str] = None):
         self.opening = opening
         self.trigger = trigger              # None once seen
         if not opening and trigger is None:
             return          # a plain copy-cat: no more state, cheaper forks
         self.t = None if t is None else fm.term(t)
-        self.limit = limit
         self.answer = answer
         self.hold = hold
         self.held: list[str] = []
@@ -75,7 +75,7 @@ class CcsMachine(Machine):
             return []
         if move.startswith(self.trigger):
             c = _numeral(move[len(self.trigger):])
-            if c is not None and (self.limit is None or c <= self.limit):
+            if c is not None:
                 self.trigger = None
                 held, self.held = self.held, []
                 return ([m.format(c=c) for m in self.answer]
@@ -92,7 +92,7 @@ class L6aMachine(Machine):
             return ["2." + move[3:]]
         if move.startswith("2."):
             return ["1.." + move[2:]]
-        return []
+        raise ValueError(f"not a move of !F -> F: {move!r}")
 
 
 class L4Machine(Machine):
@@ -106,29 +106,17 @@ class L4Machine(Machine):
     def on_env(self, move: str) -> list[str]:
         if move.startswith("2.2."):
             parsed = split_bang_move(move[4:])
-            if parsed is None:
-                return []
             if parsed[0] == "rep":
                 w = parsed[1]
                 return [f"1.{w}:", f"2.1.{w}:"]
-            w, alpha = parsed[1], parsed[2]
+            _, w, alpha = parsed
             return [f"1.{w}.2.{alpha}"]
         if move.startswith("2.1."):
-            parsed = split_bang_move(move[4:])
-            if parsed is None or parsed[0] != "node":
-                return []
-            w, alpha = parsed[1], parsed[2]
+            _, w, alpha = split_bang_move(move[4:])
             return [f"1.{w}.1.{alpha}"]
-        if move.startswith("1."):
-            parsed = split_bang_move(move[2:])
-            if parsed is None or parsed[0] != "node":
-                return []
-            w, beta = parsed[1], parsed[2]
-            if beta.startswith("2."):
-                return [f"2.2.{w}.{beta[2:]}"]
-            if beta.startswith("1."):
-                return [f"2.1.{w}.{beta[2:]}"]
-        return []
+        _, w, beta = split_bang_move(move[2:])      # "1.w.beta", beta in F -> G
+        side, alpha = beta.split(".", 1)
+        return [f"2.{side}.{w}.{alpha}"]
 
 
 class L4aMachine(Machine):
@@ -144,28 +132,15 @@ class L4aMachine(Machine):
     def on_env(self, move: str) -> list[str]:
         if move.startswith("2."):
             parsed = split_bang_move(move[2:])
-            if parsed is None:
-                return []
             if parsed[0] == "rep":
                 w = parsed[1]
                 return [f"1.{i}.{w}:" for i in range(1, self.n + 1)]
-            w, alpha = parsed[1], parsed[2]
-            head, dot, rest = alpha.partition(".")
-            i = _numeral(head) if dot else None
-            if i is None or i > self.n:
-                return []
+            _, w, alpha = parsed
+            i, rest = alpha.split(".", 1)
             return [f"1.{i}.{w}.{rest}"]
-        if move.startswith("1."):
-            head, dot, rest = move[2:].partition(".")
-            i = _numeral(head) if dot else None
-            if i is None or i > self.n:
-                return []
-            parsed = split_bang_move(rest)
-            if parsed is None or parsed[0] != "node":
-                return []
-            w, alpha = parsed[1], parsed[2]
-            return [f"2.{w}.{i}.{alpha}"]
-        return []
+        i, rest = move[2:].split(".", 1)            # "1.i.w.alpha"
+        _, w, alpha = split_bang_move(rest)
+        return [f"2.{w}.{i}.{alpha}"]
 
 
 class L6cMachine(Machine):
@@ -177,22 +152,14 @@ class L6cMachine(Machine):
         return ["1.:"]
 
     def on_env(self, move: str) -> list[str]:
-        if move.startswith("1."):
-            parsed = split_bang_move(move[2:])
-            if parsed is None or parsed[0] != "node":
-                return []
-            w, alpha = parsed[1], parsed[2]
-            if w == "":
-                return [f"2.1..{alpha}", f"2.2..{alpha}"]
-            rest = f"{w[1:]}.{alpha}"
-            return ["2.1." + rest] if w[0] == "0" else ["2.2." + rest]
-        if move.startswith("2.1.") or move.startswith("2.2."):
+        if move.startswith(("2.1.", "2.2.")):
             bit = "0" if move[2] == "1" else "1"
-            inner = move[4:]
-            if split_bang_move(inner) is None:
-                return []
-            return [f"1.{bit}{inner}"]
-        return []
+            return [f"1.{bit}{move[4:]}"]
+        _, w, alpha = split_bang_move(move[2:])     # "1.w.alpha"
+        if w == "":
+            return [f"2.1..{alpha}", f"2.2..{alpha}"]
+        rest = f"{w[1:]}.{alpha}"
+        return ["2.1." + rest] if w[0] == "0" else ["2.2." + rest]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +204,7 @@ class L6bMachine(Machine):
             b_inst = _cl2("(R -> S) -> R /\\ P -> S")
             d_inst = _cl2("(R /\\ P -> S) -> R -> P -> S")
             d = transitivity_machine(b_inst, d_inst)
-            return self._handover(mp_machine([L6bMachine(k.right)], d))
+            return self._handover(MpMachine([L6bMachine(k.right)], d))
         if isinstance(k, ChoiceDisj):
             return ["2.1"] + self._handover(L6bMachine(k.parts[0]))
         if isinstance(k, ChoiceExists):
@@ -250,13 +217,9 @@ class L6bMachine(Machine):
     def on_env(self, move):
         if self.delegate is not None:
             return self.delegate.on_env(move)
-        c = _numeral(move[2:]) if move.startswith("2.") else None
-        if c is None:
-            return []
+        c = int(move.removeprefix("2."))           # the choice "2.c"
         k = self.k
         if isinstance(k, ChoiceConj):
-            if c > len(k.parts):
-                return []
             return self._handover(L6bMachine(k.parts[c - 1]))
         return self._handover(L6bMachine(fm.substitute(k.body, [(k.var, c)])))
 
@@ -334,25 +297,18 @@ class L5Machine(Machine):
     and the yellow subsequence names the inner one.  Outer replications
     split matching leaves with blue children, inner replications with
     yellow children; ordinary moves are copied between the matched
-    branches.  Unrecognized environment moves park the machine in a
-    permission-granting loop.
+    branches.  A move of any other shape raises.
     """
 
     def __init__(self):
         self.tree: set[ColoredString] = {()}
-        self.parked = False
 
     def _leaves(self) -> list[ColoredString]:
         return colored_tree_leaves({v: content(v) for v in self.tree})
 
     def on_env(self, move: str) -> list[str]:
-        if self.parked:
-            return []
         if move.startswith("2."):
             parsed = split_bang_move(move[2:])
-            if parsed is None:
-                self.parked = True
-                return []
             if parsed[0] == "rep":                       # outer replication
                 w = parsed[1]
                 vs = [v for v in self._leaves() if blue_content(v) == w]
@@ -361,11 +317,8 @@ class L5Machine(Machine):
                     self.tree.add(v + (("0", BLUE),))
                     self.tree.add(v + (("1", BLUE),))
                 return out
-            w, inner = parsed[1], parsed[2]
+            _, w, inner = parsed
             parsed2 = split_bang_move(inner)
-            if parsed2 is None:
-                self.parked = True
-                return []
             if parsed2[0] == "rep":                      # inner replication
                 u = parsed2[1]
                 vs = [v for v in self._leaves()
@@ -376,21 +329,14 @@ class L5Machine(Machine):
                     self.tree.add(v + (("0", YELLOW),))
                     self.tree.add(v + (("1", YELLOW),))
                 return out
-            u, alpha = parsed2[1], parsed2[2]            # inner ordinary move
+            _, u, alpha = parsed2                        # inner ordinary move
             vs = [v for v in self._leaves()
                   if blue_content(v).startswith(w)
                   and yellow_content(v).startswith(u)]
             return [f"1.{content(v)}.{alpha}" for v in vs]
-        if move.startswith("1."):
-            parsed = split_bang_move(move[2:])
-            if parsed is None or parsed[0] != "node":
-                self.parked = True
-                return []
-            w, alpha = parsed[1], parsed[2]
-            vs = [v for v in self._leaves() if content(v).startswith(w)]
-            return [f"2.{blue_content(v)}.{yellow_content(v)}.{alpha}" for v in vs]
-        self.parked = True
-        return []
+        _, w, alpha = split_bang_move(move[2:])     # "1.w.alpha"
+        vs = [v for v in self._leaves() if content(v).startswith(w)]
+        return [f"2.{blue_content(v)}.{yellow_content(v)}.{alpha}" for v in vs]
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +404,6 @@ class MpMachine(Machine):
         return out
 
 
-def mp_machine(parts: list[Machine], c: Machine) -> Machine:
-    return c if not parts else MpMachine(parts, c)
-
-
 def transitivity_machine(e1: Machine, e2: Machine) -> Machine:
     c = _cl2("(P -> Q) /\\ (Q -> S) -> P -> S")
     return MpMachine([e1, e2], c)
@@ -488,17 +430,13 @@ class BangClosureMachine(Machine):
 
     def on_env(self, move: str) -> list[str]:
         parsed = split_bang_move(move)
-        if parsed is None:
-            return []
         if parsed[0] == "rep":
             w = parsed[1]
-            if w not in self.copies:
-                return []
             original = self.copies.pop(w)
             self.copies[w + "0"] = original
             self.copies[w + "1"] = original.fork()
             return []
-        w, alpha = parsed[1], parsed[2]
+        _, w, alpha = parsed
         out = []
         for u in sorted(self.copies):
             if u.startswith(w):
@@ -527,9 +465,7 @@ class AllClosureMachine(Machine):
     def on_env(self, move: str) -> list[str]:
         if self.running:
             return self.inner.on_env(move)
-        c = _numeral(move)
-        if c is None:
-            return []
+        c = int(move)                               # the environment's constant
         self.running = True
         ctx2 = PlayContext(self.ctx.valuation.override(self.var, c),
                            self.ctx.signature)
@@ -567,7 +503,7 @@ def _l11c(args):
     n = int(args["n"])
     if n < 2:
         raise ValueError("need n >= 2")
-    return CcsMachine(trigger="1..", limit=n, answer=("2.{c}",))
+    return CcsMachine(trigger="1..", answer=("2.{c}",))
 
 
 def _oct5d(args):
@@ -690,7 +626,7 @@ class Expr:
         kids = [_prototype(e).fork() for e in self.children]
         if self.kind == "mp":
             *parts, c = kids
-            return mp_machine(parts, c)
+            return MpMachine(parts, c)
         if self.kind == "trans":
             return transitivity_machine(*kids)
         if self.kind == "bang":
@@ -715,8 +651,6 @@ def reg(strategy_id: str) -> Expr:
 
 
 def mp(parts: list[Expr], c: Expr) -> Expr:
-    if not parts:
-        return c
     return Expr("mp", children=tuple(parts) + (c,))
 
 

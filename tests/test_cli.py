@@ -24,8 +24,10 @@ class TestCheckFormula:
         assert "sublanguage member: True" in out
 
     def test_parse_error_exit_code(self, capsys):
-        code, _ = run_cli(capsys, "check-formula", "P ->")
-        assert code == 2
+        code = main(["check-formula", "P ->"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("parse error: ")
 
 
 class TestProve:
@@ -205,6 +207,12 @@ class TestPlay:
         assert code == 0 and "verdict: T" in captured.out
         assert "no game" not in captured.err
 
+    def test_valuation_is_shown(self, capsys):
+        code, out = run_cli(capsys, "play", "--game", "R(x) -> R(x)",
+                            "--val", "x=3,default=2", "--env", "silent")
+        assert code == 0
+        assert "#valuation default=2 x=3\n" in out
+
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         code, _ = run_cli(capsys, "play", "--game", "P -> P",
                           "--strategy", "bogus", "--env", "silent")
@@ -242,6 +250,11 @@ class TestHumanEnv:
 class TestVerifyCommand:
     def test_micro_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "micro")
+        assert code == 0
+        assert "[PASS] micro-examples" in out
+
+    def test_fast_micro_suite(self, capsys):
+        code, out = run_cli(capsys, "verify", "micro", "--fast")
         assert code == 0
         assert "[PASS] micro-examples" in out
 
@@ -337,8 +350,9 @@ CL2_TEXT = st.lists(CL2_LINE, max_size=5).map(_numbered)
 SCRIPT_TEXT = st.lists(SCRIPT_LINE, max_size=5).map("\n".join)
 
 
-def _exit_code(args) -> int:
-    """main's exit status, as the interpreter would report it."""
+def _exit_status(args) -> tuple[int, str]:
+    """main's exit status, as the interpreter would report it, and what it
+    wrote to stderr."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -346,7 +360,11 @@ def _exit_code(args) -> int:
     except SystemExit as e:               # argparse, or a message to exit 1
         code = e.code if isinstance(e.code, int) else 1
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    return code
+    return code, err.getvalue()
+
+
+def _exit_code(args) -> int:
+    return _exit_status(args)[0]
 
 
 def _fuzz(text: str, *commands: str) -> None:
@@ -390,53 +408,87 @@ class TestMalformedInput:
     def test_malformed_files_exit_2(self, tmp_path):
         # the first four raised TypeError; the last letter game is built
         # only when the environment chooses it, so it is checked at load
-        for text, args in (
-                ('{"sequent": 5, "rule": "Identity"}', "check-proof int FILE"),
-                ("[1, 2]", "compile --proof FILE"),
+        node = ("sequent, rule and y are strings, premises a list, i and pos"
+                " ints")
+        key = "is not NAME/ARITY"
+        for text, args, message in (
+                ('{"sequent": 5, "rule": "Identity"}', "check-proof int FILE",
+                 f"error: malformed proof node {{'sequent': 5, 'rule':"
+                 f" 'Identity'}}: {node}"),
+                ("[1, 2]", "compile --proof FILE",
+                 f"error: malformed proof node [1, 2]: {node}"),
                 ('{"sequent": "P => P", "rule": "Identity", "premises": 3}',
-                 "compile --proof FILE"),
+                 "compile --proof FILE", "'premises': 3}: " + node),
                 ('{"letters": {"P/0": {"game": 7}}}',
-                 "play --game P->P --interp FILE --env random"),
+                 "play --game P->P --interp FILE --env random",
+                 "error: malformed game node 7"),
                 ('{"letters": {"P/0": {"game": {"winner": "T"}},'
                  ' "Q/0": {"game": {"winner": "T", "moves": {"B:a": 1}}}}}',
-                 "play --game P&Q --interp FILE --env exhaustive:2"),
+                 "play --game P&Q --interp FILE --env exhaustive:2",
+                 "error: malformed game node 1"),
                 # letter keys are NAME/ARITY as formulas name letters, with
                 # at most ARITY parameters
                 ('{"letters": {"\u0420/0": {"game": {"winner": "T"}},'
                  ' "7 x/1": {"game": {"winner": "T"}}}}',
-                 "play --game P->P --strategy ccs --interp FILE --env random"),
+                 "play --game P->P --strategy ccs --interp FILE --env random",
+                 f"error: letter key '\u0420/0' {key}"),
                 ('{"letters": {"P/01": {"game": {"winner": "T"}}}}',
-                 "play --game P->P --strategy ccs --interp FILE --env random"),
+                 "play --game P->P --strategy ccs --interp FILE --env random",
+                 f"error: letter key 'P/01' {key}"),
                 ('{"letters": {"P/0": {"params": ["x"],'
                  ' "game": {"winner": "T"}}}}',
-                 "play --game P->P --strategy ccs --interp FILE --env random"),
+                 "play --game P->P --strategy ccs --interp FILE --env random",
+                 "error: letter 'P/0' needs a 'game' and a list of at most 0"
+                 " parameter names"),
                 # premise numbers start at 1; 0 and -5 would index the
                 # steps from the end
                 ("1. (p \\/ ~p) + Q ; rule=b ; premises=[0] ; path=e ; i=1\n"
                  "2. p \\/ ~p ; rule=a ; premises=[]\n",
-                 "check-proof cl2 FILE"),
+                 "check-proof cl2 FILE",
+                 "error: premise numbers start at 1: '1. "),
                 ("1. p -> p ; rule=a ; premises=[]\n"
                  "2. P -> P ; rule=c ; premises=[-5] ; path=1,0 ; atom=p\n",
-                 "check-proof cl2 FILE"),
+                 "check-proof cl2 FILE",
+                 "error: premise numbers start at 1: '2. "),
                 # proof-text step numbers must be the line positions
                 ("2. p -> p ; rule=a ; premises=[]\n"
                  "1. P -> P ; rule=c ; premises=[1] ; path=1,0 ; atom=p\n",
-                 "check-proof cl2 FILE"),
-                ("x. p -> p ; rule=a ; premises=[]\n", "check-proof cl2 FILE"),
+                 "check-proof cl2 FILE", "error: step 1 is numbered '2'"),
+                ("x. p -> p ; rule=a ; premises=[]\n", "check-proof cl2 FILE",
+                 "error: step 1 is numbered 'x'"),
                 # valuation values are numerals, keys variables or default
-                ("", "play --game P->P --val x=0 --env silent"),
-                ("", "play --game P->P --val x=01 --env silent"),
-                ("", "play --game P->P --val x=\u0661 --env silent"),
-                ("", "play --game P->P --val x=+3 --env silent"),
-                ("", "play --game P->P --val default=-1 --env silent"),
-                ("", "play --game P->P --val X=3 --env silent"),
-                ("", "play --game P->P --val 3=3 --env silent"),
-                ("", "check-formula R(01)"),
-                ("", "check-formula R(\u0661)"),
+                ("", "play --game P->P --val x=0 --env silent",
+                 "error: valuation value '0' is not a numeral 1, 2, ..."),
+                ("", "play --game P->P --val x=01 --env silent",
+                 "error: valuation value '01' is not"),
+                ("", "play --game P->P --val x=\u0661 --env silent",
+                 "error: valuation value '\u0661' is not"),
+                ("", "play --game P->P --val x=+3 --env silent",
+                 "error: valuation value '+3' is not"),
+                ("", "play --game P->P --val default=-1 --env silent",
+                 "error: valuation value '-1' is not"),
+                ("", "play --game P->P --val X=3 --env silent",
+                 "error: not a term: 'X'"),
+                ("", "play --game P->P --val 3=3 --env silent",
+                 "error: valuation key '3' is not a variable"),
+                ("", "check-formula R(01)",
+                 "parse error: constants are numerals 1, 2, ..., got '01'"),
+                ("", "check-formula R(\u0661)",
+                 "parse error: unexpected character '\u0661'"),
                 # identifiers are ASCII
-                ("", "check-formula \u00c9"),
-                ("", "check-formula \u0420->P"),
-                ("", "check-formula P\u00b2")):
+                ("", "check-formula \u00c9",
+                 "parse error: unexpected character '\u00c9'"),
+                ("", "check-formula \u0420->P",
+                 "parse error: unexpected character '\u0420'"),
+                ("", "check-formula P\u00b2",
+                 "parse error: unexpected character '\u00b2'"),
+                # environment specs
+                ("", "play --game P --env bogus",
+                 "error: unknown environment 'bogus'"),
+                ("", "play --game P --env exhaustive:x",
+                 "error: bad search depth in 'exhaustive:x'")):
             path = tmp_path / "input"
             path.write_text(text)
-            assert _exit_code(args.replace("FILE", str(path)).split()) == 2
+            code, err = _exit_status(args.replace("FILE", str(path)).split())
+            assert code == 2, args
+            assert message in err, (args, err)

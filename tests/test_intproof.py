@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ from clgames import formula as fm, intproof, verify
 from clgames.epm import RandomEnv, simulate, wins_against_all
 from clgames.formula import (Bang, ChoiceAll, ChoiceConj, ChoiceDisj,
                              ChoiceExists, Dollar, Implies, Sequent, Var)
-from clgames.games import GameRef, T, random_interpretation
+from clgames.games import GameRef, T, Valuation, random_interpretation
 from clgames.intproof import (RULES, ProofNode, _seq_vars, check_proof,
                               check_rule, compile_proof,
                               curated_theorem_corpus, proof_from_json,
@@ -386,6 +387,11 @@ class TestCorpus:
             assert again == proof, name
 
 
+BARE_WITNESS = ProofNode(seq("=> ?x.(!R(x) -> R(x))"), "RightChoiceExists",
+                         (ProofNode(seq("=> !R(3) -> R(3)"), "RightImpl",
+                                    (identity("R(3) => R(3)"),)),), t="3")
+
+
 class TestCompile:
     def test_identity_compiles_to_the_root_copy_cat(self):
         expr = compile_proof(identity("P => P"))
@@ -430,9 +436,7 @@ class TestCompile:
         # `=> ?x.K` is the formula `?x.K` alone, not an implication, so the
         # witness strategy must be applied to the premise's strategy; the
         # composition `trans(l6a,oct5b[t=3])` opened with an illegal move
-        proof = ProofNode(seq("=> ?x.(!R(x) -> R(x))"), "RightChoiceExists",
-                          (ProofNode(seq("=> !R(3) -> R(3)"), "RightImpl",
-                                     (identity("R(3) => R(3)"),)),), t="3")
+        proof = BARE_WITNESS
         expr = compile_proof(proof)
         assert str(expr) == "mp(l6a,oct5b[t=3])"
         f = fm.sequent_to_formula(proof.sequent)
@@ -446,3 +450,89 @@ class TestCompile:
             res = wins_against_all(expr.strategy(), game, depth=2)
             assert res.won_all, res.counterexample.run
         assert res.leaves == 13
+
+
+def _weakened_to_the_front(text):
+    """`X, K => K` from `K => K`: weaken by X, then swap X to the front."""
+    k = text.split(" => ")[1]
+    return ProofNode(seq(f"X, {k} => {k}"), "Exchange",
+                     (ProofNode(seq(f"{k}, X => {k}"), "Weakening",
+                                (identity(f"{k} => {k}"),)),), pos=0)
+
+
+# Derivations that reach the compile cases the corpus leaves out: a left
+# choice rule under a context formula, LeftImpl with an empty second
+# context and RightChoiceAll with an empty context.  They are kept here,
+# out of `curated_theorem_corpus()`, which the benchmark reads.
+COMPILE_CASES = [
+    ProofNode(seq("X, P & Q => P"), "LeftChoiceConj",
+              (_weakened_to_the_front("P => P"),), i=1),
+    ProofNode(seq("X, P + P => P"), "LeftChoiceDisj",
+              (_weakened_to_the_front("P => P"),
+               _weakened_to_the_front("P => P"))),
+    ProofNode(seq("X, @x.R(x) => R(3)"), "LeftChoiceAll",
+              (_weakened_to_the_front("R(3) => R(3)"),), t="3"),
+    ProofNode(seq("X, ?x.R(x) => ?z.R(z)"), "LeftChoiceExists",
+              (ProofNode(seq("X, R(y) => ?z.R(z)"), "RightChoiceExists",
+                         (_weakened_to_the_front("R(y) => R(y)"),), t="y"),),
+              y="y"),
+    ProofNode(seq("!(!Q -> Q) -> P => P"), "LeftImpl",
+              (identity("P => P"),
+               ProofNode(seq("=> !Q -> Q"), "RightImpl",
+                         (identity("Q => Q"),)))),
+    ProofNode(seq("=> @x.(!R(x) -> R(x))"), "RightChoiceAll",
+              (ProofNode(seq("=> !R(y) -> R(y)"), "RightImpl",
+                         (identity("R(y) => R(y)"),)),), y="y"),
+]
+
+
+class TestCompileCases:
+    @pytest.mark.parametrize("proof", COMPILE_CASES,
+                             ids=lambda p: fm.render_sequent(p.sequent))
+    def test_compiled_strategy_wins(self, proof):
+        # criterion 5's plays and search, at 20 plays per interpretation
+        assert check_proof(proof) == (True, "")
+        expr = compile_proof(proof)
+        f = fm.sequent_to_formula(proof.sequent)
+        val = Valuation({"y": 2})
+        report = verify.Report("compile-cases")
+        label = fm.render_sequent(proof.sequent)
+        plays = [(verify.random_game(f, seed=3000 + 13 * k, valuation=val),
+                  range(97 * k, 97 * k + 20)) for k in range(10)]
+        verify.batch_random_plays(report, label, expr, plays, max_moves=4)
+        verify.exhaustive_check(report, label, expr, f, depth=3,
+                                valuation=val)
+        assert report.passed, report.failures
+        assert report.counters["plays"] == 200
+
+    def test_every_line_of_compile_runs(self):
+        code = intproof._compile.__code__
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        ran = set()
+        before = sys.gettrace()         # a coverage tracer keeps its lines
+
+        def on_call(frame, event, arg):
+            outer = before(frame, event, arg) if before else None
+            if frame.f_code is not code:
+                return outer
+
+            def local(frame, event, arg):
+                nonlocal outer
+                if event == "line":
+                    ran.add(frame.f_lineno)
+                if outer is not None:
+                    outer = outer(frame, event, arg)
+                return local
+            return local
+
+        sys.settrace(on_call)
+        try:
+            for _, proof in curated_theorem_corpus():
+                compile_proof(proof)
+            for proof in COMPILE_CASES + [BARE_WITNESS]:
+                compile_proof(proof)
+            with pytest.raises(AssertionError, match="unhandled rule"):
+                intproof._compile(ProofNode(seq("P => P"), "Cut"))
+        finally:
+            sys.settrace(before)
+        assert sorted(lines - ran - {code.co_firstlineno}) == []

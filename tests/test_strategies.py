@@ -125,11 +125,6 @@ class TestChoiceShufflers:
         with pytest.raises(ValueError):
             build_machine(sid)
 
-    def test_l11c_ignores_a_pick_out_of_range(self):
-        m = build_machine("l11c[n=2]")
-        assert feed(m, "1..3", "1..2")[1:] == [[], ["2.2"]]
-        assert m.on_env("1.m") == ["2.m"]
-
     def test_oct5c_keeps_holding_past_a_non_numeral(self):
         m = build_machine("oct5c")
         assert feed(m, "1.a", "2.x", "1.b", "2.9")[1:] == \
@@ -250,20 +245,8 @@ class TestL5:
         assert m.on_env("1.0.a") == ["2.0..a"]
         assert m.on_env("1..c") == ["2.0..c", "2.1..c"]
 
-    def test_unrecognized_move_parks(self):
-        m = L5Machine()
-        m.start(CTX)
-        m.on_env("2.")
-        assert m.parked
-        assert m.on_env("2.:") == []
-
 
 class TestCombinators:
-    def test_mp_with_no_parts_is_the_composer_itself(self):
-        from clgames.strategies import mp_machine
-        m = CcsMachine()
-        assert mp_machine([], m) is m
-
     def test_mp_routes_between_parts_and_the_composer(self):
         class Responder(Machine):
             def on_env(self, move):
