@@ -32,7 +32,7 @@ def _parse_valuation(text: str | None) -> Valuation:
             raise ValueError(f"valuation value {v!r} is not a numeral 1, 2, ...")
         if k == "default":
             default = n
-        elif isinstance(fm.term(k), fm.Var):
+        elif fm._VARIABLE.fullmatch(k):
             assign[k] = n
         else:
             raise ValueError(f"valuation key {k!r} is not a variable")
@@ -57,12 +57,14 @@ def _load_game(args) -> GameRef:
 
 
 class HumanEnv:
-    """Interactive environment: prompts with legal-move hints per grant."""
+    """Interactive environment: prompts with legal-move hints per grant; an
+    empty line, `pass` or the end of input declines it, ending the play."""
 
     def on_permission(self, state, run):
         hints = legal_moves(state, B)
         print(f"position: {list(run)}")
-        print(f"legal moves include: {hints}  (or 'pass' / 'quit')")
+        print(f"legal moves include: {hints}"
+              "  (or 'pass' to end the play, 'quit' to exit)")
         while True:
             try:
                 line = input("your move> ").strip()

@@ -5,9 +5,13 @@ only the run, the valuation and the letter signature -- never the
 interpretation -- which is exactly what makes a winning strategy uniform.
 Each machine step is a move or a grant: `Strategy.next(run)` returns the
 next move, or None to grant permission.  At a grant the environment
-answers `on_permission(state, run)` with at most one move (None stays
-silent), where `state` is the game state after `run`; it sees the same
-run the machine sees, and draws its legal moves from `legal_moves(state, B)`.
+answers `on_permission(state, run)` with at most one move, where `state`
+is the game state after `run`; it sees the same run the machine sees, and
+draws its legal moves from `legal_moves(state, B)`.  An environment that
+declines a grant (None) ends the play: a machine acts only at the start
+and in reply to environment moves, so once it has granted it has nothing
+left to do until the environment moves, and the verdict is the outcome
+of the run so far.
 The stepper checks each environment move before the machine sees it: an
 illegal one ends the play with an immediate machine win, so machines are
 handed only legal moves and never check them again.  A move a machine
@@ -16,14 +20,15 @@ the play ends `machine_fault`.
 
 One play stepper runs this protocol for both random play (`simulate`) and
 exhaustive search (`wins_against_all`): the machine acts until it grants
-permission, the environment answers with at most one checked move, and a
-step budget bounds the whole play.  The stepper owns the game state after
-the run, so checking a move is one `step` of it, the environment is handed
-it at every grant, and the verdict is its `outcome()`.  A machine that
-raises ends the play as a machine loss, an environment that raises as a
-machine win; either way the diagnostic carries a short traceback.  An
-`InterpretationError` is not contained: a letter game that cannot be built
-leaves the game undefined, so no verdict is given.
+permission, the environment answers with one checked move or ends the
+play, and a step budget bounds the whole play.  The stepper owns the game
+state after the run, so checking a move is one `step` of it, the
+environment is handed it at every grant, and the verdict is its
+`outcome()`.  A machine that raises ends the play as a machine loss, an
+environment that raises as a machine win; either way the diagnostic
+carries a short traceback.  An `InterpretationError` is not contained: a
+letter game that cannot be built leaves the game undefined, so no verdict
+is given.
 
 A winning strategy depends only on the formula, never on the play, so
 `strategies` builds each strategy once per process and hands every play a
@@ -58,12 +63,9 @@ class Machine:
     """One-pass reactive core of a strategy.
 
     start() may emit proactive moves; on_env() reacts to one environment
-    move with a (possibly empty) burst of machine moves.  `settled` means
-    the machine has no pending work: if the environment stays silent from a
-    settled state, stopping the play is safe.
+    move with a (possibly empty) burst of machine moves.  The machine acts
+    nowhere else, so a play whose environment declines a grant is over.
     """
-
-    settled: bool = True
 
     def start(self, ctx: PlayContext) -> list[str]:
         return []
@@ -125,10 +127,6 @@ class Strategy:
             self.queue.extend(self.machine.on_env(lm.move))
         return self.queue.popleft() if self.queue else None
 
-    @property
-    def settled(self) -> bool:
-        return self.started and not self.queue and self.machine.settled
-
     def clone(self) -> "Strategy":
         other = object.__new__(type(self))
         vars(other).update(vars(self), machine=self.machine.fork(),
@@ -141,7 +139,8 @@ class Strategy:
 
 class Environment:
     def on_permission(self, state: State, run: Run) -> Optional[str]:
-        """A move answering the grant, or None; `state` is after `run`."""
+        """A move answering the grant, or None to decline it and end the
+        play; `state` is after `run`."""
         return None
 
 
@@ -150,8 +149,8 @@ class SilentEnv(Environment):
 
 
 class ScriptEnv(Environment):
-    """Replays directives: ("move", m) emits m, "pass" declines one grant,
-    "stop" declines forever."""
+    """Replays directives: ("move", m) emits m; "pass", "stop" and the end
+    of the script decline the grant, which ends the play."""
 
     def __init__(self, directives):
         self.directives = list(directives)
@@ -161,11 +160,9 @@ class ScriptEnv(Environment):
         if self.k >= len(self.directives):
             return None
         d = self.directives[self.k]
-        if d == "stop":
+        if d in ("pass", "stop"):
             return None
         self.k += 1
-        if d == "pass":
-            return None
         if isinstance(d, tuple) and d[0] == "move":
             return d[1]
         raise ValueError(f"bad directive {d!r}")
@@ -304,28 +301,15 @@ class _Play:
         self.state = nxt
         return True
 
-    def fork(self, mv: Optional[str] = None,
-             state: Optional[State] = None) -> "_Play":
-        """An independent copy of this play, sharing its game state; with
-        `mv`, the environment answers the grant with that legal move, which
-        leads to `state`."""
+    def fork(self, mv: str, state: State) -> "_Play":
+        """An independent copy of this play in which the environment answers
+        the grant with the legal move `mv`, which leads to `state`."""
         other = object.__new__(type(self))
         vars(other).update(vars(self), strategy=self.strategy.clone(),
-                           run=list(self.run), events=list(self.events))
-        if mv is not None:
-            other.run.append(Labmove(B, mv))
-            other.events.append(("move", "B", mv))
-            other.state = state
+                           run=self.run + [Labmove(B, mv)],
+                           events=self.events + [("move", "B", mv)],
+                           state=state)
         return other
-
-    def until_settled(self) -> "Transcript":
-        """Finish the play with a silent environment, as `simulate` does:
-        the machine runs on until it settles at a grant, or the play ends."""
-        while not self.strategy.settled:
-            if not self.machine_turn():
-                return self.transcript()
-        self.halt(HaltReason.QUIESCENT)
-        return self.transcript()
 
     def transcript(self) -> Transcript:
         if self.halted in (HaltReason.ENV_ILLEGAL, HaltReason.ENV_FAULT):
@@ -362,10 +346,8 @@ def simulate(strategy: Strategy, env: Environment, game: GameRef,
             play.halt(HaltReason.ENV_FAULT, _fault("environment", exc))
             break
         if mv is None:
-            if strategy.settled:
-                play.halt(HaltReason.QUIESCENT)
-                break
-            continue
+            play.halt(HaltReason.QUIESCENT)
+            break
         if not play.env_move(mv):
             break
     return play.transcript()
@@ -388,11 +370,10 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
     """Exhaustively explore environment behaviors with <= depth env moves.
 
     Each play runs the same steps as `simulate`.  At each grant the
-    environment either stays silent from then on (the machine runs on until
-    it settles, as in `simulate`) or makes any of its legal moves, with
-    choices of constants capped as in `legal_moves`; every such move
-    continues a forked copy of the play.  A lost play is returned as the
-    counterexample transcript.
+    environment either declines it, which ends the play as in `simulate`,
+    or makes any of its legal moves, with choices of constants capped as
+    in `legal_moves`; every such move continues a forked copy of the play.
+    A lost play is returned as the counterexample transcript.
     """
     leaves = 0
 
@@ -401,16 +382,13 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
         if not play.machine_turn():
             t = play.transcript()
             return t if t.verdict is not T else None
-        # silent option: the environment never moves again
+        # silent option: the environment declines the grant
         leaves += 1
         if leaves > max_leaves:
             raise BudgetExceeded(f"exhaustive search exceeded {max_leaves} leaves")
-        if not play.strategy.settled:
-            t = play.fork().until_settled()
-            if t.verdict is not T:
-                return t
-        elif play.state.outcome() is not T:
-            return play.until_settled()
+        if play.state.outcome() is not T:
+            play.halt(HaltReason.QUIESCENT)
+            return play.transcript()
         if decisions >= depth:
             return None
         for mv, nxt in successors(play.state, B):

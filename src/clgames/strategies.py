@@ -183,10 +183,6 @@ class L6bMachine(Machine):
         self.ctx: Optional[PlayContext] = None
         self.delegate: Optional[Machine] = None
 
-    @property
-    def settled(self) -> bool:
-        return self.delegate.settled if self.delegate is not None else True
-
     def _handover(self, machine: Machine) -> list[str]:
         self.delegate = machine
         return machine.start(self.ctx)
@@ -358,10 +354,6 @@ class MpMachine(Machine):
         self.parts = list(parts)
         self.c = c
 
-    @property
-    def settled(self) -> bool:
-        return self.c.settled and all(p.settled for p in self.parts)
-
     def _part_prefix(self, i: int) -> str:
         return "1." if len(self.parts) == 1 else f"1.{i + 1}."
 
@@ -416,16 +408,8 @@ class BangClosureMachine(Machine):
 
     def __init__(self, inner: Machine):
         self.copies: dict[str, Machine] = {"": inner}
-        self.started = False
-        self.ctx = None
-
-    @property
-    def settled(self) -> bool:
-        return all(m.settled for m in self.copies.values())
 
     def start(self, ctx: PlayContext) -> list[str]:
-        self.ctx = ctx
-        self.started = True
         return [f".{m}" for m in self.copies[""].start(ctx)]
 
     def on_env(self, move: str) -> list[str]:
@@ -453,10 +437,6 @@ class AllClosureMachine(Machine):
         self.var = var
         self.running = False
         self.ctx = None
-
-    @property
-    def settled(self) -> bool:
-        return self.inner.settled if self.running else True
 
     def start(self, ctx: PlayContext) -> list[str]:
         self.ctx = ctx

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clgames import cl2, intproof
@@ -106,6 +107,22 @@ class TestProofFiles:
         code, out = run_cli(capsys, "check-proof", "cl2", str(path))
         assert code == 1
         assert "invalid: step 3: no machine choice at path 7, index 1" in out
+
+    def test_cl2_wrong_premise_after_the_first_step_is_invalid(
+            self, capsys, tmp_path):
+        # the proof `prove-cl2` gives for (P & Q) -> (Q + P), but step 4
+        # cites step 2 where its replacement is step 3; steps 1-3 check
+        path = tmp_path / "wrong-premise.cl2"
+        path.write_text("1. p -> p ; rule=a ; premises=[]\n"
+                        "2. P -> P ; rule=c ; premises=[1] ; path=1,0 ; "
+                        "atom=p\n"
+                        "3. P -> Q + P ; rule=b ; premises=[2] ; path=1 ; "
+                        "i=2\n"
+                        "4. P & Q -> Q + P ; rule=b ; premises=[2] ; "
+                        "path=0 ; i=1\n")
+        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
+        assert code == 1
+        assert out == "invalid: step 4: premise does not match replacement\n"
 
     def test_cl2_forward_premise_is_invalid(self, capsys, tmp_path):
         # a premise must be an earlier step
@@ -212,6 +229,11 @@ class TestPlay:
                             "--val", "x=3,default=2", "--env", "silent")
         assert code == 0
         assert "#valuation default=2 x=3\n" in out
+        # an empty chunk is skipped
+        code, out = run_cli(capsys, "play", "--game", "R(x) -> R(y)",
+                            "--val", "x=3,,y=2", "--env", "silent")
+        assert code == 0
+        assert "#valuation default=1 x=3 y=2\n" in out
 
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         code, _ = run_cli(capsys, "play", "--game", "P -> P",
@@ -235,6 +257,29 @@ class TestHumanEnv:
         assert mv == "1"
         assert "illegal move '7'" in out
         assert "legal moves include" in out
+
+    @staticmethod
+    def _human_play(capsys, monkeypatch, answer):
+        """Play `ccs` on P -> P against `--env human`, `answer` standing in
+        for `input`."""
+        monkeypatch.setattr("builtins.input", answer)
+        code = main(["play", "--game", "P -> P", "--env", "human"])
+        return code, capsys.readouterr().out
+
+    def test_end_of_input_ends_the_play(self, capsys, monkeypatch):
+        def eof(prompt=""):
+            raise EOFError
+        code, out = self._human_play(capsys, monkeypatch, eof)
+        assert code == 0
+        assert "(or 'pass' to end the play, 'quit' to exit)" in out
+        assert "reason=quiescent steps=1 grants=1" in out
+        assert out.endswith("verdict: T (quiescent)\n")
+
+    def test_quit_exits_at_once(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            self._human_play(capsys, monkeypatch, lambda prompt="": "quit")
+        assert exc.value.code == 0
+        assert "verdict" not in capsys.readouterr().out
 
     def test_pass_declines_the_grant(self, capsys, monkeypatch):
         from clgames.cli import HumanEnv
@@ -468,7 +513,7 @@ class TestMalformedInput:
                 ("", "play --game P->P --val default=-1 --env silent",
                  "error: valuation value '-1' is not"),
                 ("", "play --game P->P --val X=3 --env silent",
-                 "error: not a term: 'X'"),
+                 "error: valuation key 'X' is not a variable"),
                 ("", "play --game P->P --val 3=3 --env silent",
                  "error: valuation key '3' is not a variable"),
                 ("", "check-formula R(01)",

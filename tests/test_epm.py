@@ -31,6 +31,13 @@ def chain_game(env_moves=()):
                    Interpretation({"A/0": lambda _: node}))
 
 
+class Burst(Machine):
+    """Twelve legal moves of `chain_game` in a row, from the start."""
+
+    def start(self, ctx):
+        return [f"t{i}" for i in range(12)]
+
+
 class TestSimulate:
     def test_silent_environment_quiesces_with_a_win(self):
         t = simulate(build_strategy("ccs"), SilentEnv(), game())
@@ -67,11 +74,19 @@ class TestSimulate:
         assert t.verdict is T and t.run == ()
 
     def test_budget_halt_is_reported(self):
-        class Chatty(Machine):
-            settled = False
-        t = simulate(Strategy(Chatty()), SilentEnv(), game(), budget=17)
-        assert t.steps == 17
+        # a start burst of twelve moves outlasts a budget of seven
+        t = simulate(Strategy(Burst()), SilentEnv(), chain_game(), budget=7)
+        assert (t.steps, t.grants) == (7, 0)
         assert t.halted_reason is HaltReason.BUDGET
+        assert t.run == labmoves(*(("T", f"t{i}") for i in range(7)))
+        assert t.verdict is B
+
+    def test_a_declined_grant_ends_the_play(self):
+        # `pass` declines the first grant; the scripted move never comes
+        env = ScriptEnv(["pass", ("move", "2.a")])
+        t = simulate(build_strategy("ccs"), env, game())
+        assert t.run == () and (t.steps, t.grants) == (1, 1)
+        assert t.halted_reason is HaltReason.QUIESCENT
 
     def test_reproducibility(self):
         g = game()
@@ -97,10 +112,6 @@ class TestSimulate:
 
 class TestBursts:
     def test_a_burst_from_the_start_wins_quiescent(self):
-        # twelve legal machine moves in a row, from the start
-        class Burst(Machine):
-            def start(self, ctx):
-                return [f"t{i}" for i in range(12)]
         t = simulate(Strategy(Burst()), SilentEnv(), chain_game())
         assert t.verdict is T and t.halted_reason is HaltReason.QUIESCENT
 
@@ -135,50 +146,6 @@ class TestExhaustive:
         replay = simulate(Strategy(Wrong()), ScriptEnv(script + ["stop"]),
                           game())
         assert replay == cex
-
-    def test_search_runs_an_unsettled_machine_on_as_simulate_does(self):
-        # a machine that never settles keeps running while the environment
-        # is silent, in search as in simulate, until the step budget ends
-        class Restless(Machine):
-            settled = False
-        itp = Interpretation({"P/0": lambda _: FiniteGame(T)})
-        g = GameRef(fm.parse_formula("~(P -> P) /\\ (P -> P)"), itp)
-        res = wins_against_all(Strategy(Restless()), g, depth=2, budget=300)
-        cex = res.counterexample
-        assert not res.won_all and cex.verdict is B
-        assert cex.halted_reason is HaltReason.BUDGET and cex.steps == 300
-        script = [("move", lm.move) for lm in cex.run if lm.player is B]
-        replay = simulate(Strategy(Restless()), ScriptEnv(script + ["stop"]),
-                          g, budget=300)
-        assert replay == cex
-
-    def test_an_unsettled_machine_at_the_depth_limit(self):
-        # copies like `ccs`, then stops copying and never settles after the
-        # environment's second move: the loss shows only at depth 2, where
-        # the silent option runs a fork of the play on to the budget
-        class Tired(Machine):
-            def __init__(self):
-                self.seen = 0
-
-            @property
-            def settled(self):
-                return self.seen < 2
-
-            def on_env(self, move):
-                self.seen += 1
-                if self.seen >= 2:
-                    return []
-                side = "1." if move.startswith("2.") else "2."
-                return [side + move[2:]]
-
-        assert wins_against_all(Strategy(Tired()), game(), depth=1,
-                                budget=50).leaves == 2
-        res = wins_against_all(Strategy(Tired()), game(), depth=2, budget=50)
-        cex = res.counterexample
-        assert not res.won_all and res.leaves == 3
-        assert cex.run == labmoves(("B", "2.a"), ("T", "1.a"), ("B", "1.b"))
-        assert cex.verdict is B and cex.halted_reason is HaltReason.BUDGET
-        assert (cex.steps, cex.grants) == (50, 49)
 
     def test_silence_wins_when_the_environment_must_move(self):
         # both components are elementary wins: whether or not the

@@ -35,7 +35,7 @@ VAL = Valuation({"y": 2})
 
 GOLDEN = {
     "corpus": "54a9b2a58a282ba6ee7c2a6c60c1d97a5e32a94780b843c14b9b95e4ed6a9149",
-    "edges": "e3183fea1accb9ea0bc0b155f29adea4aeff2f21bb420b374ed4a81b190b104b",
+    "edges": "18ff7768ca69ae211166ea714f95cecfc4a0497633054067beec403b0191061a",
     "judge": "cfb4fbf50eedf1256c60d4e072c60ed898badc742cb309976398d182eaf03cc7",
     "moves": "d752fd3f9cf4caea19e3ab1bf41f4eb7e22a48f977e8b3e628aff3022daf92d8",
     "named": "422d02a201c1a89245608d488e671bea0b42f5c2033eeb09c4b581ffe6680314",
@@ -95,8 +95,9 @@ class _Bad(Machine):
         return ["9.z"]
 
 
-class _Chatty(Machine):
-    settled = False
+class _Burst(Machine):
+    def start(self, ctx):
+        return [f"t{i}" for i in range(12)]
 
 
 class _Wrong(Machine):
@@ -109,19 +110,27 @@ def _a_to_a() -> GameRef:
     return GameRef(fm.parse_formula("A -> A"), Interpretation({"A/0": lambda _: a}))
 
 
+def _chain() -> GameRef:
+    """The letter A as twelve moves t0 .. t11 by T; T wins only at the end."""
+    node = FiniteGame(T)
+    for i in reversed(range(12)):
+        node = FiniteGame(B, {(T, f"t{i}"): node})
+    return GameRef(fm.parse_formula("A"), Interpretation({"A/0": lambda _: node}))
+
+
 def _edges() -> list:
     """Plays that end other than by quiescence, and scripted plays."""
     g = _a_to_a()
     plays = [
         simulate(Strategy(_Bad()), SilentEnv(), g),
-        simulate(Strategy(_Chatty()), SilentEnv(), g, budget=17),
+        simulate(Strategy(_Burst()), SilentEnv(), _chain(), budget=7),
         simulate(build_strategy("ccs"), ScriptEnv([("move", "junk")]), g),
         simulate(build_strategy("ccs"), ScriptEnv([("move", "2.a"), "stop"]), g),
-        simulate(Strategy(_Chatty()),
+        simulate(Strategy(Machine()),
                  ScriptEnv(["pass", ("move", "2.a"), "pass", ("move", "1.x")]),
                  g, budget=30),
         simulate(Strategy(_Wrong()), RandomEnv(3), g),
-        simulate(Strategy(_Chatty()), RandomEnv(4), g, budget=60),
+        simulate(Strategy(Machine()), RandomEnv(4), g, budget=60),
     ]
     return [_transcript(t) for t in plays]
 

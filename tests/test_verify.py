@@ -1,7 +1,8 @@
 """The acceptance suites' loss paths: a strategy that loses makes the play
 batch and the exhaustive search fail their report, with a message that
 replays the loss, and a batch's grant hook sees every grant of every play.
-A proof or exhaustive search that runs out of budget fails the report too.
+A proof or exhaustive search that runs out of budget fails the report too,
+and a failed report renders as `[FAIL]` with its first ten failures.
 
 `l6c` on `P -> P` always loses: its opening move `1.:` replicates an
 antecedent that is not a `!` game, which is illegal there.
@@ -81,3 +82,15 @@ def test_the_grant_hook_fires_once_per_grant_of_each_play():
     assert grants > 8
     assert report.counters["l5-invariant-points"] == grants
 
+
+def test_a_refused_report_renders_its_first_ten_failures():
+    report = verify.Report("refusal")
+    report.count("plays", 12)
+    report.require(True, "never recorded")
+    for k in range(1, 13):
+        report.require(False, f"failure {k}")
+    assert not report.passed and len(report.failures) == 12
+    assert report.render().splitlines() == (
+        ["[FAIL] refusal (0.0s)", "    plays: 12"]
+        + [f"    !! failure {k}" for k in range(1, 11)]
+        + ["    !! ... and 2 more"])
