@@ -17,20 +17,30 @@ player's moves, each stepped from the state and kept if legal.
 Random draws meet a malformed move where it matters only now and then, so
 a third, deterministic case tries every corrupted move under every route
 of every shape of size <= 3, at the root and after each first move.
+
+The oracle judges a run in one pass; a seeded case compares it with the
+bisecting reference in `wholerun.py`.  Its independence is pinned too: it
+may read only formula node classes and data types from the engine.
 """
+
+import ast
+import random
+from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clgames import formula as fm, games, oracle, verify
 from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
-                             ChoiceDisj, ChoiceExists, Dollar, Implies, Neg,
-                             ParConj, ParDisj, Top)
+                             ChoiceDisj, ChoiceExists, Dollar, Elem, Implies,
+                             Neg, ParConj, ParDisj, Top)
 from clgames.games import (B, GameRef, IllegalPositionError, Labmove,
                            MoveStatus, T, Valuation, advance, candidate_moves,
                            classify_move, game_state, legal_moves,
                            position_legal, random_interpretation, successors,
                            winner)
+from wholerun import bisecting_oracle_run
 
 LEAVES = [Atom("P"), Atom("Q"), Atom("R", (fm.Var("x"),)), Dollar(), Top(),
           Bot()]
@@ -240,3 +250,96 @@ def test_wide_recurrence_trees_agree_with_the_whole_run_oracle(case, data):
         if pool:
             run.append(Labmove(mover, data.draw(st.sampled_from(pool))))
     _extend(game, data, run, data.draw(st.integers(0, 6)))
+
+
+def _seeded_run(rng, root, moves: list, n: int) -> None:
+    """Append n labmoves to `moves`, each a move the engine lists at the
+    last legal position (for either player), or else a corrupted move under
+    a route of one."""
+    state = root
+    for lm in moves:
+        state = advance(state, lm) or state
+    for _ in range(n):
+        player = rng.choice((T, B))
+        listed = {p: legal_moves(state, p) for p in (T, B)}
+        pool = listed[rng.choice((player, player, player.opponent))]
+        if pool and rng.random() < 0.7:
+            mv = rng.choice(pool)
+        else:
+            routes = {""}.union(*(_routes(m) for p in (T, B)
+                                  for m in listed[p]))
+            mv = rng.choice(sorted(routes)) + rng.choice(CORRUPT)
+        lm = Labmove(player, mv)
+        moves.append(lm)
+        state = advance(state, lm) or state
+
+
+def _same_as_bisecting(game, run) -> None:
+    for k in range(len(run) + 1):
+        args = (game.formula, game.interp, game.valuation, tuple(run[:k]))
+        assert oracle.oracle_run(*args) == bisecting_oracle_run(*args), (
+            fm.render(game.formula), run[:k])
+
+
+def test_one_pass_oracle_agrees_with_the_bisecting_reference():
+    """The one-pass oracle gives the reference's (legal, winner) on every
+    prefix of a seeded run of six labmoves in each shape of size <= 4, and
+    of runs that replicate a `!` three times first."""
+    for idx, f in enumerate(verify._all_shapes(4)):
+        game = GameRef(f, random_interpretation(
+            idx, verify._signature_for(f), 2), Valuation())
+        run: list = []
+        _seeded_run(random.Random(idx), game.root(), run, 6)
+        _same_as_bisecting(game, run)
+    for idx, body in enumerate(verify._all_shapes(3)):
+        for wrap, prefix, player in WRAPPERS:
+            f = wrap(Bang(body))
+            game = GameRef(f, random_interpretation(
+                idx, verify._signature_for(f), 2), Valuation())
+            rng = random.Random(idx)
+            run, leaves = [], [""]
+            for _ in range(3):
+                w = rng.choice(leaves)
+                leaves.remove(w)
+                leaves += [w + "0", w + "1"]
+                run.append(Labmove(player, f"{prefix}{w}:"))
+            _seeded_run(rng, game.root(), run, 4)
+            _same_as_bisecting(game, run)
+
+
+def test_the_oracle_refuses_what_has_no_game():
+    itp = random_interpretation(0, verify._signature_for(Atom("P")), 2)
+    with pytest.raises(ValueError, match="elementary atoms"):
+        oracle.oracle_run(ParConj((Atom("P"), Elem("p"))), itp, Valuation(),
+                          ())
+    with pytest.raises(TypeError, match="unknown formula node"):
+        oracle.oracle_run(fm.Var("x"), itp, Valuation(), ())
+
+
+# What the oracle may import from the engine: formula node classes (and
+# their union `Formula`) and the data types of games, never the evaluator's
+# steps or move grammar (`advance`, `State`, `split_bang_move`, `_numeral`).
+ORACLE_IMPORTS = {
+    "formula": {c.__name__ for c in get_args(fm.Formula)} | {"Formula"},
+    "games": {"B", "T", "Player", "Run", "SPADE", "Interpretation",
+              "Valuation"}}
+
+
+def test_the_oracle_imports_no_engine_code():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert {a.name for a in node.names} <= {"re"}, ast.dump(node)
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if node.level == 0:
+                assert node.module in {"__future__", "re", "typing"}, (
+                    node.module)
+                continue
+            assert node.level == 1 and node.module in ORACLE_IMPORTS, (
+                node.module, names)
+            assert names <= ORACLE_IMPORTS[node.module], (
+                node.module, names - ORACLE_IMPORTS[node.module])
+            seen.add(node.module)
+    assert seen == {"formula", "games"}

@@ -3,12 +3,16 @@ batch and the exhaustive search fail their report, with a message that
 replays the loss, and a batch's grant hook sees every grant of every play.
 A proof or exhaustive search that runs out of budget fails the report too,
 and a failed report renders as `[FAIL]` with its first ten failures.
+Criterion 6 fails on the first shape where an oracle that disagrees with
+the evaluator is caught, and stops there.
 
 `l6c` on `P -> P` always loses: its opening move `1.:` replicates an
 antecedent that is not a `!` game, which is illegal there.
 """
 
-from clgames import cl2, epm, formula as fm, strategies, verify
+import re
+
+from clgames import cl2, epm, formula as fm, oracle, strategies, verify
 from clgames.games import B, Valuation
 
 LOSER, LOSING_GAME = "l6c", fm.parse_formula("P -> P")
@@ -94,3 +98,40 @@ def test_a_refused_report_renders_its_first_ten_failures():
         ["[FAIL] refusal (0.0s)", "    plays: 12"]
         + [f"    !! failure {k}" for k in range(1, 11)]
         + ["    !! ... and 2 more"])
+
+
+def _patch_oracle(monkeypatch, flip_legal: bool) -> None:
+    """Make the oracle flip its legality, or else its winner on legal runs."""
+    real = oracle.oracle_run
+
+    def wrong(*args):
+        legal, won = real(*args)
+        if flip_legal:
+            return not legal, won
+        return legal, won.opponent if legal else won
+    monkeypatch.setattr(oracle, "oracle_run", wrong)
+
+
+def test_an_oracle_winner_mismatch_fails_criterion_6(monkeypatch):
+    _patch_oracle(monkeypatch, flip_legal=False)
+    report = verify.verify_oracle(max_size=2, runs_per=3, min_cases=1)
+    # the first run that stays legal is the 28th shape's, !bot; the suite
+    # stops after that shape, two short of the 30
+    assert not report.passed
+    assert report.counters == {"shapes": 30, "cases": 28 * 3}
+    [failure] = report.failures
+    assert re.fullmatch(r"winner mismatch on !bot run \[B:, B0:, B00:, B01:\]:"
+                        r" evaluator (Player\.)?B, oracle (Player\.)?T",
+                        failure), failure
+
+
+def test_an_oracle_legality_mismatch_fails_criterion_6(monkeypatch):
+    _patch_oracle(monkeypatch, flip_legal=True)
+    report = verify.verify_oracle(max_size=2, runs_per=3, min_cases=1)
+    # every first move is misclassified, so the first shape fails
+    assert not report.passed
+    assert report.counters == {"shapes": 30, "cases": 3}
+    assert report.failures == [
+        "classification mismatch on P run [B2.2]",
+        "classification mismatch on P run [Tjunk]",
+        "classification mismatch on P run [T2:]"]
