@@ -32,8 +32,10 @@ is stable when every bit is set.
 Extraction turns a proof of a general-base formula into a machine: (b)
 steps fire their recorded choice move, (a) steps wait for the environment
 to resolve one of theirs, and (c) steps open a copy-cat channel between
-the two matched occurrences.  The one strategy wins every substitutional
-instance, because only the connective skeleton determines move prefixes.
+the two matched occurrences.  The checker's one pass over the proof
+compiles each step into that instruction.  The one strategy wins every
+substitutional instance, because only the connective skeleton determines
+move prefixes.
 """
 
 from __future__ import annotations
@@ -222,26 +224,6 @@ def _c_premise(f: Formula, ppos: Path, pneg: Path, atom: Elem) -> Formula:
     return fm.replace_at(f, ppos[:d], g)
 
 
-def is_stable(f: Formula) -> bool:
-    return _Scan(f).stable()
-
-
-def a_premises(f: Formula) -> list[tuple[Path, int, Formula]]:
-    """(path, i, premise) for every environment-resolvable surface choice."""
-    return list(_Scan(f).premises(env=True))
-
-
-def b_options(f: Formula) -> list[tuple[Path, int, Formula]]:
-    """(path, i, premise) for every machine-resolvable surface choice."""
-    return list(_Scan(f).premises(env=False))
-
-
-def c_options(f: Formula) -> list[tuple[Path, Path, str, Formula]]:
-    """(positive path, negative path, fresh name, premise) for every
-    opposite-polarity surface pair of one general atom."""
-    return list(_Scan(f).c_options())
-
-
 # ---------------------------------------------------------------------------
 # Proof objects
 
@@ -344,47 +326,83 @@ def prove(f: Formula, max_nodes: int = 500_000) -> CL2Proof | None:
 def check_proof(proof: CL2Proof) -> tuple[bool, str]:
     """Re-derive every step's justification from the scan of its formula,
     the one proof search reads; returns (ok, diagnostic)."""
+    why = _compile(proof)[1]
+    return not why, why
+
+
+def _compile(proof: CL2Proof) -> tuple[tuple, str]:
+    """Check each step and compile it into what a `ProofMachine` does there,
+    with its move strings:
+
+    ("b", full choice move, next step)
+    ("c", (channel prefix, channel prefix), next step)
+    ("a", ((full choice move, premise), ...))
+
+    A stable step pairs each environment choice's premise with the first
+    cited step whose formula it is.  Returns the instructions, one per
+    step, and "", or () and the first step's diagnostic."""
     if not proof.steps:
-        return False, "empty proof"
+        return (), "empty proof"
+    out = []
     for n, step in enumerate(proof.steps, start=1):
         if any(not 0 <= j < n - 1 for j in step.premises):
-            return False, f"step {n}: premise reference out of range"
+            return (), f"step {n}: premise reference out of range"
         cited = [proof.steps[j].formula for j in step.premises]
         f = step.formula
         try:
             scan = _Scan(f)
         except ValueError as e:
-            return False, f"step {n}: {e}"
+            return (), f"step {n}: {e}"
         if step.rule == "a":
             if not scan.stable():
-                return False, f"step {n}: not stable"
-            if {h for _, _, h in scan.premises(env=True)} != set(cited):
-                return False, f"step {n}: premise set mismatch"
+                return (), f"step {n}: not stable"
+            choices = list(scan.premises(env=True))
+            first: dict[Formula, int] = {}
+            for j, h in zip(step.premises, cited):
+                first.setdefault(h, j)
+            if {h for _, _, h in choices} != first.keys():
+                return (), f"step {n}: premise set mismatch"
+            out.append(("a", tuple((_move_prefix(f, path) + str(i), first[h])
+                                   for path, i, h in choices)))
             continue
         if step.rule == "b":
             g = next((g for path, g in scan.resolvable(env=False)
                       if path == step.path), None)
             if g is None or not 1 <= step.index <= len(g.parts):
-                return False, (f"step {n}: no machine choice at path "
-                               f"{_path_str(step.path)}, index {step.index}")
+                return (), (f"step {n}: no machine choice at path "
+                            f"{_path_str(step.path)}, index {step.index}")
             want = fm.replace_at(f, step.path, g.parts[step.index - 1])
+            op = ("b", _move_prefix(f, step.path) + str(step.index))
         elif step.rule == "c":
             letters = {(path, pos): a for path, a, pos in scan.atoms}
             letter = letters.get((step.pos_path, True))
             if letter is None or letter != letters.get((step.neg_path, False)):
-                return False, (f"step {n}: no positive and negative surface "
-                               f"occurrence of one general atom at paths "
-                               f"{_path_str(step.pos_path)},"
-                               f"{_path_str(step.neg_path)}")
+                return (), (f"step {n}: no positive and negative surface "
+                            f"occurrence of one general atom at paths "
+                            f"{_path_str(step.pos_path)},"
+                            f"{_path_str(step.neg_path)}")
             if step.atom in scan.names:
-                return False, f"step {n}: atom {step.atom} already occurs"
+                return (), f"step {n}: atom {step.atom} already occurs"
             want = _c_premise(f, step.pos_path, step.neg_path,
                               Elem(step.atom))
+            op = ("c", (_move_prefix(f, step.pos_path),
+                        _move_prefix(f, step.neg_path)))
         else:
-            return False, f"step {n}: unknown rule {step.rule!r}"
+            return (), f"step {n}: unknown rule {step.rule!r}"
         if cited != [want]:
-            return False, f"step {n}: premise does not match replacement"
-    return True, ""
+            return (), f"step {n}: premise does not match replacement"
+        out.append((*op, step.premises[0]))
+    return tuple(out), ""
+
+
+def _move_prefix(f: Formula, path: Path) -> str:
+    out = []
+    g = f
+    for k in path:
+        if isinstance(g, (ParConj, ParDisj, Implies)):
+            out.append(f"{k + 1}.")
+        g = fm.children(g)[k]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,39 +472,6 @@ def proof_from_text(text: str) -> CL2Proof:
 # ---------------------------------------------------------------------------
 # Strategy extraction
 
-def _move_prefix(f: Formula, path: Path) -> str:
-    out = []
-    g = f
-    for k in path:
-        if isinstance(g, (ParConj, ParDisj, Implies)):
-            out.append(f"{k + 1}.")
-        g = fm.children(g)[k]
-    return "".join(out)
-
-
-def _instruction(proof: CL2Proof, step: CL2Step) -> tuple:
-    """What the machine does at a checked proof step, with its move strings:
-
-    ("b", full choice move, next step)
-    ("c", (channel prefix, channel prefix), next step)
-    ("a", ((full choice move, premise), ...))
-
-    A stable step pairs each environment choice's premise with the first
-    cited step whose formula it is.
-    """
-    f = step.formula
-    if step.rule == "b":
-        return ("b", _move_prefix(f, step.path) + str(step.index),
-                step.premises[0])
-    if step.rule == "c":
-        return ("c", (_move_prefix(f, step.pos_path),
-                      _move_prefix(f, step.neg_path)), step.premises[0])
-    return ("a", tuple((_move_prefix(f, path) + str(i),
-                        next(j for j in step.premises
-                             if proof.steps[j].formula == h))
-                       for path, i, h in _Scan(f).premises(env=True)))
-
-
 class ProofMachine(Machine):
     """Plays the conclusion of a checked proof of a general-base formula.
 
@@ -494,18 +479,17 @@ class ProofMachine(Machine):
     fire immediately, channel steps open mirrors (catching up on any
     buffered adversary moves in the matched components), and stable steps
     wait for the environment to resolve one of their recorded choices.
-    The proof is compiled once per prototype into `instructions`, one
-    immutable entry per step holding its move strings (see
-    `_instruction`); forks share it, so a play only reads it.
+    The checker's pass compiles the proof once per prototype into
+    `instructions`, one immutable entry per step holding its move strings
+    (see `_compile`); forks share it, so a play only reads it.
     """
 
     def __init__(self, proof: CL2Proof):
-        ok, why = check_proof(proof)
-        if not ok:
+        self.instructions, why = _compile(proof)
+        if why:
             raise ValueError(f"invalid proof: {why}")
         if not fm.is_general_base(proof.conclusion):
             raise ValueError("conclusion is not general-base")
-        self.instructions = tuple(_instruction(proof, s) for s in proof.steps)
         self.step = len(proof.steps) - 1
         self.channels: list[tuple[str, str]] = []
         self.log: list[str] = []

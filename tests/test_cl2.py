@@ -6,8 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clgames import cl2, formula as fm, strategies, verify
-from clgames.cl2 import (CL2Step, ProofMachine, a_premises, b_options,
-                         c_options, check_proof, elementarization, is_stable,
+from clgames.cl2 import (CL2Step, ProofMachine, check_proof, elementarization,
                          proof_from_text, proof_to_text, prove,
                          solution_machine)
 from clgames.epm import (Machine, PlayContext, RandomEnv, Strategy, simulate,
@@ -20,6 +19,22 @@ from clgames.strategies import CcsMachine, Expr
 
 def F(text):
     return fm.parse_formula(text)
+
+
+def is_stable(f):
+    return cl2._Scan(f).stable()
+
+
+def a_premises(f):
+    return list(cl2._Scan(f).premises(env=True))
+
+
+def b_options(f):
+    return list(cl2._Scan(f).premises(env=False))
+
+
+def c_options(f):
+    return list(cl2._Scan(f).c_options())
 
 
 class TestPolarity:
@@ -232,7 +247,11 @@ class TestChecker:
         f = F("(TOP -> TOP) & (top -> top)")
         proof = prove(f)
         assert check_proof(proof) == (True, "")
-        _, root = cl2._instruction(proof, proof.steps[-1])
+        # f has an elementary atom, so ProofMachine refuses it; the
+        # checker's pass compiles it all the same
+        instructions, why = cl2._compile(proof)
+        assert why == ""
+        _, root = instructions[-1]
         cited = {move: proof.steps[j].formula for move, j in root}
         assert cited == {str(i): h for _, i, h in a_premises(f)}
         elem = Implies(Elem("top"), Elem("top"))
@@ -371,7 +390,8 @@ def test_instructions_match_the_per_step_walk():
 def test_strategy_construction_repeats_no_work(monkeypatch):
     # over the schema instances: one call of prove scans each formula it
     # searches once, and check_proof scans each step once and derives one
-    # premise per rule (b) step, the cited choice's
+    # premise per rule (b) step, the cited choice's; building the proof
+    # machine does that work and no more
     scanned, derived = [], []
     real_replace_at = fm.replace_at
     depth = [0]
@@ -406,6 +426,11 @@ def test_strategy_construction_repeats_no_work(monkeypatch):
             if step.rule == "b":
                 b_steps += 1
                 assert sum(f is step.formula for f in derived) == 1, label
+        checked = scanned[:], derived[:]
+        scanned.clear()
+        derived.clear()
+        ProofMachine(proof)
+        assert (scanned, derived) == checked, label
     assert b_steps > 0
 
 
