@@ -412,11 +412,21 @@ def _path_str(path: Path) -> str:
     return "e" if not path else ".".join(str(k) for k in path)
 
 
-def _parse_path(s: str) -> Path:
+def _number(n: int, key: str, s: str) -> int:
+    """Step n's `key` field (or one of its parts): ASCII digits, perhaps
+    after a minus sign, which the checker then rejects with a reason."""
+    s = s.strip()
+    digits = s[1:] if s.startswith("-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"step {n}: {key}= holds {s!r}, not a number")
+    return int(s)
+
+
+def _parse_path(n: int, s: str) -> Path:
     s = s.strip()
     if s == "e":
         return ()
-    return tuple(int(x) for x in s.split("."))
+    return tuple(_number(n, "path", x) for x in s.split("."))
 
 
 def proof_to_text(proof: CL2Proof) -> str:
@@ -442,8 +452,9 @@ def proof_from_text(text: str) -> CL2Proof:
             continue
         head, *fields = [p.strip() for p in line.split(";")]
         num, _, formula_text = head.partition(".")
-        if num.strip() != str(len(steps) + 1):
-            raise ValueError(f"step {len(steps) + 1} is numbered {num!r}")
+        n = len(steps) + 1
+        if num.strip() != str(n):
+            raise ValueError(f"step {n} is numbered {num!r}")
         f = fm.parse_formula(formula_text)
         kv = {}
         for fld in fields:
@@ -451,20 +462,26 @@ def proof_from_text(text: str) -> CL2Proof:
             kv[k.strip()] = v.strip()
         rule = kv.get("rule", "")
         prem_text = kv.get("premises", "[]").strip("[]")
-        premises = tuple(int(x) - 1 for x in prem_text.split(",") if x)
+        premises = tuple(_number(n, "premises", x) - 1
+                         for x in prem_text.split(",") if x)
         if any(j < 0 for j in premises):
             raise ValueError(f"premise numbers start at 1: {line!r}")
-        if rule == "b":
-            step = CL2Step(f, "b", premises, path=_parse_path(kv["path"]),
-                           index=int(kv["i"]))
-        elif rule == "c":
-            ppos, _, pneg = kv["path"].partition(",")
-            step = CL2Step(f, "c", premises, pos_path=_parse_path(ppos),
-                           neg_path=_parse_path(pneg), atom=kv["atom"])
-        elif rule == "a":
-            step = CL2Step(f, "a", premises)
-        else:
-            raise ValueError(f"bad proof line {line!r}")
+        try:
+            if rule == "b":
+                step = CL2Step(f, "b", premises,
+                               path=_parse_path(n, kv["path"]),
+                               index=_number(n, "i", kv["i"]))
+            elif rule == "c":
+                ppos, _, pneg = kv["path"].partition(",")
+                step = CL2Step(f, "c", premises, pos_path=_parse_path(n, ppos),
+                               neg_path=_parse_path(n, pneg), atom=kv["atom"])
+            elif rule == "a":
+                step = CL2Step(f, "a", premises)
+            else:
+                raise ValueError(f"bad proof line {line!r}")
+        except KeyError as e:
+            raise ValueError(f"step {n}: rule={rule} needs {e.args[0]}=") \
+                from None
         steps.append(step)
     return CL2Proof(tuple(steps))
 

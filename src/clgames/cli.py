@@ -267,8 +267,11 @@ def main(argv=None) -> int:
     except fm.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
+    except KeyError as e:                   # str() would print its repr
+        print(f"error: {e.args[0]}", file=sys.stderr)
+        return 2
     except (BudgetExceeded, cl2.SearchBudgetExceeded, FileNotFoundError,
-            KeyError, ValueError) as e:
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -660,7 +660,8 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
             r.count("cases")
             if ev_winner is not or_winner:
                 r.fail(f"winner mismatch on {fm.render(f)} run {run}:"
-                       f" evaluator {ev_winner}, oracle {or_winner}")
+                       f" evaluator {ev_winner.value},"
+                       f" oracle {or_winner.value}")
         if not r.passed:
             break
     r.require(r.counters.get("cases", 0) >= min_cases,

@@ -90,6 +90,14 @@ class TestProofFiles:
         code, out = run_cli(capsys, "check-proof", "cl2", str(path))
         assert code == 0 and "valid" in out
 
+    def test_cl2_choice_at_the_root_round_trips(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "prove-cl2", "(P -> P) + Q")
+        assert code == 0 and "rule=b ; premises=[2] ; path=e ; i=1" in out
+        path = tmp_path / "root.cl2"
+        path.write_text(out)
+        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
+        assert code == 0 and "valid" in out
+
     def test_empty_cl2_proof_is_invalid(self, capsys, tmp_path):
         path = tmp_path / "empty.cl2"
         path.write_text("")
@@ -501,6 +509,29 @@ class TestMalformedInput:
                  "check-proof cl2 FILE", "error: step 1 is numbered '2'"),
                 ("x. p -> p ; rule=a ; premises=[]\n", "check-proof cl2 FILE",
                  "error: step 1 is numbered 'x'"),
+                # a missing or non-numeral field names its step and field
+                ("1. P -> P ; rule=b ; premises=[]\n", "check-proof cl2 FILE",
+                 "error: step 1: rule=b needs path="),
+                ("1. P -> P ; rule=b ; premises=[] ; path=e\n",
+                 "check-proof cl2 FILE", "error: step 1: rule=b needs i="),
+                ("1. p -> p ; rule=a ; premises=[]\n"
+                 "2. P -> P ; rule=c ; premises=[1] ; path=1,0\n",
+                 "check-proof cl2 FILE", "error: step 2: rule=c needs atom="),
+                ("1. p -> p ; rule=a ; premises=[x]\n", "check-proof cl2 FILE",
+                 "error: step 1: premises= holds 'x', not a number"),
+                ("1. P -> P ; rule=b ; premises=[] ; path=e ; i=x\n",
+                 "check-proof cl2 FILE", "error: step 1: i= holds 'x', not"),
+                ("1. P -> P ; rule=b ; premises=[] ; path=1.x ; i=1\n",
+                 "check-proof cl2 FILE", "error: step 1: path= holds 'x', not"),
+                ("1. p -> p ; rule=a ; premises=[]\n"
+                 "2. p -> p ; rule=a ; premises=[+1]\n", "check-proof cl2 FILE",
+                 "error: step 2: premises= holds '+1', not a number"),
+                ("1. P -> P ; rule=b ; premises=[] ; path=e ; i=\u0661\n",
+                 "check-proof cl2 FILE",
+                 "error: step 1: i= holds '\u0661', not a number"),
+                ("1. P -> P ; rule=b ; premises=[] ; path=e ; i=1_0\n",
+                 "check-proof cl2 FILE",
+                 "error: step 1: i= holds '1_0', not a number"),
                 # valuation values are numerals, keys variables or default
                 ("", "play --game P->P --val x=0 --env silent",
                  "error: valuation value '0' is not a numeral 1, 2, ..."),
@@ -531,7 +562,26 @@ class TestMalformedInput:
                 ("", "play --game P --env bogus",
                  "error: unknown environment 'bogus'"),
                 ("", "play --game P --env exhaustive:x",
-                 "error: bad search depth in 'exhaustive:x'")):
+                 "error: bad search depth in 'exhaustive:x'"),
+                # a KeyError's message prints without Python's quoting
+                ("", "play --game P->P --strategy nosuch",
+                 "error: unknown strategy 'nosuch'; known: ['ccs',"),
+                # guards on outside input
+                ("", "play --game p",
+                 "error: elementary atoms have no game semantics"),
+                ("", "play --game P --budget 0", "error: budget must be >= 1"),
+                ("", "prove-cl2 !P",
+                 "error: not a propositional-fragment formula: !P"),
+                ("", "play --game P->P --strategy l4a[n=2",
+                 "error: bad strategy id 'l4a[n=2'"),
+                ("", "play --game P->P --strategy l4a[n]",
+                 "error: bad strategy argument 'n'"),
+                ("", "check-formula @X.P",
+                 "parse error: quantified variable must be lowercase"),
+                ("", "check-formula P(X)",
+                 "parse error: expected a term, got 'X'"),
+                ('{"sequent": "P", "rule": "Identity"}', "check-proof int FILE",
+                 "parse error: a sequent needs '=>'")):
             path = tmp_path / "input"
             path.write_text(text)
             code, err = _exit_status(args.replace("FILE", str(path)).split())

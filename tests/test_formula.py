@@ -140,6 +140,21 @@ class TestFreeFor:
         f = ChoiceAll("y", ChoiceAll("x", P("x", "y")))
         assert fm.is_free_for("y", "x", f)
 
+    def test_capture_inside_a_compound_body(self):
+        # the side condition of LeftChoiceAll and RightChoiceExists
+        assert not fm.is_free_for("y", "x",
+                                  fm.parse_formula("P(x) /\\ ?y.Q(x)"))
+        assert fm.is_free_for("y", "x", fm.parse_formula("P(x) /\\ ?z.Q(x)"))
+
+
+class TestVariadicGuards:
+    @pytest.mark.parametrize("node, name", [
+        (ParConj, "parallel conjunction"), (ParDisj, "parallel disjunction"),
+        (ChoiceConj, "choice conjunction"), (ChoiceDisj, "choice disjunction")])
+    def test_one_part_is_refused(self, node, name):
+        with pytest.raises(ValueError, match=f"^{name} needs >= 2 parts$"):
+            node((P(),))
+
 
 class TestSequents:
     def test_empty_context(self):

@@ -4,15 +4,16 @@ replays the loss, and a batch's grant hook sees every grant of every play.
 A proof or exhaustive search that runs out of budget fails the report too,
 and a failed report renders as `[FAIL]` with its first ten failures.
 Criterion 6 fails on the first shape where an oracle that disagrees with
-the evaluator is caught, and stops there.
+the evaluator is caught, and stops there; the corpus suite stops after a
+derivation that does not check, and the named suite after a strategy whose
+l5 invariants fail.
 
 `l6c` on `P -> P` always loses: its opening move `1.:` replicates an
 antecedent that is not a `!` game, which is illegal there.
 """
 
-import re
-
-from clgames import cl2, epm, formula as fm, oracle, strategies, verify
+from clgames import (cl2, epm, formula as fm, intproof, oracle, strategies,
+                     verify)
 from clgames.games import B, Valuation
 
 LOSER, LOSING_GAME = "l6c", fm.parse_formula("P -> P")
@@ -119,10 +120,9 @@ def test_an_oracle_winner_mismatch_fails_criterion_6(monkeypatch):
     # stops after that shape, two short of the 30
     assert not report.passed
     assert report.counters == {"shapes": 30, "cases": 28 * 3}
-    [failure] = report.failures
-    assert re.fullmatch(r"winner mismatch on !bot run \[B:, B0:, B00:, B01:\]:"
-                        r" evaluator (Player\.)?B, oracle (Player\.)?T",
-                        failure), failure
+    assert report.failures == [
+        "winner mismatch on !bot run [B:, B0:, B00:, B01:]:"
+        " evaluator B, oracle T"]
 
 
 def test_an_oracle_legality_mismatch_fails_criterion_6(monkeypatch):
@@ -135,3 +135,32 @@ def test_an_oracle_legality_mismatch_fails_criterion_6(monkeypatch):
         "classification mismatch on P run [B2.2]",
         "classification mismatch on P run [Tjunk]",
         "classification mismatch on P run [T2:]"]
+
+
+def test_a_derivation_that_does_not_check_fails_the_corpus(monkeypatch):
+    identity = dict(intproof.curated_theorem_corpus())["identity"]
+    bad = intproof.ProofNode(fm.parse_sequent("P => Q"), "Identity")
+    monkeypatch.setattr(intproof, "curated_theorem_corpus",
+                        lambda: [("bad", bad), ("identity", identity)])
+    report = verify.verify_corpus(interps=2, plays_per=3, exhaustive_depth=1)
+    # the valid derivation still plays its random batch, and the suite
+    # stops there
+    assert not report.passed
+    assert report.counters == {"rules-covered": 1, "derivations": 2,
+                               "plays": 6}
+    assert report.failures == [
+        "rule coverage 1 != 15",
+        "bad: Identity at P => Q: conclusion must be K => K"]
+
+
+def test_an_l5_invariant_violation_fails_the_named_suite(monkeypatch):
+    monkeypatch.setattr(verify, "check_l5_invariants",
+                        lambda run, tree, game: ["planted"])
+    report = verify.verify_named(plays_total=5, exhaustive_depth=1)
+    # every grant of the first l5 game (the 26th) reports, and the suite
+    # stops after that strategy
+    assert not report.passed
+    assert report.counters["strategies"] == 26
+    assert report.counters["plays"] == 26 * 5
+    assert report.failures == ["l5: invariant violated: planted"] * 13
+    assert report.counters["l5-invariant-points"] == 13
