@@ -466,22 +466,20 @@ def proof_from_text(text: str) -> CL2Proof:
                          for x in prem_text.split(",") if x)
         if any(j < 0 for j in premises):
             raise ValueError(f"premise numbers start at 1: {line!r}")
-        try:
-            if rule == "b":
-                step = CL2Step(f, "b", premises,
-                               path=_parse_path(n, kv["path"]),
-                               index=_number(n, "i", kv["i"]))
-            elif rule == "c":
-                ppos, _, pneg = kv["path"].partition(",")
-                step = CL2Step(f, "c", premises, pos_path=_parse_path(n, ppos),
-                               neg_path=_parse_path(n, pneg), atom=kv["atom"])
-            elif rule == "a":
-                step = CL2Step(f, "a", premises)
-            else:
-                raise ValueError(f"bad proof line {line!r}")
-        except KeyError as e:
-            raise ValueError(f"step {n}: rule={rule} needs {e.args[0]}=") \
-                from None
+        for key in {"b": ("path", "i"), "c": ("path", "atom")}.get(rule, ()):
+            if key not in kv:
+                raise ValueError(f"step {n}: rule={rule} needs {key}=")
+        if rule == "b":
+            step = CL2Step(f, "b", premises, path=_parse_path(n, kv["path"]),
+                           index=_number(n, "i", kv["i"]))
+        elif rule == "c":
+            ppos, _, pneg = kv["path"].partition(",")
+            step = CL2Step(f, "c", premises, pos_path=_parse_path(n, ppos),
+                           neg_path=_parse_path(n, pneg), atom=kv["atom"])
+        elif rule == "a":
+            step = CL2Step(f, "a", premises)
+        else:
+            raise ValueError(f"bad proof line {line!r}")
         steps.append(step)
     return CL2Proof(tuple(steps))
 

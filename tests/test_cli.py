@@ -84,19 +84,15 @@ class TestProofFiles:
                 in out
 
     def test_cl2_proof_check(self, capsys, tmp_path):
-        code, out = run_cli(capsys, "prove-cl2", "(P & Q) -> (Q + P)")
-        path = tmp_path / "p.cl2"
-        path.write_text(out)
-        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
-        assert code == 0 and "valid" in out
-
-    def test_cl2_choice_at_the_root_round_trips(self, capsys, tmp_path):
-        code, out = run_cli(capsys, "prove-cl2", "(P -> P) + Q")
-        assert code == 0 and "rule=b ; premises=[2] ; path=e ; i=1" in out
-        path = tmp_path / "root.cl2"
-        path.write_text(out)
-        code, out = run_cli(capsys, "check-proof", "cl2", str(path))
-        assert code == 0 and "valid" in out
+        # the second proof's last step chooses at the root: path=e
+        for text, step in (("(P & Q) -> (Q + P)", "rule=b"),
+                           ("(P -> P) + Q", "rule=b ; premises=[2] ; path=e")):
+            code, out = run_cli(capsys, "prove-cl2", text)
+            assert code == 0 and step in out
+            path = tmp_path / "p.cl2"
+            path.write_text(out)
+            code, out = run_cli(capsys, "check-proof", "cl2", str(path))
+            assert code == 0 and "valid" in out
 
     def test_empty_cl2_proof_is_invalid(self, capsys, tmp_path):
         path = tmp_path / "empty.cl2"
