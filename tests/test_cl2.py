@@ -21,22 +21,6 @@ def F(text):
     return fm.parse_formula(text)
 
 
-def is_stable(f):
-    return cl2._Scan(f).stable()
-
-
-def a_premises(f):
-    return list(cl2._Scan(f).premises(env=True))
-
-
-def b_options(f):
-    return list(cl2._Scan(f).premises(env=False))
-
-
-def c_options(f):
-    return list(cl2._Scan(f).c_options())
-
-
 class TestPolarity:
     def test_negation_flips(self):
         assert cl2._Scan(F("~P")).atoms == [((0,), "P", False)]
@@ -77,32 +61,33 @@ class TestElementarization:
 
 class TestStability:
     def test_elementary_tautology_is_stable(self):
-        assert is_stable(F("(p -> q) /\\ (q -> s) -> (p -> s)"))
-        assert is_stable(F("p \\/ ~p"))
+        assert cl2._Scan(F("(p -> q) /\\ (q -> s) -> (p -> s)")).stable()
+        assert cl2._Scan(F("p \\/ ~p")).stable()
 
     def test_duplication_is_unstable(self):
-        assert not is_stable(F("P -> P /\\ P"))
+        assert not cl2._Scan(F("P -> P /\\ P")).stable()
 
     def test_the_composition_formula_is_unstable(self):
-        assert not is_stable(F("(P -> Q) /\\ (Q -> S) -> (P -> S)"))
+        f = F("(P -> Q) /\\ (Q -> S) -> (P -> S)")
+        assert not cl2._Scan(f).stable()
 
 
 class TestRules:
     def test_a_premises_cover_environment_choices(self):
         f = F("(P & Q) -> S")        # negative surface choice conjunction
-        assert a_premises(f) == []
+        assert list(cl2._Scan(f).premises(env=True)) == []
         f2 = F("S -> (P & Q)")       # positive: two premises
-        prems = a_premises(f2)
+        prems = list(cl2._Scan(f2).premises(env=True))
         assert [fm.render(h) for _, _, h in prems] == ["S -> P", "S -> Q"]
 
     def test_b_options_cover_machine_choices(self):
         f = F("(P & Q) -> S")
-        opts = b_options(f)
+        opts = list(cl2._Scan(f).premises(env=False))
         assert [fm.render(h) for _, _, h in opts] == ["P -> S", "Q -> S"]
 
     def test_c_options_pair_opposite_polarities(self):
         f = F("P -> P")
-        opts = c_options(f)
+        opts = list(cl2._Scan(f).c_options())
         assert len(opts) == 1
         ppos, pneg, name, h = opts[0]
         assert name == "p"
@@ -253,7 +238,8 @@ class TestChecker:
         assert why == ""
         _, root = instructions[-1]
         cited = {move: proof.steps[j].formula for move, j in root}
-        assert cited == {str(i): h for _, i, h in a_premises(f)}
+        assert cited == {str(i): h
+                         for _, i, h in cl2._Scan(f).premises(env=True)}
         elem = Implies(Elem("top"), Elem("top"))
         assert cited["2"] == Implies(Top(), Top()) != elem
         # the elementary step cited for the constant premise
@@ -537,13 +523,15 @@ def cl2_formulas(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cl2_formulas())
 def test_the_scan_agrees_with_the_per_rule_walks(f):
-    assert a_premises(f) == _ref_choices(f, env=True)
-    assert b_options(f) == _ref_choices(f, env=False)
-    assert c_options(f) == _ref_c(f)
+    scan = cl2._Scan(f)
+    a, b = list(scan.premises(env=True)), list(scan.premises(env=False))
+    c = list(scan.c_options())
+    assert a == _ref_choices(f, env=True)
+    assert b == _ref_choices(f, env=False)
+    assert c == _ref_c(f)
     # rule (c) premises bring fresh elementary names to the surface
-    premises = [opt[-1] for opt in a_premises(f) + b_options(f) + c_options(f)]
-    for h in [f] + premises:
-        assert is_stable(h) == _ref_stable(h), fm.render(h)
+    for h in [f] + [opt[-1] for opt in a + b + c]:
+        assert cl2._Scan(h).stable() == _ref_stable(h), fm.render(h)
     proof = prove(f, max_nodes=5000)
     if proof is not None:
         assert check_proof(proof) == (True, "")
