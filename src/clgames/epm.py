@@ -24,11 +24,11 @@ permission, the environment answers with one checked move or ends the
 play, and a step budget bounds the whole play.  The stepper owns the game
 state after the run, so checking a move is one `step` of it, the
 environment is handed it at every grant, and the verdict is its
-`outcome()`.  A machine that raises ends the play as a machine loss, an
-environment that raises as a machine win; either way the diagnostic
-carries a short traceback.  An `InterpretationError` is not contained: a
-letter game that cannot be built leaves the game undefined, so no verdict
-is given.
+`outcome()`; the run is the play's only record.  A machine that raises
+ends the play as a machine loss, an environment that raises as a machine
+win; either way the diagnostic carries a short traceback.  An
+`InterpretationError` is not contained: a letter game that cannot be
+built leaves the game undefined, so no verdict is given.
 
 A winning strategy depends only on the formula, never on the play, so
 `strategies` builds each strategy once per process and hands every play a
@@ -44,7 +44,7 @@ import enum
 import random
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .games import (B, GameRef, InterpretationError, Labmove, Player, Run,
@@ -216,12 +216,14 @@ class HaltReason(str, enum.Enum):
 
 @dataclass
 class Transcript:
+    """A finished play.  `grants` counts the environment's moves, plus one
+    when the play ended at a grant, and `steps` the run's moves plus that
+    last grant."""
     run: Run
     verdict: Player
     steps: int
     grants: int
     halted_reason: HaltReason
-    events: list = field(default_factory=list)
     diagnostic: str = ""
 
     def to_text(self, game_label: str = "", valuation: Optional[Valuation] = None) -> str:
@@ -244,8 +246,8 @@ def _fault(who: str, exc: Exception) -> str:
 
 class _Play:
     """One play in progress: the strategy, the run and the game state after
-    it, the event log and the step/grant counters, stepped through the
-    permission protocol."""
+    it, stepped through the permission protocol.  Each machine step so far
+    is a move of the run or a grant that an environment move answered."""
 
     def __init__(self, strategy: Strategy, game: GameRef, budget: int):
         strategy.init(PlayContext(game.valuation, game.interp.signature))
@@ -253,9 +255,6 @@ class _Play:
         self.budget = budget
         self.run: list[Labmove] = []
         self.state: State = game.root()
-        self.events: list = []
-        self.steps = 0
-        self.grants = 0
         self.halted: Optional[HaltReason] = None
         self.diagnostic = ""
 
@@ -266,21 +265,17 @@ class _Play:
     def machine_turn(self) -> bool:
         """Let the machine act until it grants permission (True), or until
         the play ends: an illegal move, a fault or the step budget (False)."""
-        while self.steps < self.budget:
+        while len(self.run) < self.budget:
             try:
                 mv = self.strategy.next(self.run)
             except Exception as exc:
                 self.halt(HaltReason.MACHINE_FAULT, _fault("machine", exc))
                 return False
-            self.steps += 1
             if mv is None:
-                self.grants += 1
-                self.events.append(("grant",))
                 return True
             lm = Labmove(T, mv)
             nxt = advance(self.state, lm)
             self.run.append(lm)
-            self.events.append(("move", "T", mv))
             if nxt is None:
                 self.halt(HaltReason.MACHINE_ILLEGAL,
                           f"machine made illegal move {mv!r}")
@@ -297,7 +292,6 @@ class _Play:
                       f"environment attempted illegal move {mv!r}")
             return False
         self.run.append(Labmove(B, mv))
-        self.events.append(("move", "B", mv))
         self.state = nxt
         return True
 
@@ -306,9 +300,7 @@ class _Play:
         the grant with the legal move `mv`, which leads to `state`."""
         other = object.__new__(type(self))
         vars(other).update(vars(self), strategy=self.strategy.clone(),
-                           run=self.run + [Labmove(B, mv)],
-                           events=self.events + [("move", "B", mv)],
-                           state=state)
+                           run=self.run + [Labmove(B, mv)], state=state)
         return other
 
     def transcript(self) -> Transcript:
@@ -319,8 +311,13 @@ class _Play:
             verdict = B
         else:
             verdict = self.state.outcome()
-        return Transcript(tuple(self.run), verdict, self.steps, self.grants,
-                          self.halted, self.events, self.diagnostic)
+        run = tuple(self.run)
+        # these halts follow a grant that no environment move answered
+        last = self.halted in (HaltReason.QUIESCENT, HaltReason.ENV_ILLEGAL,
+                               HaltReason.ENV_FAULT)
+        return Transcript(run, verdict, len(run) + last,
+                          sum(lm.player is B for lm in run) + last,
+                          self.halted, self.diagnostic)
 
 
 def simulate(strategy: Strategy, env: Environment, game: GameRef,

@@ -31,7 +31,8 @@ their route prefixes and polarities, so a move reaches its leaf by one route
 lookup however deeply the block nests.
 
 The letter games of a random interpretation are built directly as explicit
-`FiniteGame` trees, bottom-up, without compiling or stepping any state.
+`FiniteGame` trees, bottom-up, without compiling or stepping any state; each
+node is itself a state, so stepping an atom allocates nothing.
 """
 
 from __future__ import annotations
@@ -159,22 +160,7 @@ def branch_view(moves, u: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Explicit finite games and interpretations
-
-@dataclass
-class FiniteGame:
-    """An explicit finite game tree.
-
-    `winner` labels the run ending at this node; `moves` maps (player, move)
-    to subtrees.  Unlisted moves are illegal (the mover loses).
-    """
-    winner: Player
-    moves: dict[tuple[Player, str], "FiniteGame"] = field(default_factory=dict)
-
-
-ELEMENTARY_WIN = FiniteGame(T)
-ELEMENTARY_LOSS = FiniteGame(B)
-
+# Interpretations
 
 def _largest(lo: int, ok: Callable[[int], bool]) -> int:
     """The largest n >= lo with ok(n), for ok true at lo and monotone:
@@ -360,7 +346,7 @@ class State:
 
     `step(player, move)` is the state after that labmove, or None when it is
     illegal here; `outcome()` is the winner of a run that ends here;
-    `moves(player, structural)` lists `player`'s legal moves here as
+    `moves_of(player, structural)` lists `player`'s legal moves here as
     strings, built from the components' own legal moves: choices of
     constants stop at CHOICE_CAP, and with `structural` moves inside an
     interpreted atom's own game tree are left out.  Listing builds no
@@ -374,24 +360,29 @@ class State:
 _OPPONENT = {T: B, B: T}
 
 
-class _AtomState(State):
-    """An interpreted atom, or top/bot (a game with no moves)."""
-    __slots__ = ("node",)
+@dataclass(slots=True)
+class FiniteGame(State):
+    """An explicit finite game tree, and the state of an interpreted atom
+    (or of top/bot): each node is the position its run leads to.
 
-    def __init__(self, node: FiniteGame):
-        self.node = node
+    `winner` labels the run ending at this node; `moves` maps (player, move)
+    to subtrees.  Unlisted moves are illegal (the mover loses).
+    """
+    winner: Player
+    moves: dict[tuple[Player, str], "FiniteGame"] = field(default_factory=dict)
 
     def step(self, player, move):
-        child = self.node.moves.get((player, move))
-        return _AtomState(child) if child is not None else None
+        return self.moves.get((player, move))
 
     def outcome(self):
-        return self.node.winner
+        return self.winner
 
-    def moves(self, player, structural):
-        if structural:
-            return []
-        return [m for p, m in self.node.moves if p is player]
+    def moves_of(self, player, structural):
+        return [] if structural else [m for p, m in self.moves if p is player]
+
+
+ELEMENTARY_WIN = FiniteGame(T)
+ELEMENTARY_LOSS = FiniteGame(B)
 
 
 @dataclass(slots=True)
@@ -459,11 +450,11 @@ class _BlockState(State):
         layout = self.layout
         return _fold(layout.tree, self.leaves, layout.routes)
 
-    def moves(self, player, structural):
+    def moves_of(self, player, structural):
         out = []
         for (route, flipped), leaf in zip(self.layout.routes, self.leaves):
-            moves = leaf.moves(_OPPONENT[player] if flipped else player,
-                               structural)
+            moves = leaf.moves_of(_OPPONENT[player] if flipped else player,
+                                  structural)
             if moves:
                 out += [route + m for m in moves]
         return out
@@ -495,7 +486,7 @@ class _ChoiceState(State):
     def outcome(self):
         return _OPPONENT[self.chooser]
 
-    def moves(self, player, structural):
+    def moves_of(self, player, structural):
         if player is not self.chooser:
             return []
         n = self.options
@@ -546,7 +537,7 @@ class _BangState(State):
         branches[w + "0"] = branches[w + "1"] = branches.pop(w)
         return _BangState(branches)
 
-    def moves(self, player, structural):
+    def moves_of(self, player, structural):
         # A move at node w is legal when every leaf under w accepts it, so
         # it is among the legal moves of some leaf under w: try their union,
         # stepping each leaf that did not list the move itself.  A node
@@ -555,7 +546,7 @@ class _BangState(State):
         out = [u + ":" for u in branches] if player is B else []
         own = {}
         for u, state in branches.items():
-            moves = state.moves(player, structural)
+            moves = state.moves_of(player, structural)
             if moves:
                 own[u] = moves
         if not own:
@@ -583,15 +574,12 @@ class _BangState(State):
 
 Plan = Callable[[Interpretation, Valuation], State]
 
-_TOP, _BOT = _AtomState(ELEMENTARY_WIN), _AtomState(ELEMENTARY_LOSS)
-
-
 def _top(itp: Interpretation, val: Valuation) -> State:
-    return _TOP
+    return ELEMENTARY_WIN
 
 
 def _bot(itp: Interpretation, val: Valuation) -> State:
-    return _BOT
+    return ELEMENTARY_LOSS
 
 
 def _dollar(itp: Interpretation, val: Valuation) -> State:
@@ -599,8 +587,7 @@ def _dollar(itp: Interpretation, val: Valuation) -> State:
     # base and one conjunct per letter; any other has infinitely many atoms
     sig = itp.signature
     supply = 0 if any(arity for _, arity in sig) else 1 + len(set(sig))
-    return _ChoiceState(B, supply, True,
-                        lambda m: _AtomState(itp.dollar_component(m)))
+    return _ChoiceState(B, supply, True, itp.dollar_component)
 
 
 def _elementary(itp: Interpretation, val: Valuation) -> State:
@@ -612,8 +599,8 @@ class _AtomPlan:
     atom: Atom
 
     def __call__(self, itp, val):
-        return _AtomState(itp.letter_game(
-            self.atom.letter, tuple(val.term(t) for t in self.atom.args)))
+        return itp.letter_game(self.atom.letter,
+                               tuple(val.term(t) for t in self.atom.args))
 
 
 @dataclass(slots=True)
@@ -753,9 +740,9 @@ def advance(state: State, lm: Labmove) -> Optional[State]:
 
 def legal_moves(state: State, player: Player,
                 structural_only: bool = False) -> list[str]:
-    """The legal moves of `player` at `state` (see `State.moves`), sorted.
+    """The legal moves of `player` at `state` (see `State.moves_of`), sorted.
     Moves that contain ♠ are left out."""
-    out = [m for m in state.moves(player, structural_only)
+    out = [m for m in state.moves_of(player, structural_only)
            if SPADE not in m]
     out.sort()
     return out

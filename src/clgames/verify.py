@@ -702,15 +702,14 @@ def verify_micro() -> Report:
     r.count("checks")
 
     # a resolved choice is its component: the environment's choice of A_i
-    # in A1 & A2 leads to the atom state over A_i's letter game
+    # in A1 & A2 leads to the root of A_i's letter game
     for i in (1, 2):
         sig = (("A1", 0), ("A2", 0))
         itp = random_interpretation(3, sig, 2)
         big = GameRef(ChoiceConj((Atom("A1"), Atom("A2"))), itp)
         chosen = advance(big.root(), Labmove(B, str(i)))
         direct = GameRef(Atom(f"A{i}"), itp).root()
-        r.require(type(chosen) is type(direct) and chosen.node is direct.node,
-                  f"choice resolution identity at {i}")
+        r.require(chosen is direct, f"choice resolution identity at {i}")
         r.count("checks")
     return r
 

@@ -98,8 +98,8 @@ def _raw_candidates(state, structural: bool) -> list[str]:
     component of a finite choice and every numeral up to the cap at a choice
     of a constant or of a conjunct of $, and at each recurrence node every
     move some leaf under it may make."""
-    if isinstance(state, games._AtomState):
-        return [] if structural else [m for _, m in state.node.moves]
+    if isinstance(state, games.FiniteGame):
+        return [] if structural else [m for _, m in state.moves]
     if isinstance(state, games._BlockState):
         return [route + m for (route, _), leaf in zip(state.layout.routes,
                                                       state.leaves)

@@ -5,8 +5,9 @@ from clgames.epm import (Environment, HaltReason, Machine, PlayContext,
                          RandomEnv, ScriptEnv, SilentEnv, Strategy, simulate,
                          wins_against_all)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation,
-                           InterpretationError, T, Valuation, candidate_moves,
-                           labmoves, position_legal, successors, winner)
+                           InterpretationError, Labmove, T, Valuation,
+                           candidate_moves, labmoves, position_legal,
+                           successors, winner)
 from clgames.strategies import MpMachine, build_strategy
 
 
@@ -92,7 +93,7 @@ class TestSimulate:
         g = game()
         r1 = simulate(build_strategy("ccs"), RandomEnv(42), g)
         r2 = simulate(build_strategy("ccs"), RandomEnv(42), g)
-        assert r1.run == r2.run and r1.events == r2.events
+        assert r1 == r2
 
     def test_transcripts_never_contain_an_illegal_env_move(self):
         g = game("!A -> A")
@@ -121,7 +122,8 @@ class TestBursts:
                 return [f"t{i}" for i in range(12)]
         env = ScriptEnv([("move", "go"), "stop"])
         t = simulate(Strategy(Answer()), env, chain_game(("go",)))
-        assert t.events[0] == ("grant",) and t.verdict is T
+        # the machine granted first: the environment's move opens the run
+        assert t.run[0] == Labmove(B, "go") and t.verdict is T
 
 
 class TestExhaustive:

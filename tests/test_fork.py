@@ -60,7 +60,7 @@ def _plays() -> list:
 
 def _key(t) -> tuple:
     return (t.run, t.verdict, t.steps, t.grants, t.halted_reason,
-            tuple(t.events), t.diagnostic)
+            t.diagnostic)
 
 
 def test_a_played_fork_leaves_the_prototype_as_built():

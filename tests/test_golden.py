@@ -46,10 +46,24 @@ GOLDEN = {
 }
 
 
+def _events(t) -> list:
+    """The play's events as the engine once logged them, derived from the
+    run and the grant count: a grant before each environment move, and one
+    more at the end when there are more grants than environment moves."""
+    out = []
+    for lm in t.run:
+        if lm.player is B:
+            out.append(["grant"])
+        out.append(["move", lm.player.value, lm.move])
+    if t.grants > sum(lm.player is B for lm in t.run):
+        out.append(["grant"])
+    return out
+
+
 def _transcript(t) -> list:
     return [[[lm.player.value, lm.move] for lm in t.run], t.verdict.value,
-            t.steps, t.grants, t.halted_reason.value,
-            [list(ev) for ev in t.events], t.diagnostic]
+            t.steps, t.grants, t.halted_reason.value, _events(t),
+            t.diagnostic]
 
 
 def _plays(spec, game, seeds, max_moves=5) -> list:
