@@ -444,6 +444,12 @@ def proof_to_text(proof: CL2Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the fields each rule reads: every rule reads the first two, and needs
+# the rest
+_FIELDS = {"a": ("rule", "premises"), "b": ("rule", "premises", "path", "i"),
+           "c": ("rule", "premises", "path", "atom")}
+
+
 def proof_from_text(text: str) -> CL2Proof:
     steps: list[CL2Step] = []
     for line in text.splitlines():
@@ -459,14 +465,22 @@ def proof_from_text(text: str) -> CL2Proof:
         kv = {}
         for fld in fields:
             k, _, v = fld.partition("=")
-            kv[k.strip()] = v.strip()
+            k = k.strip()
+            if k in kv:
+                raise ValueError(f"step {n}: {k}= is given twice")
+            kv[k] = v.strip()
         rule = kv.get("rule", "")
+        if rule not in _FIELDS:
+            raise ValueError(f"bad proof line {line!r}")
+        for key in kv:
+            if key not in _FIELDS[rule]:
+                raise ValueError(f"step {n}: rule={rule} takes no {key}=")
         prem_text = kv.get("premises", "[]").strip("[]")
         premises = tuple(_number(n, "premises", x) - 1
                          for x in prem_text.split(",") if x)
         if any(j < 0 for j in premises):
             raise ValueError(f"premise numbers start at 1: {line!r}")
-        for key in {"b": ("path", "i"), "c": ("path", "atom")}.get(rule, ()):
+        for key in _FIELDS[rule][2:]:
             if key not in kv:
                 raise ValueError(f"step {n}: rule={rule} needs {key}=")
         if rule == "b":
@@ -476,10 +490,8 @@ def proof_from_text(text: str) -> CL2Proof:
             ppos, _, pneg = kv["path"].partition(",")
             step = CL2Step(f, "c", premises, pos_path=_parse_path(n, ppos),
                            neg_path=_parse_path(n, pneg), atom=kv["atom"])
-        elif rule == "a":
-            step = CL2Step(f, "a", premises)
         else:
-            raise ValueError(f"bad proof line {line!r}")
+            step = CL2Step(f, "a", premises)
         steps.append(step)
     return CL2Proof(tuple(steps))
 

@@ -23,8 +23,8 @@ from typing import Optional
 
 from . import cl2, formula as fm
 from .epm import Machine, PlayContext, Strategy
-from .formula import (Atom, ChoiceAll, ChoiceConj, ChoiceDisj,
-                      ChoiceExists, Dollar, Formula, Implies, _numeral)
+from .formula import (Atom, ChoiceConj, ChoiceDisj, ChoiceExists, Dollar,
+                      Formula, Implies, _numeral)
 from .games import grounded_atom_index, split_bang_move
 
 
@@ -206,9 +206,7 @@ class L6bMachine(Machine):
         if isinstance(k, ChoiceExists):
             body = fm.substitute(k.body, [(k.var, 1)])
             return ["2.1"] + self._handover(L6bMachine(body))
-        if isinstance(k, (ChoiceConj, ChoiceAll)):
-            return []                           # wait for the environment
-        raise ValueError(f"unsupported head in {fm.render(k)}")
+        return []               # & or the universal choice: wait for it
 
     def on_env(self, move):
         if self.delegate is not None:

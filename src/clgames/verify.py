@@ -31,16 +31,18 @@ from .strategies import (Expr, blue_content, build_strategy,
 @dataclass
 class Report:
     name: str
-    passed: bool = True
     counters: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     seconds: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def count(self, key: str, inc: int = 1):
         self.counters[key] = self.counters.get(key, 0) + inc
 
     def fail(self, message: str):
-        self.passed = False
         self.failures.append(message)
 
     def require(self, cond: bool, message: str):
@@ -168,13 +170,13 @@ def random_game(f: Formula, seed: int, depth: int = 3,
 
 
 def play_random(strategy_expr_or_id, game: GameRef, seed: int,
-                max_moves: int = 5, budget: int = 3000, grant_hook=None):
+                max_moves: int = 5, grant_hook=None):
     """One seeded random play; `grant_hook(strategy, game)`, if given,
     builds the play's `on_grant` callback from the fresh strategy."""
     strat = _fresh_strategy(strategy_expr_or_id)
     env = RandomEnv(seed, max_moves=max_moves)
     on_grant = grant_hook(strat, game) if grant_hook else None
-    return simulate(strat, env, game, budget=budget, on_grant=on_grant)
+    return simulate(strat, env, game, budget=3000, on_grant=on_grant)
 
 
 def _fresh_strategy(spec) -> Strategy:
@@ -620,7 +622,7 @@ def _all_shapes(max_size: int) -> list[Formula]:
 
 @_timed
 def verify_oracle(max_size: int = 4, runs_per: int = 3,
-                  max_run_len: int = 4, min_cases: int = 1000) -> Report:
+                  min_cases: int = 1000) -> Report:
     r = Report("oracle-equivalence")
     shapes = _all_shapes(max_size)
     r.counters["shapes"] = len(shapes)
@@ -635,7 +637,7 @@ def verify_oracle(max_size: int = 4, runs_per: int = 3,
             # the evaluator's state after `run`, None once the oracle
             # rejects a prefix
             state = game.root()
-            for _ in range(max_run_len):
+            for _ in range(4):             # four labmoves a run
                 player = rng.choice((T, B))
                 options = [] if state is None else legal_moves(state, player)
                 corrupt = rng.random() < 0.25 or not options

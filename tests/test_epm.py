@@ -219,6 +219,23 @@ class TestFaults:
         assert t.verdict is B
         assert "relay loop" in t.diagnostic
 
+    def test_a_composer_move_into_no_part_is_a_machine_loss(self):
+        class Opener(Machine):
+            def start(self, ctx):
+                return ["1.0.x"]        # parts are numbered from 1
+        machine = MpMachine([Machine(), Machine()], Opener())
+        t = simulate(Strategy(machine), SilentEnv(), game())
+        assert t.halted_reason is HaltReason.MACHINE_FAULT
+        assert t.verdict is B and t.run == ()
+        assert "composition shape mismatch: '1.0.x'" in t.diagnostic
+
+    def test_a_bad_script_directive_is_an_environment_fault(self):
+        env = ScriptEnv([("jump", "2.a")])
+        t = simulate(build_strategy("ccs"), env, game())
+        assert t.halted_reason is HaltReason.ENV_FAULT
+        assert t.verdict is T
+        assert "bad directive ('jump', '2.a')" in t.diagnostic
+
     def test_raising_environment_is_a_machine_win(self):
         class Broken(Environment):
             def on_permission(self, state, run):

@@ -10,11 +10,11 @@ from clgames.games import (B, FiniteGame, GameRef, Interpretation, Labmove,
                            prelegal_and_tree, random_interpretation,
                            tree_leaves)
 from clgames.strategies import (AllClosureMachine, BangClosureMachine,
-                                CcsMachine, L5Machine, Machine, MpMachine,
-                                blue_content, build_machine, build_strategy,
-                                colored_tree_leaves, content, is_colored_tree,
-                                parse_strategy_id, transitivity_machine,
-                                yellow_content)
+                                CcsMachine, Expr, L5Machine, Machine,
+                                MpMachine, blue_content, build_machine,
+                                build_strategy, colored_tree_leaves, content,
+                                is_colored_tree, parse_strategy_id,
+                                transitivity_machine, yellow_content)
 from clgames.verify import (_all_colored_trees, check_l5_invariants,
                             named_strategy_games, random_game)
 from wholerun import negate_run, project, subrun_upto
@@ -615,6 +615,13 @@ class TestRegistry:
         assert parse_strategy_id("l11a[i=2,n=3]") == ("l11a",
                                                       {"i": "2", "n": "3"})
         assert parse_strategy_id("l6b[K=R(1,2)]")[1] == {"K": "R(1,2)"}
+        # an empty argument, as after a trailing comma, is skipped
+        assert parse_strategy_id("l4a[n=2,]") == ("l4a", {"n": "2"})
+
+    def test_unknown_expression_kind_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^unknown expression kind 'nosuch'$"):
+            Expr("nosuch").build()
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):

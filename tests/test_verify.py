@@ -6,7 +6,8 @@ and a failed report renders as `[FAIL]` with its first ten failures.
 Criterion 6 fails on the first shape where an oracle that disagrees with
 the evaluator is caught, and stops there; the corpus suite stops after a
 derivation that does not check, and the named suite after a strategy whose
-l5 invariants fail.
+l5 invariants fail.  Criterion 4 reports a branch-order violation at pair
+and at tree level, and a generated tree that is not a coloured tree.
 
 `l6c` on `P -> P` always loses: its opening move `1.:` replicates an
 antecedent that is not a `!` game, which is illegal there.
@@ -164,3 +165,29 @@ def test_an_l5_invariant_violation_fails_the_named_suite(monkeypatch):
     assert report.counters["plays"] == 26 * 5
     assert report.failures == ["l5: invariant violated: planted"] * 13
     assert report.counters["l5-invariant-points"] == 13
+
+
+def test_a_branch_order_violation_fails_criterion_4(monkeypatch):
+    real = verify._is_prefix_tuple
+    # a planted fault: the root is not a prefix of the branch 0 (blue)
+    monkeypatch.setattr(verify, "_is_prefix_tuple", lambda wv, uv: real(
+        wv, uv) and not (wv == () and uv == (("0", "b"),)))
+    report = verify.verify_lemma10(max_len=2)
+    # the pair comes up once among the pairs and once in each of the 361
+    # trees that have that branch
+    assert not report.passed
+    assert report.counters == {"pairs": 209, "trees": 723}
+    assert report.failures == (
+        ["branch-order violation: () vs (('0', 'b'),)"]
+        + ["branch-order violation in tree: () vs (('0', 'b'),)"] * 361)
+
+
+def test_a_generated_non_tree_fails_criterion_4(monkeypatch):
+    real = verify.is_colored_tree
+    # a planted fault: the single-leaf tree is refused
+    monkeypatch.setattr(verify, "is_colored_tree",
+                        lambda tree: real(tree) and len(tree) > 1)
+    report = verify.verify_lemma10(max_len=2)
+    assert not report.passed
+    assert report.counters == {"pairs": 209, "trees": 723}
+    assert report.failures == ["generated a non-tree: [()]"]
