@@ -574,6 +574,7 @@ class _BangState(State):
 
 Plan = Callable[[Interpretation, Valuation], State]
 
+
 def _top(itp: Interpretation, val: Valuation) -> State:
     return ELEMENTARY_WIN
 

@@ -222,6 +222,9 @@ class TestChecker:
         ok, why = check_proof(again)
         assert ok, why
         assert again.conclusion == proof.conclusion
+        # blank and comment lines are not steps, so they shift no number
+        assert proof_from_text("# a proof\n\n" + text.replace(
+            "\n", "\n\n# next\n")) == again
 
     def test_empty_proof_is_rejected(self):
         assert check_proof(cl2.CL2Proof(())) == (False, "empty proof")

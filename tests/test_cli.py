@@ -530,16 +530,19 @@ class TestMalformedInput:
                  "error: step 1: i= holds '1_0', not a number"),
                 # a repeated field, or one the step's rule does not read
                 ("1. p -> p ; rule=a ; premises=[] ; bogus=1 ; rule=a\n",
-                 "check-proof cl2 FILE", "error: step 1: rule= is given twice"),
+                 "check-proof cl2 FILE",
+                 "error: step 1: rule= is given twice"),
                 ("1. p -> p ; rule=a ; premises=[] ; premises=[5]\n",
                  "check-proof cl2 FILE",
                  "error: step 1: premises= is given twice"),
                 ("1. p -> p ; rule=a ; premises=[] ; bogus=1\n",
-                 "check-proof cl2 FILE", "error: step 1: rule=a takes no bogus="),
+                 "check-proof cl2 FILE",
+                 "error: step 1: rule=a takes no bogus="),
                 ("1. p -> p ; rule=a ; premis=[1]\n", "check-proof cl2 FILE",
                  "error: step 1: rule=a takes no premis="),
                 ("1. P -> P ; rule=b ; premises=[] ; path=e ; i=1 ; atom=p\n",
-                 "check-proof cl2 FILE", "error: step 1: rule=b takes no atom="),
+                 "check-proof cl2 FILE",
+                 "error: step 1: rule=b takes no atom="),
                 ("1. p -> p ; rule=a ; premises=[]\n"
                  "2. P -> P ; rule=c ; premises=[1] ; path=1,0 ; atom=p ;"
                  " i=7\n", "check-proof cl2 FILE",

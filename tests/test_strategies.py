@@ -261,6 +261,8 @@ class TestCombinators:
         comp = MpMachine([CcsMachine()], BadComposer())
         with pytest.raises(RuntimeError):
             feed(comp, "a")
+        with pytest.raises(ValueError, match="no parts"):
+            MpMachine([], CcsMachine())
 
     def test_transitivity_of_two_copy_cats_is_a_copy_cat(self):
         m = transitivity_machine(CcsMachine(), CcsMachine())

@@ -7,7 +7,7 @@ Criterion 6 fails on the first shape where an oracle that disagrees with
 the evaluator is caught, and stops there; the corpus suite stops after a
 derivation that does not check, and the named suite after a strategy whose
 l5 invariants fail.  Criterion 4 reports a branch-order violation at pair
-and at tree level, and a generated tree that is not a coloured tree.
+and at tree level, and a generated tree that is not a colored tree.
 
 `l6c` on `P -> P` always loses: its opening move `1.:` replicates an
 antecedent that is not a `!` game, which is illegal there.
