@@ -8,8 +8,8 @@ import os
 import sys
 
 from . import cl2, formula as fm, intproof, verify as verify_mod
-from .epm import (BudgetExceeded, RandomEnv, ScriptEnv, SilentEnv, Strategy,
-                  simulate, wins_against_all)
+from .epm import (MAX_LEAVES, BudgetExceeded, RandomEnv, ScriptEnv,
+                  SilentEnv, Strategy, simulate, wins_against_all)
 from .games import (B, GameRef, Labmove, Valuation, advance,
                     legal_moves, load_interpretation)
 from .strategies import build_strategy
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     p.add_argument("--env", default="random",
                    help="silent | random | human | script:FILE |"
                         " exhaustive:DEPTH (exit 1 on a counterexample, 2"
-                        " when the search passes 100000 leaves); any play"
+                        f" when the search passes {MAX_LEAVES} leaves); any play"
                         " exits 2 when building a cl2 strategy's proof"
                         " passes its node budget")
     p.add_argument("--seed", type=int, default=None)

@@ -3,15 +3,15 @@
 A strategy is a deterministic transducer over the observed run.  It sees
 only the run, the valuation and the letter signature -- never the
 interpretation -- which is exactly what makes a winning strategy uniform.
-Each machine step is a move or a grant: `Strategy.next(run)` returns the
-next move, or None to grant permission.  At a grant the environment
+The machine acts at the start and in reply to each environment move, and
+nowhere else: `Strategy.next(ctx, run)` returns its whole reply, a burst
+of moves, after which it grants permission.  At a grant the environment
 answers `on_permission(state, run)` with at most one move, where `state`
 is the game state after `run`; it sees the same run the machine sees, and
 draws its legal moves from `legal_moves(state, B)`.  An environment that
-declines a grant (None) ends the play: a machine acts only at the start
-and in reply to environment moves, so once it has granted it has nothing
-left to do until the environment moves, and the verdict is the outcome
-of the run so far.
+declines a grant (None) ends the play: once the machine has granted it
+has nothing left to do until the environment moves, and the verdict is
+the outcome of the run so far.
 The stepper checks each environment move before the machine sees it: an
 illegal one ends the play with an immediate machine win, so machines are
 handed only legal moves and never check them again.  A move a machine
@@ -19,20 +19,21 @@ cannot read (only possible on a game it was not built for) raises, and
 the play ends `machine_fault`.
 
 One play stepper runs this protocol for both random play (`simulate`) and
-exhaustive search (`wins_against_all`): the machine acts until it grants
+exhaustive search (`wins_against_all`): the machine replies and grants
 permission, the environment answers with one checked move or ends the
-play, and a step budget bounds the whole play.  The stepper owns the game
-state after the run, so checking a move is one `step` of it, the
-environment is handed it at every grant, and the verdict is its
-`outcome()`; the run is the play's only record.  A machine that raises
-ends the play as a machine loss, an environment that raises as a machine
-win; either way the diagnostic carries a short traceback.  An
-`InterpretationError` is not contained: a letter game that cannot be
-built leaves the game undefined, so no verdict is given.
+play, and a step budget bounds the whole play.  The stepper alone holds
+the play state: the context, the run and the game state after it.  So
+checking a move is one `step` of that state, the environment is handed
+it at every grant, the verdict is its `outcome()`, and the run is the
+play's only record.  A machine that raises ends the play as a machine
+loss, an environment that raises as a machine win; either way the
+diagnostic carries a short traceback.  An `InterpretationError` is not
+contained: a letter game that cannot be built leaves the game undefined,
+so no verdict is given.
 
 A winning strategy depends only on the formula, never on the play, so
 `strategies` builds each strategy once per process and hands every play a
-`Machine.fork()` of that prototype; the search forks the strategy at every
+`Machine.fork()` of that prototype; the search forks the machine at every
 branch the same way (`Strategy.clone`).  A fork makes the new instance
 with `object.__new__` and copies its attributes, so `__init__` never runs
 again: nothing the prototype checked or computed is redone per play.
@@ -43,8 +44,8 @@ from __future__ import annotations
 import enum
 import random
 import traceback
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from .games import (B, GameRef, InterpretationError, Labmove, Player, Run,
@@ -102,35 +103,22 @@ def _fork(value):
 
 
 class Strategy:
-    """Adapter running a Machine against the growing observed run."""
+    """A machine as a play runs it; the play, not the strategy, holds the
+    context and the run."""
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        self.cursor = 0
-        self.queue: deque[str] = deque()
-        self.started = False
-        self.ctx: Optional[PlayContext] = None
 
-    def init(self, ctx: PlayContext) -> None:
-        self.ctx = ctx
-
-    def next(self, run: Sequence[Labmove]) -> Optional[str]:
-        """The machine's next move, or None to grant permission."""
-        if not self.started:
-            self.started = True
-            self.queue.extend(self.machine.start(self.ctx))
-        while not self.queue and self.cursor < len(run):
-            lm = run[self.cursor]
-            self.cursor += 1
-            if lm.player is T:
-                continue                      # own move echoed back
-            self.queue.extend(self.machine.on_env(lm.move))
-        return self.queue.popleft() if self.queue else None
+    def next(self, ctx: PlayContext, run: Sequence[Labmove]) -> list[str]:
+        """The machine's whole reply to `run`: its start on the empty run,
+        else its reply to the last move, which is the environment's."""
+        if not run:
+            return self.machine.start(ctx)
+        return self.machine.on_env(run[-1].move)
 
     def clone(self) -> "Strategy":
         other = object.__new__(type(self))
-        vars(other).update(vars(self), machine=self.machine.fork(),
-                           queue=deque(self.queue))
+        other.machine = self.machine.fork()
         return other
 
 
@@ -245,13 +233,12 @@ def _fault(who: str, exc: Exception) -> str:
 
 
 class _Play:
-    """One play in progress: the strategy, the run and the game state after
-    it, stepped through the permission protocol.  Each machine step so far
-    is a move of the run or a grant that an environment move answered."""
+    """One play in progress: the strategy, its context, the run and the
+    game state after it, stepped through the permission protocol."""
 
     def __init__(self, strategy: Strategy, game: GameRef, budget: int):
-        strategy.init(PlayContext(game.valuation, game.interp.signature))
         self.strategy = strategy
+        self.ctx = PlayContext(game.valuation, game.interp.signature)
         self.budget = budget
         self.run: list[Labmove] = []
         self.state: State = game.root()
@@ -263,24 +250,28 @@ class _Play:
         self.diagnostic = diagnostic
 
     def machine_turn(self) -> bool:
-        """Let the machine act until it grants permission (True), or until
-        the play ends: an illegal move, a fault or the step budget (False)."""
-        while len(self.run) < self.budget:
+        """Feed the machine the start or the environment's last move and
+        step its reply, cut at the step budget.  True at the grant that
+        follows; False when the play ends: an illegal move, a fault or the
+        budget, which is checked before the machine is fed."""
+        if len(self.run) < self.budget:
             try:
-                mv = self.strategy.next(self.run)
+                moves = list(islice(self.strategy.next(self.ctx, self.run),
+                                    self.budget - len(self.run)))
             except Exception as exc:
                 self.halt(HaltReason.MACHINE_FAULT, _fault("machine", exc))
                 return False
-            if mv is None:
+            for mv in moves:
+                lm = Labmove(T, mv)
+                nxt = advance(self.state, lm)
+                self.run.append(lm)
+                if nxt is None:
+                    self.halt(HaltReason.MACHINE_ILLEGAL,
+                              f"machine made illegal move {mv!r}")
+                    return False
+                self.state = nxt
+            if len(self.run) < self.budget:
                 return True
-            lm = Labmove(T, mv)
-            nxt = advance(self.state, lm)
-            self.run.append(lm)
-            if nxt is None:
-                self.halt(HaltReason.MACHINE_ILLEGAL,
-                          f"machine made illegal move {mv!r}")
-                return False
-            self.state = nxt
         self.halt(HaltReason.BUDGET)
         return False
 
@@ -361,9 +352,12 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
-                     budget: int = 2000,
-                     max_leaves: int = 100_000) -> SearchResult:
+SEARCH_BUDGET = 2000    # step budget of each searched play
+MAX_LEAVES = 100_000    # leaves a search may see before it gives up
+
+
+def wins_against_all(strategy: Strategy, game: GameRef,
+                     depth: int) -> SearchResult:
     """Exhaustively explore environment behaviors with <= depth env moves.
 
     Each play runs the same steps as `simulate`.  At each grant the
@@ -381,8 +375,8 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
             return t if t.verdict is not T else None
         # silent option: the environment declines the grant
         leaves += 1
-        if leaves > max_leaves:
-            raise BudgetExceeded(f"exhaustive search exceeded {max_leaves} leaves")
+        if leaves > MAX_LEAVES:
+            raise BudgetExceeded(f"exhaustive search exceeded {MAX_LEAVES} leaves")
         if play.state.outcome() is not T:
             play.halt(HaltReason.QUIESCENT)
             return play.transcript()
@@ -394,5 +388,5 @@ def wins_against_all(strategy: Strategy, game: GameRef, depth: int,
                 return cex
         return None
 
-    cex = explore(_Play(strategy.clone(), game, budget), 0)
+    cex = explore(_Play(strategy.clone(), game, SEARCH_BUDGET), 0)
     return SearchResult(cex is None, leaves, cex)

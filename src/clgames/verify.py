@@ -401,10 +401,8 @@ def verify_lemma10(max_len: int = 4) -> Report:
             if not _pair_embeddable(wv, uv):
                 continue
             r.count("pairs")
-            if blue_content(uv).startswith(blue_content(wv)) and \
-                    yellow_content(uv).startswith(yellow_content(wv)):
-                if not _is_prefix_tuple(wv, uv):
-                    r.fail(f"branch-order violation: {wv} vs {uv}")
+            if _breaks_branch_order(wv, uv):
+                r.fail(f"branch-order violation: {wv} vs {uv}")
     # plus literal enumeration of all colored trees of depth <= 3
     for tree in _all_colored_trees(3):
         r.count("trees")
@@ -414,11 +412,17 @@ def verify_lemma10(max_len: int = 4) -> Report:
         branches = sorted(tree, key=content)
         for wv in branches:
             for uv in branches:
-                if blue_content(uv).startswith(blue_content(wv)) and \
-                        yellow_content(uv).startswith(yellow_content(wv)):
-                    if not _is_prefix_tuple(wv, uv):
-                        r.fail(f"branch-order violation in tree: {wv} vs {uv}")
+                if _breaks_branch_order(wv, uv):
+                    r.fail(f"branch-order violation in tree: {wv} vs {uv}")
     return r
+
+
+def _breaks_branch_order(wv, uv) -> bool:
+    """Do both contents of `uv` extend those of `wv` while `uv` itself does
+    not extend `wv`?"""
+    return (blue_content(uv).startswith(blue_content(wv))
+            and yellow_content(uv).startswith(yellow_content(wv))
+            and not _is_prefix_tuple(wv, uv))
 
 
 def _is_prefix_tuple(wv, uv) -> bool:

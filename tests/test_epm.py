@@ -1,3 +1,5 @@
+from collections import deque
+
 from clgames import formula as fm, intproof, verify
 import pytest
 
@@ -81,6 +83,11 @@ class TestSimulate:
         assert t.halted_reason is HaltReason.BUDGET
         assert t.run == labmoves(*(("T", f"t{i}") for i in range(7)))
         assert t.verdict is B
+        # the twelfth move wins the chain, but it also spends the budget:
+        # the play ends there, with no grant
+        t = simulate(Strategy(Burst()), SilentEnv(), chain_game(), budget=12)
+        assert t.halted_reason is HaltReason.BUDGET
+        assert (t.steps, t.grants, t.verdict) == (12, 0, T)
 
     def test_a_declined_grant_ends_the_play(self):
         # `pass` declines the first grant; the scripted move never comes
@@ -160,22 +167,80 @@ class TestExhaustive:
         assert t.verdict is T and t.halted_reason is HaltReason.QUIESCENT
 
 
+CTX = PlayContext(Valuation(), ())
+
+
 class TestSnapshots:
     def test_clone_replays_identically(self):
         s = build_strategy("ccs")
-        s.init(PlayContext(Valuation(), ()))
-        s.next(())                     # start the machine
+        assert s.next(CTX, ()) == []          # the copy-cat opens silently
         fork = s.clone()
         run = labmoves(("B", "2.a"))
-        assert s.next(run) == fork.next(run) == "1.a"
+        assert s.next(CTX, run) == fork.next(CTX, run) == ["1.a"]
 
     def test_clone_is_independent(self):
         s = build_strategy("l6c")
-        s.init(PlayContext(Valuation(), ()))
-        first = s.next(())
+        first = s.next(CTX, ())
         c = s.clone()
-        assert c.next(labmoves(("B", "2.1.a"))) == \
-            s.next(labmoves(("B", "2.1.a")))
+        run = labmoves(*(("T", mv) for mv in first), ("B", "2.1.a"))
+        assert c.next(CTX, run) == s.next(CTX, run)
+
+
+class Recorder(Machine):
+    """Plays `inner` and keeps the calls it gets in `calls`, "start" first
+    and then each move it is handed.  Every call also appends the calls so
+    far to `log`, a deque, which `Machine.fork` shares between forks."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.calls = []
+        self.log = log
+
+    def start(self, ctx):
+        self.calls.append("start")
+        self.log.append(tuple(self.calls))
+        return self.inner.start(ctx)
+
+    def on_env(self, move):
+        self.calls.append(move)
+        self.log.append(tuple(self.calls))
+        return self.inner.on_env(move)
+
+
+class TestFeeding:
+    def test_the_machine_gets_the_start_and_each_environment_move_once(self):
+        g = verify.random_game(fm.parse_formula("P -> P"), seed=2)
+        log = deque()
+        res = wins_against_all(
+            Strategy(Recorder(build_strategy("ccs").machine, log)), g,
+            depth=3)
+        # every branch feeds its machine once per grant, so once per leaf,
+        # and no two feeds share a history
+        assert res.won_all and res.leaves == len(log) == len(set(log)) > 20
+        for calls in log:
+            assert calls[0] == "start" and "start" not in calls[1:]
+            assert len(calls) == 1 or calls[:-1] in log
+            # simulate's play of the branch's environment moves feeds the
+            # machine the same calls, in the order of the run
+            m = Recorder(build_strategy("ccs").machine, deque())
+            script = [("move", mv) for mv in calls[1:]]
+            t = simulate(Strategy(m), ScriptEnv(script), g)
+            assert t.halted_reason is HaltReason.QUIESCENT
+            assert m.calls == list(calls)
+            assert [lm.move for lm in t.run if lm.player is B] == \
+                list(calls[1:])
+
+    def test_the_budget_is_checked_before_the_machine_is_fed(self):
+        g = verify.random_game(fm.parse_formula("P -> P"), seed=0)
+        mv = successors(g.root(), B)[0][0]
+        env = lambda: ScriptEnv([("move", mv)])
+        # the environment's move uses up a budget of one: no feed, no fault
+        t = simulate(Strategy(Crashing()), env(), g, budget=1)
+        assert t.halted_reason is HaltReason.BUDGET
+        assert t.run == labmoves(("B", mv)) and not t.diagnostic
+        t = simulate(Strategy(Crashing()), env(), g, budget=2)
+        assert t.halted_reason is HaltReason.MACHINE_FAULT
+        assert t.verdict is B and "in on_env" in t.diagnostic
 
 
 class Crashing(Machine):
@@ -211,6 +276,16 @@ class TestFaults:
         assert res.counterexample.halted_reason is HaltReason.MACHINE_FAULT
         assert res.counterexample.verdict is B
         assert "KeyError" in res.counterexample.diagnostic
+
+    def test_a_reply_that_is_no_list_is_a_machine_loss(self):
+        class Mute(Machine):
+            def on_env(self, move):
+                self.last = move                  # and no return
+        env = ScriptEnv([("move", "2.a")])
+        t = simulate(Strategy(Mute()), env, game())
+        assert t.halted_reason is HaltReason.MACHINE_FAULT
+        assert t.verdict is B
+        assert t.diagnostic.startswith("machine raised TypeError")
 
     def test_relay_loop_in_a_composition_is_a_machine_loss(self):
         machine = MpMachine([Echo()], Bouncer())

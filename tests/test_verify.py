@@ -44,7 +44,7 @@ def test_a_losing_strategy_fails_the_exhaustive_search():
 
 
 def test_an_exhaustive_search_out_of_leaves_fails_the_report(monkeypatch):
-    monkeypatch.setattr(epm.wins_against_all, "__defaults__", (2000, 3))
+    monkeypatch.setattr(epm, "MAX_LEAVES", 3)
     report = verify.Report("budget")
     verify.exhaustive_check(report, "ccs", "ccs", LOSING_GAME, depth=2)
     assert report.failures == [
