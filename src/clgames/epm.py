@@ -202,7 +202,7 @@ class HaltReason(str, enum.Enum):
     ENV_FAULT = "env_fault"
 
 
-@dataclass
+@dataclass(slots=True)
 class Transcript:
     """A finished play.  `grants` counts the environment's moves, plus one
     when the play ended at a grant, and `steps` the run's moves plus that

@@ -426,6 +426,8 @@ _PREC_IMP = 1
 _PREC_OR = 2
 _PREC_AND = 3
 _PREC_PREFIX = 4
+_VARIADIC_OPS = {ParConj: (" /\\ ", _PREC_AND), ChoiceConj: (" & ", _PREC_AND),
+                 ParDisj: (" \\/ ", _PREC_OR), ChoiceDisj: (" + ", _PREC_OR)}
 
 
 def render(f: Formula) -> str:
@@ -456,9 +458,7 @@ def _render(f: Formula, ctx: int) -> str:
     if isinstance(f, Implies):
         s = _render(f.left, _PREC_IMP + 1) + " -> " + _render(f.right, _PREC_IMP)
         return "(" + s + ")" if ctx > _PREC_IMP else s
-    ops = {ParConj: (" /\\ ", _PREC_AND), ChoiceConj: (" & ", _PREC_AND),
-           ParDisj: (" \\/ ", _PREC_OR), ChoiceDisj: (" + ", _PREC_OR)}
-    op, prec = ops[type(f)]
+    op, prec = _VARIADIC_OPS[type(f)]
     s = op.join(_render(p, prec + 1) for p in f.parts)
     return "(" + s + ")" if ctx > prec else s
 

@@ -32,7 +32,9 @@ lookup however deeply the block nests.
 
 The letter games of a random interpretation are built directly as explicit
 `FiniteGame` trees, bottom-up, without compiling or stepping any state; each
-node is itself a state, so stepping an atom allocates nothing.
+node is itself a state, so stepping an atom allocates nothing.  Every node
+without moves is one of the two shared leaves `ELEMENTARY_WIN` and
+`ELEMENTARY_LOSS`, so no game node is changed once it is built.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ B = Player.B
 
 class Labmove(tuple):
     """A (player, move) pair."""
+    __slots__ = ()
 
     def __new__(cls, player: Player, move: str):
         return super().__new__(cls, (player, move))
@@ -263,7 +266,7 @@ class Interpretation:
     atom of the signature under the fixed enumeration.
     """
     letters: dict[str, Callable[[tuple[int, ...]], FiniteGame]]
-    dollar_base: FiniteGame = field(default_factory=lambda: FiniteGame(T))
+    dollar_base: FiniteGame = field(default_factory=lambda: ELEMENTARY_WIN)
     _cache: dict = field(default_factory=dict, repr=False)
     signature: Signature = field(init=False, repr=False, compare=False)
 
@@ -298,7 +301,7 @@ class Interpretation:
         return self.letter_game(name, args)
 
 
-@dataclass
+@dataclass(slots=True)
 class Valuation:
     assign: dict[str, int] = field(default_factory=dict)
     default: int = 1
@@ -316,7 +319,7 @@ class Valuation:
         return Valuation(new, self.default)
 
 
-@dataclass
+@dataclass(slots=True)
 class GameRef:
     """A constant game: formula + interpretation + valuation."""
     formula: Formula
@@ -366,7 +369,8 @@ class FiniteGame(State):
     (or of top/bot): each node is the position its run leads to.
 
     `winner` labels the run ending at this node; `moves` maps (player, move)
-    to subtrees.  Unlisted moves are illegal (the mover loses).
+    to subtrees.  Unlisted moves are illegal (the mover loses).  Leaves are
+    shared (see `_LEAF`), so only the code that builds a node fills `moves`.
     """
     winner: Player
     moves: dict[tuple[Player, str], "FiniteGame"] = field(default_factory=dict)
@@ -383,6 +387,8 @@ class FiniteGame(State):
 
 ELEMENTARY_WIN = FiniteGame(T)
 ELEMENTARY_LOSS = FiniteGame(B)
+# top, bot, the default $ base and every leaf of a random letter game
+_LEAF = {T: ELEMENTARY_WIN, B: ELEMENTARY_LOSS}
 
 
 @dataclass(slots=True)
@@ -886,7 +892,7 @@ def load_interpretation(text_or_obj) -> Interpretation:
 
         letters[key] = make()
     base = obj.get("dollar_base")
-    dollar = _node_to_game(_checked_node(base), {}) if base else FiniteGame(T)
+    dollar = _node_to_game(_checked_node(base), {}) if base else ELEMENTARY_WIN
     return Interpretation(letters, dollar)
 
 
@@ -902,7 +908,7 @@ def random_structural_game(rng: random.Random, depth: int) -> FiniteGame:
     the same moves, and so on), so every node is built once, bottom-up."""
     def build(depth: int, budget: int, flip: bool) -> FiniteGame:
         if depth <= 0 or rng.random() < 0.25:
-            return FiniteGame(T if (rng.random() < 0.5) != flip else B)
+            return _LEAF[T if (rng.random() < 0.5) != flip else B]
         kind = rng.choice(("cc", "cd", "pc", "pd", "neg"))
         if kind == "neg":
             return build(depth - 1, budget, not flip)
@@ -913,12 +919,9 @@ def random_structural_game(rng: random.Random, depth: int) -> FiniteGame:
         if kind[0] == "p":
             return _interleave(a, b, unit, budget)
         # the chooser is the opponent of the unit, and loses if it never
-        # chooses
-        node = FiniteGame(unit)
-        if budget > 0:
-            chooser = _OPPONENT[unit]
-            node.moves = {(chooser, "1"): a, (chooser, "2"): b}
-        return node
+        # chooses; budget >= depth + 1 throughout, so no choice is cut
+        chooser = _OPPONENT[unit]
+        return FiniteGame(unit, {(chooser, "1"): a, (chooser, "2"): b})
     return build(depth, depth + 1, False)
 
 
@@ -930,15 +933,19 @@ def _interleave(a: FiniteGame, b: FiniteGame, unit: Player,
     the machine's, each sorted by move string, as `legal_moves` lists
     them."""
     won = a.winner is unit and b.winner is unit
-    node = FiniteGame(unit if won else _OPPONENT[unit])
-    if budget > 0:
-        kids = [((p, "1." + m), _interleave(x, b, unit, budget - 1))
-                for (p, m), x in a.moves.items()]
-        kids += [((p, "2." + m), _interleave(a, y, unit, budget - 1))
-                 for (p, m), y in b.moves.items()]
-        kids.sort(key=lambda kid: (kid[0][0] is T, kid[0][1]))
-        node.moves = dict(kids)
-    return node
+    winner = unit if won else _OPPONENT[unit]
+    if budget <= 0 or not (a.moves or b.moves):
+        return _LEAF[winner]
+    kids = [((p, "1." + m), _interleave(x, b, unit, budget - 1))
+            for (p, m), x in a.moves.items()]
+    kids += [((p, "2." + m), _interleave(a, y, unit, budget - 1))
+             for (p, m), y in b.moves.items()]
+    kids.sort(key=_kid_order)
+    return FiniteGame(winner, dict(kids))
+
+
+def _kid_order(kid) -> tuple[bool, str]:
+    return kid[0][0] is T, kid[0][1]
 
 
 def random_interpretation(seed: int, signature: Signature, depth: int = 3,
@@ -947,13 +954,12 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
     built directly as an explicit tree by `random_structural_game`."""
     letters = {}
     for name, arity in sorted(set(signature)):
-        def make(name=name, arity=arity):
-            def fn(args: tuple[int, ...]) -> FiniteGame:
-                rng = random.Random(f"{seed}/{name}/{arity}/{args}")
-                return random_structural_game(rng, depth)
-            return fn
-        letters[f"{name}/{arity}"] = make()
+        def fn(args: tuple[int, ...],
+               prefix=f"{seed}/{name}/{arity}/") -> FiniteGame:
+            return random_structural_game(random.Random(prefix + str(args)),
+                                          depth)
+        letters[f"{name}/{arity}"] = fn
     base = (copy.deepcopy(dollar_base) if dollar_base is not None
-            else FiniteGame(T))
+            else ELEMENTARY_WIN)
     return Interpretation(letters, base)
 

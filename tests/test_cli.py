@@ -475,6 +475,9 @@ class TestMalformedInput:
                  ' "Q/0": {"game": {"winner": "T", "moves": {"B:a": 1}}}}}',
                  "play --game P&Q --interp FILE --env exhaustive:2",
                  "error: malformed game node 1"),
+                ('{"letters": {"P/0": {"game": {"cases": 7}}}}',
+                 "play --game P->P --interp FILE --env random",
+                 "error: malformed guard table {'cases': 7}"),
                 # letter keys are NAME/ARITY as formulas name letters, with
                 # at most ARITY parameters
                 ('{"letters": {"\u0420/0": {"game": {"winner": "T"}},'

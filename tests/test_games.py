@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clgames import formula as fm, games, oracle, verify
+from clgames import epm, formula as fm, games, oracle, verify
 from clgames.formula import Atom, Bang
 from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            Interpretation, Labmove, MoveStatus, T, Valuation,
@@ -15,6 +15,7 @@ from clgames.games import (B, FiniteGame, GameRef, IllegalPositionError,
                            legal_moves, load_interpretation, position_legal,
                            prelegal_and_tree, random_interpretation,
                            split_bang_move, successors, tree_leaves, winner)
+from clgames.strategies import build_strategy
 from wholerun import negate_run, project, subrun_upto
 
 
@@ -582,6 +583,17 @@ def test_states_and_layouts_are_slotted():
         assert not hasattr(obj, "__dict__"), type(obj)
 
 
+def test_run_records_are_slotted():
+    """A play keeps its labmoves and a benchmark keeps every transcript, so
+    no run record carries a per-instance __dict__ either."""
+    g = ref("A1 -> A1")
+    t = epm.simulate(build_strategy("ccs"), epm.RandomEnv(1), g)
+    assert t.run
+    for obj in (g, g.valuation, t.run[0], t):
+        assert "__slots__" in type(obj).__dict__, type(obj)
+        assert not hasattr(obj, "__dict__"), type(obj)
+
+
 # ---------------------------------------------------------------------------
 # Random letter games: built directly, equal to the materialized formula
 
@@ -617,6 +629,12 @@ def _shape(g):
     return g.winner, tuple((key, _shape(sub)) for key, sub in g.moves.items())
 
 
+def _nodes(g):
+    yield g
+    for sub in g.moves.values():
+        yield from _nodes(sub)
+
+
 def _longest(g):
     return 1 + max(map(_longest, g.moves.values())) if g.moves else 0
 
@@ -631,6 +649,8 @@ def test_letter_games_equal_the_materialized_formula(depth, seeds):
         want = _materialize(f, depth + 1)
         got = games.random_structural_game(got_rng, depth)
         assert _shape(got) == _shape(want), seed
+        assert all(node is games.ELEMENTARY_WIN
+                   or node is games.ELEMENTARY_LOSS for node in _nodes(got) if not node.moves), seed
         assert got_rng.random() == want_rng.random(), seed
         cut += _longest(_materialize(f, depth + 2)) > depth + 1
     # a formula of depth d has runs of at most 2 ** (d - 1) moves, so from
@@ -649,6 +669,9 @@ def test_letter_games_step_no_state(monkeypatch):
     trees = [itp.letter_game("P", ()), *(itp.letter_game("R", (k,))
                                          for k in range(1, 40))]
     assert any(tree.moves for tree in trees)
+    # with no base given, $ starts from the shared leaf won by the machine
+    assert itp.dollar_base is games.ELEMENTARY_WIN
+    assert Interpretation({}).dollar_base is games.ELEMENTARY_WIN
 
 
 # ---------------------------------------------------------------------------
