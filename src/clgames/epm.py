@@ -277,12 +277,13 @@ class _Play:
 
     def env_move(self, mv: str) -> bool:
         """Apply an environment move; an illegal one ends the play (False)."""
-        nxt = advance(self.state, Labmove(B, mv))
+        lm = Labmove(B, mv)
+        nxt = advance(self.state, lm)
         if nxt is None:
             self.halt(HaltReason.ENV_ILLEGAL,
                       f"environment attempted illegal move {mv!r}")
             return False
-        self.run.append(Labmove(B, mv))
+        self.run.append(lm)
         self.state = nxt
         return True
 

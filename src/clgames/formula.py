@@ -1,5 +1,8 @@
 r"""Formula AST, parser, printer and syntactic utilities.
 
+A term or formula node is the tuple of its class followed by its fields:
+`Neg(P)` is the tuple `(Neg, P)`.  Nodes are immutable and hashable.
+
 The surface grammar (ASCII):
 
     atoms        P, P(t1,...,tn)        uppercase letter, terms are
@@ -28,26 +31,61 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
+
+try:
+    from _collections import _tuplegetter
+except ImportError:                     # namedtuple's own fallback
+    _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)
 
 
 # ---------------------------------------------------------------------------
 # Terms
+#
+# Hashing and equality are the tuple's own, done in C: nodes of different
+# classes differ in item 0, so P /\ Q, P \/ Q, P & Q and P + Q are distinct.
+# Fields are read through namedtuple's item getter.
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+_new = tuple.__new__
+
+
+class _Node(tuple):
+    """A node with no fields; `_fields` names a subclass's fields."""
+    __slots__ = ()
+    _fields = ()
+
+    def __new__(cls):
+        return _new(cls, (cls,))
+
+    def __getnewargs__(self):
+        return self[1:]
 
     def __repr__(self):
-        return self.name
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(self._fields, self[1:])) + ")"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Var(_Node):
+    __slots__ = ()
+    name = _tuplegetter(1, None)
+
+    def __new__(cls, name: str):
+        return _new(cls, (cls, name))
 
     def __repr__(self):
-        return str(self.value)
+        return self[1]
+
+
+class Const(_Node):
+    __slots__ = ()
+    value = _tuplegetter(1, None)
+
+    def __new__(cls, value: int):
+        return _new(cls, (cls, value))
+
+    def __repr__(self):
+        return str(self[1])
 
 
 Term = Var | Const
@@ -82,140 +120,117 @@ def term(x) -> Term:
 
 # ---------------------------------------------------------------------------
 # Formulas
-#
-# A dataclass's generated hash reads only its fields, so P /\ Q, P \/ Q,
-# P & Q and P + Q would all hash alike; each node class hashes its own class
-# with its fields instead.
 
-@dataclass(frozen=True)
-class Atom:
-    letter: str                 # uppercase identifier
-    args: tuple[Term, ...] = ()
+class Atom(_Node):
+    __slots__ = ()
+    _fields = ("letter", "args")
+    letter = _tuplegetter(1, None)      # uppercase identifier
+    args = _tuplegetter(2, None)        # tuple of terms
+
+    def __new__(cls, letter: str, args: tuple[Term, ...] = ()):
+        return _new(cls, (cls, letter, args))
 
     @property
     def arity(self) -> int:
-        return len(self.args)
-
-    def __hash__(self):
-        return hash((Atom, self.letter, self.args))
+        return len(self[2])
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(_Node):
     """Nullary elementary atom (lowercase); propositional fragment only."""
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
+    name = _tuplegetter(1, None)
 
-    def __hash__(self):
-        return hash((Elem, self.name))
-
-
-@dataclass(frozen=True)
-class Top:
-    def __hash__(self):
-        return hash((Top,))
+    def __new__(cls, name: str):
+        return _new(cls, (cls, name))
 
 
-@dataclass(frozen=True)
-class Bot:
-    def __hash__(self):
-        return hash((Bot,))
+class Top(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dollar:
-    def __hash__(self):
-        return hash((Dollar,))
+class Bot(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    body: "Formula"
-
-    def __hash__(self):
-        return hash((Neg, self.body))
+class Dollar(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParConj:
-    parts: tuple["Formula", ...]
+class _Unary(_Node):
+    __slots__ = ()
+    _fields = ("body",)
+    body = _tuplegetter(1, None)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("parallel conjunction needs >= 2 parts")
-
-    def __hash__(self):
-        return hash((ParConj, self.parts))
+    def __new__(cls, body: "Formula"):
+        return _new(cls, (cls, body))
 
 
-@dataclass(frozen=True)
-class ParDisj:
-    parts: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("parallel disjunction needs >= 2 parts")
-
-    def __hash__(self):
-        return hash((ParDisj, self.parts))
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-    def __hash__(self):
-        return hash((Implies, self.left, self.right))
+class Bang(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChoiceConj:
-    parts: tuple["Formula", ...]
+class _Variadic(_Node):
+    """A connective of two or more parts; `what` names it in errors."""
+    __slots__ = ()
+    _fields = ("parts",)
+    parts = _tuplegetter(1, None)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("choice conjunction needs >= 2 parts")
+    def __init_subclass__(cls, what: str):
+        cls.what = what
 
-    def __hash__(self):
-        return hash((ChoiceConj, self.parts))
-
-
-@dataclass(frozen=True)
-class ChoiceDisj:
-    parts: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("choice disjunction needs >= 2 parts")
-
-    def __hash__(self):
-        return hash((ChoiceDisj, self.parts))
+    def __new__(cls, parts: tuple["Formula", ...]):
+        if len(parts) < 2:
+            raise ValueError(f"{cls.what} needs >= 2 parts")
+        return _new(cls, (cls, parts))
 
 
-@dataclass(frozen=True)
-class ChoiceAll:
-    var: str
-    body: "Formula"
-
-    def __hash__(self):
-        return hash((ChoiceAll, self.var, self.body))
+class ParConj(_Variadic, what="parallel conjunction"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChoiceExists:
-    var: str
-    body: "Formula"
-
-    def __hash__(self):
-        return hash((ChoiceExists, self.var, self.body))
+class ParDisj(_Variadic, what="parallel disjunction"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bang:
-    body: "Formula"
+class ChoiceConj(_Variadic, what="choice conjunction"):
+    __slots__ = ()
 
-    def __hash__(self):
-        return hash((Bang, self.body))
+
+class ChoiceDisj(_Variadic, what="choice disjunction"):
+    __slots__ = ()
+
+
+class Implies(_Node):
+    __slots__ = ()
+    _fields = ("left", "right")
+    left = _tuplegetter(1, None)
+    right = _tuplegetter(2, None)
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        return _new(cls, (cls, left, right))
+
+
+class _Quantifier(_Node):
+    __slots__ = ()
+    _fields = ("var", "body")
+    var = _tuplegetter(1, None)
+    body = _tuplegetter(2, None)
+
+    def __new__(cls, var: str, body: "Formula"):
+        return _new(cls, (cls, var, body))
+
+
+class ChoiceAll(_Quantifier):
+    __slots__ = ()
+
+
+class ChoiceExists(_Quantifier):
+    __slots__ = ()
 
 
 Formula = (Atom | Elem | Top | Bot | Dollar | Neg | ParConj | ParDisj
@@ -243,15 +258,11 @@ def conj_impl(ctx, succ: Formula) -> Formula:
 # Syntactic utilities
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Neg):
-        return (f.body,)
-    if isinstance(f, Bang):
-        return (f.body,)
-    if isinstance(f, (ChoiceAll, ChoiceExists)):
+    if isinstance(f, (_Unary, _Quantifier)):
         return (f.body,)
     if isinstance(f, Implies):
         return (f.left, f.right)
-    if isinstance(f, (ParConj, ParDisj, ChoiceConj, ChoiceDisj)):
+    if isinstance(f, _Variadic):
         return f.parts
     return ()
 

@@ -39,7 +39,6 @@ without moves is one of the two shared leaves `ELEMENTARY_WIN` and
 
 from __future__ import annotations
 
-import copy
 import enum
 import json
 import random
@@ -113,13 +112,12 @@ def split_bang_move(move: str):
     Returns ("rep", w) for a replication "w:", ("node", w, rest) for a move
     "w.rest" at node w, or None if the move has neither shape.
     """
-    i = 0
-    while i < len(move) and move[i] in "01":
-        i += 1
-    if i < len(move) and move[i] == ":" and i == len(move) - 1:
-        return ("rep", move[:i])
-    if i < len(move) and move[i] == ".":
-        return ("node", move[:i], move[i + 1:])
+    rest = move.lstrip("01")
+    w = move[:len(move) - len(rest)]
+    if rest == ":":
+        return ("rep", w)
+    if rest[:1] == ".":
+        return ("node", w, rest[1:])
     return None
 
 
@@ -959,7 +957,6 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
             return random_structural_game(random.Random(prefix + str(args)),
                                           depth)
         letters[f"{name}/{arity}"] = fn
-    base = (copy.deepcopy(dollar_base) if dollar_base is not None
-            else ELEMENTARY_WIN)
-    return Interpretation(letters, base)
+    return Interpretation(letters, ELEMENTARY_WIN if dollar_base is None
+                          else dollar_base)
 

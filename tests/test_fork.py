@@ -77,9 +77,11 @@ _IMMUTABLE = (str, int, float, type(None), fm.Formula, fm.Term, CL2Proof,
 
 
 def _immutable(v) -> bool:
+    if isinstance(v, _IMMUTABLE):
+        return True
     if isinstance(v, (tuple, frozenset)):
         return all(_immutable(x) for x in v)
-    return isinstance(v, _IMMUTABLE)
+    return False
 
 
 def _production_machines() -> set[type]:

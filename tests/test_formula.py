@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -343,3 +345,104 @@ def test_replace_at_copies_the_path_as_a_rebuild_would(f):
         for k in (len(fm.children(g)), -1):
             with pytest.raises(IndexError):
                 fm.replace_at(f, path + (k,), Top())
+
+
+# ---------------------------------------------------------------------------
+# A node is the tuple of its class followed by its fields
+
+_FIELDS = {Atom: ("letter", "args"), Elem: ("name",), Top: (), Bot: (),
+           Dollar: (), Neg: ("body",), Bang: ("body",), ParConj: ("parts",),
+           ParDisj: ("parts",), ChoiceConj: ("parts",),
+           ChoiceDisj: ("parts",), Implies: ("left", "right"),
+           ChoiceAll: ("var", "body"), ChoiceExists: ("var", "body"),
+           Var: ("name",), fm.Const: ("value",)}
+
+# one node of every class, with the repr the frozen dataclasses printed
+_REPRS = [
+    (Atom("R", (Var("x"), fm.Const(3))), "Atom(letter='R', args=(x, 3))"),
+    (Atom("P"), "Atom(letter='P', args=())"),
+    (Elem("p"), "Elem(name='p')"),
+    (Top(), "Top()"), (Bot(), "Bot()"), (Dollar(), "Dollar()"),
+    (Neg(P()), "Neg(body=Atom(letter='P', args=()))"),
+    (Bang(Elem("q")), "Bang(body=Elem(name='q'))"),
+    (ParConj((P(), Top())),
+     "ParConj(parts=(Atom(letter='P', args=()), Top()))"),
+    (ParDisj((Bot(), Dollar(), P())),
+     "ParDisj(parts=(Bot(), Dollar(), Atom(letter='P', args=())))"),
+    (ChoiceConj((P(), Q())), "ChoiceConj(parts=(Atom(letter='P', args=()),"
+                             " Atom(letter='Q', args=())))"),
+    (ChoiceDisj((Top(), Top())), "ChoiceDisj(parts=(Top(), Top()))"),
+    (Implies(Bang(P()), Q(7)), "Implies(left=Bang(body=Atom(letter='P',"
+                               " args=())), right=Atom(letter='Q', args=(7,)))"),
+    (ChoiceAll("x", P("x")), "ChoiceAll(var='x', body=Atom(letter='P',"
+                             " args=(x,)))"),
+    (ChoiceExists("y", Neg(Q("y", 2))), "ChoiceExists(var='y', body=Neg("
+                                        "body=Atom(letter='Q', args=(y, 2))))"),
+    (Var("x"), "x"), (fm.Const(12), "12"),
+]
+_NODES = [node for node, _ in _REPRS]
+
+
+def _fields_of(node) -> tuple:
+    return tuple(getattr(node, name) for name in _FIELDS[type(node)])
+
+
+def test_the_sample_has_every_node_class():
+    assert {type(node) for node in _NODES} == set(_FIELDS)
+
+
+@pytest.mark.parametrize("node, text", _REPRS, ids=[t for _, t in _REPRS])
+def test_repr_is_the_dataclass_repr(node, text):
+    assert repr(node) == text
+
+
+def test_classes_with_equal_fields_give_unequal_nodes():
+    parts = (P(), Q("x"))
+    for group in ([ParConj(parts), ParDisj(parts), ChoiceConj(parts),
+                   ChoiceDisj(parts)], [Neg(P()), Bang(P())],
+                  [ChoiceAll("x", P("x")), ChoiceExists("x", P("x"))],
+                  [Top(), Bot(), Dollar()], [Var("x"), Elem("x")]):
+        assert len({_fields_of(node) for node in group}) == 1
+        for a in group:
+            for b in group:
+                assert (a == b) is (a is b) and (a != b) is (a is not b)
+
+
+@pytest.mark.parametrize("node", _NODES, ids=repr)
+def test_a_node_hashes_as_its_class_and_fields(node):
+    fields = _fields_of(node)
+    assert tuple(node) == (type(node), *fields)
+    assert hash(node) == hash((type(node), *fields))
+    assert node != fields and fields != node
+    assert node == type(node)(*fields)
+    assert node == type(node)(**dict(zip(_FIELDS[type(node)], fields)))
+
+
+@pytest.mark.parametrize("node", _NODES + [fm.parse_formula(
+    "@x.(P(x,3) /\\ ~Q) -> !R + $ + top + q")], ids=repr)
+def test_copies_and_pickles_are_equal_nodes_of_the_same_class(node):
+    copies = [copy.copy(node), copy.deepcopy(node)] + [
+        pickle.loads(pickle.dumps(node, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin == node and type(twin) is type(node)
+        assert repr(twin) == repr(node) and hash(twin) == hash(node)
+
+
+@pytest.mark.parametrize("node", _NODES, ids=repr)
+def test_a_node_is_immutable(node):
+    for name in _FIELDS[type(node)] + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Top())
+    assert node == copy.deepcopy(node)
+
+
+@pytest.mark.parametrize("node, name", [
+    (ParConj, "parallel conjunction"), (ParDisj, "parallel disjunction"),
+    (ChoiceConj, "choice conjunction"), (ChoiceDisj, "choice disjunction")])
+def test_fewer_than_two_parts_keep_their_messages(node, name):
+    for parts in ((), (P(),)):
+        with pytest.raises(ValueError, match=f"^{name} needs >= 2 parts$"):
+            node(parts)
+        with pytest.raises(ValueError, match=f"^{name} needs >= 2 parts$"):
+            node(parts=parts)

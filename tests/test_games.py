@@ -674,6 +674,31 @@ def test_letter_games_step_no_state(monkeypatch):
     assert Interpretation({}).dollar_base is games.ELEMENTARY_WIN
 
 
+def test_a_given_dollar_base_is_shared_not_copied():
+    base = FiniteGame(B, {(T, "a"): games.ELEMENTARY_WIN})
+    itp = random_interpretation(5, (("P", 0),), 3, dollar_base=base)
+    assert itp.dollar_base is base
+
+
+def _split_bang_move_loop(move: str):
+    """The character loop `split_bang_move` replaced, as its reference."""
+    i = 0
+    while i < len(move) and move[i] in "01":
+        i += 1
+    if i < len(move) and move[i] == ":" and i == len(move) - 1:
+        return ("rep", move[:i])
+    if i < len(move) and move[i] == ".":
+        return ("node", move[:i], move[i + 1:])
+    return None
+
+
+def test_split_bang_move_agrees_with_the_character_loop():
+    for n in range(6):
+        for chars in itertools.product("01:.a", repeat=n):
+            move = "".join(chars)
+            assert split_bang_move(move) == _split_bang_move_loop(move), move
+
+
 # ---------------------------------------------------------------------------
 # Listing a recurrence's moves, against a scan of every node over every leaf
 
