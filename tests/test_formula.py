@@ -357,7 +357,8 @@ _FIELDS = {Atom: ("letter", "args"), Elem: ("name",), Top: (), Bot: (),
            ChoiceAll: ("var", "body"), ChoiceExists: ("var", "body"),
            Var: ("name",), fm.Const: ("value",)}
 
-# one node of every class, with the repr the frozen dataclasses printed
+# one node of every class and its repr: `Class(field=value, ...)`, and
+# a term's name or value
 _REPRS = [
     (Atom("R", (Var("x"), fm.Const(3))), "Atom(letter='R', args=(x, 3))"),
     (Atom("P"), "Atom(letter='P', args=())"),
@@ -392,7 +393,7 @@ def test_the_sample_has_every_node_class():
 
 
 @pytest.mark.parametrize("node, text", _REPRS, ids=[t for _, t in _REPRS])
-def test_repr_is_the_dataclass_repr(node, text):
+def test_repr_names_every_field(node, text):
     assert repr(node) == text
 
 
