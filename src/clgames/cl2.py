@@ -40,12 +40,11 @@ move prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formula as fm
 from .epm import Machine, PlayContext
 from .formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Formula,
-                      Implies, Neg, ParConj, ParDisj, Top)
+                      Implies, Neg, ParConj, ParDisj, Top, _new, _Node,
+                      _tuplegetter)
 
 Path = tuple[int, ...]
 
@@ -227,21 +226,32 @@ def _c_premise(f: Formula, ppos: Path, pneg: Path, atom: Elem) -> Formula:
 # ---------------------------------------------------------------------------
 # Proof objects
 
-@dataclass(frozen=True)
-class CL2Step:
-    formula: Formula
-    rule: str                                   # "a" | "b" | "c"
-    premises: tuple[int, ...] = ()
-    path: Path = ()                             # rule (b)
-    index: int = 0                              # rule (b)
-    pos_path: Path = ()                         # rule (c)
-    neg_path: Path = ()                         # rule (c)
-    atom: str = ""                              # rule (c)
+class CL2Step(_Node):
+    __slots__ = ()
+    _fields = ("formula", "rule", "premises", "path", "index", "pos_path",
+               "neg_path", "atom")
+    formula = _tuplegetter(1, None)
+    rule = _tuplegetter(2, None)                # "a" | "b" | "c"
+    premises = _tuplegetter(3, None)
+    path = _tuplegetter(4, None)                # rule (b)
+    index = _tuplegetter(5, None)               # rule (b)
+    pos_path = _tuplegetter(6, None)            # rule (c)
+    neg_path = _tuplegetter(7, None)            # rule (c)
+    atom = _tuplegetter(8, None)                # rule (c)
+
+    def __new__(cls, formula: Formula, rule: str, premises=(), path=(),
+                index=0, pos_path=(), neg_path=(), atom=""):
+        return _new(cls, (cls, formula, rule, premises, path, index,
+                          pos_path, neg_path, atom))
 
 
-@dataclass(frozen=True)
-class CL2Proof:
-    steps: tuple[CL2Step, ...]                  # conclusion last
+class CL2Proof(_Node):
+    __slots__ = ()
+    _fields = ("steps",)
+    steps = _tuplegetter(1, None)               # conclusion last
+
+    def __new__(cls, steps: tuple[CL2Step, ...]):
+        return _new(cls, (cls, steps))
 
     @property
     def conclusion(self) -> Formula:

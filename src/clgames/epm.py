@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import enum
 import random
-import traceback
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
@@ -53,11 +51,19 @@ from .games import (B, GameRef, InterpretationError, Labmove, Player, Run,
                     successors)
 
 
-@dataclass(frozen=True)
 class PlayContext:
-    """Public play data: the valuation oracle and the letter signature."""
-    valuation: Valuation
-    signature: Signature = ()
+    """Public play data: the valuation oracle and the letter signature.
+    Immutable, because forks of a machine share it."""
+    __slots__ = ("valuation", "signature")
+
+    def __init__(self, valuation: Valuation, signature: Signature = ()):
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "signature", signature)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a play context is immutable: {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class Machine:
@@ -202,17 +208,27 @@ class HaltReason(str, enum.Enum):
     ENV_FAULT = "env_fault"
 
 
-@dataclass(slots=True)
 class Transcript:
     """A finished play.  `grants` counts the environment's moves, plus one
     when the play ended at a grant, and `steps` the run's moves plus that
     last grant."""
-    run: Run
-    verdict: Player
-    steps: int
-    grants: int
-    halted_reason: HaltReason
-    diagnostic: str = ""
+    __slots__ = ("run", "verdict", "steps", "grants", "halted_reason",
+                 "diagnostic")
+
+    def __init__(self, run: Run, verdict: Player, steps: int, grants: int,
+                 halted_reason: HaltReason, diagnostic: str = ""):
+        self.run = run
+        self.verdict = verdict
+        self.steps = steps
+        self.grants = grants
+        self.halted_reason = halted_reason
+        self.diagnostic = diagnostic
+
+    def __eq__(self, other):
+        if type(other) is not Transcript:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
 
     def to_text(self, game_label: str = "", valuation: Optional[Valuation] = None) -> str:
         lines = []
@@ -228,6 +244,7 @@ class Transcript:
 
 
 def _fault(who: str, exc: Exception) -> str:
+    import traceback        # only a faulting play formats one
     frames = "".join(traceback.format_tb(exc.__traceback__, limit=-2))
     return f"{who} raised {type(exc).__name__}: {exc}\n{frames}".rstrip()
 
@@ -342,11 +359,14 @@ def simulate(strategy: Strategy, env: Environment, game: GameRef,
     return play.transcript()
 
 
-@dataclass
 class SearchResult:
-    won_all: bool
-    leaves: int
-    counterexample: Optional[Transcript] = None
+    __slots__ = ("won_all", "leaves", "counterexample")
+
+    def __init__(self, won_all: bool, leaves: int,
+                 counterexample: Optional[Transcript]):
+        self.won_all = won_all
+        self.leaves = leaves
+        self.counterexample = counterexample
 
 
 class BudgetExceeded(RuntimeError):

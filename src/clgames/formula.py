@@ -30,7 +30,6 @@ requires parentheses.  Sequents are written `F1, F2 => K` or `=> K`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
@@ -51,7 +50,8 @@ _new = tuple.__new__
 
 
 class _Node(tuple):
-    """A node with no fields; `_fields` names a subclass's fields."""
+    """A node with no fields; `_fields` names a subclass's fields.  The
+    sequent, proof and strategy-expression records are built on it too."""
     __slots__ = ()
     _fields = ()
 
@@ -412,15 +412,17 @@ def is_general_base(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Sequents
 
-@dataclass(frozen=True)
-class Sequent:
-    context: tuple[Formula, ...]
-    succedent: Formula
+class Sequent(_Node):
+    __slots__ = ()
+    _fields = ("context", "succedent")
+    context = _tuplegetter(1, None)
+    succedent = _tuplegetter(2, None)
 
-    def __post_init__(self):
-        for g in self.context + (self.succedent,):
+    def __new__(cls, context: tuple[Formula, ...], succedent: Formula):
+        for g in context + (succedent,):
             if not is_int_formula(g):
                 raise ValueError(f"not in the sublanguage: {render(g)}")
+        return _new(cls, (cls, context, succedent))
 
 
 def sequent_to_formula(s: Sequent) -> Formula:

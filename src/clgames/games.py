@@ -44,7 +44,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional
 
@@ -253,7 +252,6 @@ class InterpretationError(ValueError):
     """A letter game the interpretation cannot build."""
 
 
-@dataclass(slots=True)
 class Interpretation:
     """Letter games plus the universal-problem base.
 
@@ -261,14 +259,16 @@ class Interpretation:
     FiniteGame; a letter's game depends only on its argument tuple.  The
     game for $ is the infinite choice conjunction whose first conjunct is
     `dollar_base` and whose (k+1)-th conjunct interprets the k-th grounded
-    atom of the signature under the fixed enumeration.
+    atom of the signature under the fixed enumeration (by default the
+    elementary win).
     """
-    letters: dict[str, Callable[[tuple[int, ...]], FiniteGame]]
-    dollar_base: FiniteGame = field(default_factory=lambda: ELEMENTARY_WIN)
-    _cache: dict = field(default_factory=dict, repr=False)
-    signature: Signature = field(init=False, repr=False, compare=False)
+    __slots__ = ("letters", "dollar_base", "_cache", "signature")
 
-    def __post_init__(self):
+    def __init__(self, letters: dict[str, Callable[[tuple[int, ...]], FiniteGame]],
+                 dollar_base: Optional[FiniteGame] = None):
+        self.letters = letters
+        self.dollar_base = dollar_base or ELEMENTARY_WIN
+        self._cache = {}
         # the letters are fixed at construction, so the signature is too
         self.signature = tuple(
             (name, int(arity)) for name, arity in
@@ -299,10 +299,13 @@ class Interpretation:
         return self.letter_game(name, args)
 
 
-@dataclass(slots=True)
 class Valuation:
-    assign: dict[str, int] = field(default_factory=dict)
-    default: int = 1
+    __slots__ = ("assign", "default")
+
+    def __init__(self, assign: Optional[dict[str, int]] = None,
+                 default: int = 1):
+        self.assign = {} if assign is None else assign
+        self.default = default
 
     def var(self, name: str) -> int:
         return self.assign.get(name, self.default)
@@ -317,14 +320,16 @@ class Valuation:
         return Valuation(new, self.default)
 
 
-@dataclass(slots=True)
 class GameRef:
     """A constant game: formula + interpretation + valuation."""
-    formula: Formula
-    interp: Interpretation
-    valuation: Valuation = field(default_factory=Valuation)
-    _root: Optional["State"] = field(default=None, init=False, repr=False,
-                                     compare=False)
+    __slots__ = ("formula", "interp", "valuation", "_root")
+
+    def __init__(self, formula: Formula, interp: Interpretation,
+                 valuation: Optional[Valuation] = None):
+        self.formula = formula
+        self.interp = interp
+        self.valuation = Valuation() if valuation is None else valuation
+        self._root: Optional[State] = None
 
     def root(self) -> "State":
         """The state before any move, built once: states are persistent, so
@@ -361,7 +366,6 @@ class State:
 _OPPONENT = {T: B, B: T}
 
 
-@dataclass(slots=True)
 class FiniteGame(State):
     """An explicit finite game tree, and the state of an interpreted atom
     (or of top/bot): each node is the position its run leads to.
@@ -370,8 +374,11 @@ class FiniteGame(State):
     to subtrees.  Unlisted moves are illegal (the mover loses).  Leaves are
     shared (see `_LEAF`), so only the code that builds a node fills `moves`.
     """
-    winner: Player
-    moves: dict[tuple[Player, str], "FiniteGame"] = field(default_factory=dict)
+    __slots__ = ("winner", "moves")
+
+    def __init__(self, winner: Player, moves: Optional[dict] = None):
+        self.winner = winner
+        self.moves = {} if moves is None else moves
 
     def step(self, player, move):
         return self.moves.get((player, move))
@@ -389,7 +396,6 @@ ELEMENTARY_LOSS = FiniteGame(B)
 _LEAF = {T: ELEMENTARY_WIN, B: ELEMENTARY_LOSS}
 
 
-@dataclass(slots=True)
 class _Layout:
     """The static shape of a block of parallel connectives and negations.
 
@@ -400,9 +406,11 @@ class _Layout:
     block whose root is a leaf has the trie 0 and the empty route.  `tree`
     is the outcome tree, see `_fold`.
     """
-    routes: tuple[tuple[str, bool], ...]
-    trie: dict | int
-    tree: tuple
+    __slots__ = ("routes", "trie", "tree")
+
+    def __init__(self, routes: tuple[tuple[str, bool], ...], trie: dict | int,
+                 tree: tuple):
+        self.routes, self.trie, self.tree = routes, trie, tree
 
 
 def _fold(node, leaves, routes) -> Player:
@@ -599,20 +607,23 @@ def _elementary(itp: Interpretation, val: Valuation) -> State:
     raise ValueError("elementary atoms have no game semantics")
 
 
-@dataclass(slots=True)
 class _AtomPlan:
-    atom: Atom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        self.atom = atom
 
     def __call__(self, itp, val):
         return itp.letter_game(self.atom.letter,
                                tuple(val.term(t) for t in self.atom.args))
 
 
-@dataclass(slots=True)
 class _ChoicePlan:
     """A choice of `chooser` among the components' plans."""
-    chooser: Player
-    parts: tuple[Plan, ...]
+    __slots__ = ("chooser", "parts")
+
+    def __init__(self, chooser: Player, parts: tuple[Plan, ...]):
+        self.chooser, self.parts = chooser, parts
 
     def __call__(self, itp, val):
         parts = self.parts
@@ -620,12 +631,12 @@ class _ChoicePlan:
                             lambda i: parts[i - 1](itp, val))
 
 
-@dataclass(slots=True)
 class _QuantifierPlan:
     """A choice of `chooser` of the constant that `var` denotes in `body`."""
-    chooser: Player
-    var: str
-    body: Plan
+    __slots__ = ("chooser", "var", "body")
+
+    def __init__(self, chooser: Player, var: str, body: Plan):
+        self.chooser, self.var, self.body = chooser, var, body
 
     def __call__(self, itp, val):
         body, var = self.body, self.var
@@ -633,19 +644,22 @@ class _QuantifierPlan:
                             lambda c: body(itp, val.override(var, c)))
 
 
-@dataclass(slots=True)
 class _BangPlan:
-    body: Plan
+    __slots__ = ("body",)
+
+    def __init__(self, body: Plan):
+        self.body = body
 
     def __call__(self, itp, val):
         return _BangState({"": self.body(itp, val)})
 
 
-@dataclass(slots=True)
 class _BlockPlan:
     """A block's layout and the plans of its leaves, in route order."""
-    layout: _Layout
-    leaves: tuple[Plan, ...]
+    __slots__ = ("layout", "leaves")
+
+    def __init__(self, layout: _Layout, leaves: tuple[Plan, ...]):
+        self.layout, self.leaves = layout, leaves
 
     def __call__(self, itp, val):
         return _BlockState(self.layout,
@@ -957,6 +971,5 @@ def random_interpretation(seed: int, signature: Signature, depth: int = 3,
             return random_structural_game(random.Random(prefix + str(args)),
                                           depth)
         letters[f"{name}/{arity}"] = fn
-    return Interpretation(letters, ELEMENTARY_WIN if dollar_base is None
-                          else dollar_base)
+    return Interpretation(letters, dollar_base)
 

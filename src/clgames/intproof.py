@@ -12,12 +12,12 @@ transitivity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import formula as fm
 from .formula import (Atom, Bang, ChoiceAll, ChoiceConj, ChoiceDisj,
                       ChoiceExists, Dollar, Formula, Implies, ParConj,
-                      Sequent, Var, conj_impl, par_conj)
+                      Sequent, Var, _new, _Node, _tuplegetter, conj_impl,
+                      par_conj)
 from .strategies import Expr, allx, bang, cl2_expr, mp, reg, trans
 
 RULES = ("Identity", "Domination", "Exchange", "Weakening", "Contraction",
@@ -28,15 +28,20 @@ RULES = ("Identity", "Domination", "Exchange", "Weakening", "Contraction",
          "RightChoiceExists", "LeftChoiceExists")
 
 
-@dataclass(frozen=True)
-class ProofNode:
-    sequent: Sequent
-    rule: str
-    children: tuple["ProofNode", ...] = ()
-    i: int = 0            # component index (LeftChoiceConj / RightChoiceDisj)
-    t: str = ""           # term text (LeftChoiceAll / RightChoiceExists)
-    y: str = ""           # eigenvariable (RightChoiceAll / LeftChoiceExists)
-    pos: int = -1         # swap position (Exchange)
+class ProofNode(_Node):
+    __slots__ = ()
+    _fields = ("sequent", "rule", "children", "i", "t", "y", "pos")
+    sequent = _tuplegetter(1, None)
+    rule = _tuplegetter(2, None)
+    children = _tuplegetter(3, None)
+    i = _tuplegetter(4, None)   # component index (LeftChoiceConj / RightChoiceDisj)
+    t = _tuplegetter(5, None)   # term text (LeftChoiceAll / RightChoiceExists)
+    y = _tuplegetter(6, None)   # eigenvariable (RightChoiceAll / LeftChoiceExists)
+    pos = _tuplegetter(7, None)  # swap position (Exchange)
+
+    def __new__(cls, sequent: Sequent, rule: str, children=(), i=0, t="",
+                y="", pos=-1):
+        return _new(cls, (cls, sequent, rule, children, i, t, y, pos))
 
     def rules_used(self) -> frozenset[str]:
         out = frozenset({self.rule})

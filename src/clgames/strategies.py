@@ -18,13 +18,13 @@ of it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import cl2, formula as fm
 from .epm import Machine, PlayContext, Strategy
 from .formula import (Atom, ChoiceConj, ChoiceDisj, ChoiceExists, Dollar,
-                      Formula, Implies, _numeral)
+                      Formula, Implies, _new, _Node, _numeral,
+                      _tuplegetter)
 from .games import grounded_atom_index, split_bang_move
 
 
@@ -572,17 +572,22 @@ def build_strategy(strategy_id: str) -> Strategy:
 # ---------------------------------------------------------------------------
 # Combinator expressions (the compiler's output language)
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(_Node):
     """A lazily evaluated strategy expression over the registry.
 
     kinds: "reg" (payload: id string), "mp" (children: parts + c last),
     "trans" (2 children), "bang"/"allx" (1 child; allx carries the
     variable in payload), "cl2" (payload: the proved formula's rendering).
     """
-    kind: str
-    payload: str = ""
-    children: tuple["Expr", ...] = ()
+    __slots__ = ()
+    _fields = ("kind", "payload", "children")
+    kind = _tuplegetter(1, None)
+    payload = _tuplegetter(2, None)
+    children = _tuplegetter(3, None)
+
+    def __new__(cls, kind: str, payload: str = "",
+                children: tuple[Expr, ...] = ()):
+        return _new(cls, (cls, kind, payload, children))
 
     def __str__(self) -> str:
         if self.kind == "reg":

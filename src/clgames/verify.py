@@ -11,7 +11,6 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import cl2, formula as fm, intproof, oracle
 from .epm import (BudgetExceeded, RandomEnv, ScriptEnv, Strategy, simulate,
@@ -28,12 +27,14 @@ from .strategies import (Expr, blue_content, build_strategy,
                          is_colored_tree, yellow_content)
 
 
-@dataclass
 class Report:
-    name: str
-    counters: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    __slots__ = ("name", "counters", "failures", "seconds")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.counters: dict = {}
+        self.failures: list = []
+        self.seconds = 0.0
 
     @property
     def passed(self) -> bool:

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +14,12 @@ from clgames.formula import (Atom, Bot, ChoiceConj, ChoiceDisj, Elem, Implies,
                              Neg, ParConj, ParDisj, Top)
 from clgames.games import GameRef, T, Valuation, random_interpretation
 from clgames.strategies import CcsMachine, Expr
+
+
+def replace(record, **changes):
+    """`record` rebuilt from its fields, with those in `changes` replaced."""
+    fields = dict(zip(record._fields, record[1:]))
+    return type(record)(**(fields | changes))
 
 
 def F(text):

@@ -4,8 +4,8 @@ from clgames import formula as fm, intproof, verify
 import pytest
 
 from clgames.epm import (Environment, HaltReason, Machine, PlayContext,
-                         RandomEnv, ScriptEnv, SilentEnv, Strategy, simulate,
-                         wins_against_all)
+                         RandomEnv, ScriptEnv, SilentEnv, Strategy,
+                         Transcript, simulate, wins_against_all)
 from clgames.games import (B, FiniteGame, GameRef, Interpretation,
                            InterpretationError, Labmove, T, Valuation,
                            candidate_moves, labmoves, position_legal,
@@ -168,6 +168,25 @@ class TestExhaustive:
 
 
 CTX = PlayContext(Valuation(), ())
+
+
+def test_a_play_context_is_immutable():
+    # forks of a machine share the context they were started with
+    for name in ("valuation", "signature", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(CTX, name, None)
+        with pytest.raises(AttributeError):
+            delattr(CTX, name)
+    assert CTX.signature == () and CTX.valuation.assign == {}
+
+
+def test_transcripts_are_equal_by_their_fields():
+    run = labmoves(("T", "1"), ("B", "2"))
+    t = Transcript(run, T, 3, 2, HaltReason.QUIESCENT)
+    assert t == Transcript(run, T, 3, 2, HaltReason.QUIESCENT, "")
+    assert t != Transcript(run, T, 3, 2, HaltReason.QUIESCENT, "why")
+    assert t != Transcript(run, B, 3, 2, HaltReason.QUIESCENT)
+    assert t != run and run != t
 
 
 class TestSnapshots:

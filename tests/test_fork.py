@@ -7,7 +7,6 @@ fork to the end first and then checks a second fork against a machine built
 from scratch.
 """
 
-import dataclasses
 import functools
 
 import pytest
@@ -20,6 +19,13 @@ from clgames.formula import Bang
 from clgames.games import T, Valuation
 from clgames.strategies import (BangClosureMachine, Expr, bang, build_strategy,
                                 reg)
+
+
+def replace(record, **changes):
+    """`record` rebuilt from its fields, with those in `changes` replaced."""
+    fields = dict(zip(record._fields, record[1:]))
+    return type(record)(**(fields | changes))
+
 
 VAL = Valuation({"y": 2})
 
@@ -178,7 +184,7 @@ def test_a_corrupted_proof_is_rejected_before_and_after_caching():
     proof = cl2.prove(fm.parse_formula(text))
     # the last step opens its channel under the wrong elementary atom
     bad = CL2Proof(proof.steps[:-1] + (
-        dataclasses.replace(proof.steps[-1], atom="r"),))
+        replace(proof.steps[-1], atom="r"),))
     assert not cl2.check_proof(bad)[0]
     with pytest.raises(ValueError, match="invalid proof"):
         ProofMachine(bad)

@@ -5,11 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clgames import formula as fm, verify
+from clgames import formula as fm, strategies, verify
+from clgames.cl2 import CL2Proof, CL2Step
 from clgames.formula import (Atom, Bang, Bot, ChoiceAll, ChoiceConj,
                              ChoiceDisj, ChoiceExists, Dollar, Elem,
                              Implies, Neg, ParConj, ParDisj, Sequent, Top,
                              Var)
+from clgames.intproof import ProofNode
+from clgames.strategies import Expr
 
 
 def P(*args):
@@ -182,6 +185,8 @@ class TestSequents:
     def test_sublanguage_enforced(self):
         with pytest.raises(ValueError):
             Sequent((ParConj((P(), Q())),), P())
+        with pytest.raises(ValueError, match=r"^not in the sublanguage: ~P$"):
+            Sequent(context=(), succedent=Neg(P()))
 
     def test_sublanguage_check(self):
         assert fm.is_int_formula(fm.parse_formula("!(P & Q) -> ?x.R(x)"))
@@ -348,17 +353,24 @@ def test_replace_at_copies_the_path_as_a_rebuild_would(f):
 
 
 # ---------------------------------------------------------------------------
-# A node is the tuple of its class followed by its fields
+# A node is the tuple of its class followed by its fields, and so are the
+# value records built on the same base: sequents, proofs and strategy
+# expressions
 
 _FIELDS = {Atom: ("letter", "args"), Elem: ("name",), Top: (), Bot: (),
            Dollar: (), Neg: ("body",), Bang: ("body",), ParConj: ("parts",),
            ParDisj: ("parts",), ChoiceConj: ("parts",),
            ChoiceDisj: ("parts",), Implies: ("left", "right"),
            ChoiceAll: ("var", "body"), ChoiceExists: ("var", "body"),
-           Var: ("name",), fm.Const: ("value",)}
+           Var: ("name",), fm.Const: ("value",),
+           Sequent: ("context", "succedent"),
+           ProofNode: ("sequent", "rule", "children", "i", "t", "y", "pos"),
+           CL2Step: ("formula", "rule", "premises", "path", "index",
+                     "pos_path", "neg_path", "atom"),
+           CL2Proof: ("steps",), Expr: ("kind", "payload", "children")}
 
 # one node of every class and its repr: `Class(field=value, ...)`, and
-# a term's name or value
+# a term's name or value; a record's repr is the one its dataclass printed
 _REPRS = [
     (Atom("R", (Var("x"), fm.Const(3))), "Atom(letter='R', args=(x, 3))"),
     (Atom("P"), "Atom(letter='P', args=())"),
@@ -380,6 +392,27 @@ _REPRS = [
     (ChoiceExists("y", Neg(Q("y", 2))), "ChoiceExists(var='y', body=Neg("
                                         "body=Atom(letter='Q', args=(y, 2))))"),
     (Var("x"), "x"), (fm.Const(12), "12"),
+    (Sequent((P(),), P()), "Sequent(context=(Atom(letter='P', args=()),),"
+                           " succedent=Atom(letter='P', args=()))"),
+    (ProofNode(Sequent((P(), Q(2)), P()), "Exchange",
+               (ProofNode(Sequent((Q(2), P()), P()), "Weakening"),), pos=0),
+     "ProofNode(sequent=Sequent(context=(Atom(letter='P', args=()),"
+     " Atom(letter='Q', args=(2,))), succedent=Atom(letter='P', args=())),"
+     " rule='Exchange', children=(ProofNode(sequent=Sequent(context=("
+     "Atom(letter='Q', args=(2,)), Atom(letter='P', args=())),"
+     " succedent=Atom(letter='P', args=())), rule='Weakening', children=(),"
+     " i=0, t='', y='', pos=-1),), i=0, t='', y='', pos=0)"),
+    (CL2Step(Implies(P(), P()), "c", (1,), pos_path=(0,), neg_path=(1,),
+             atom="p"),
+     "CL2Step(formula=Implies(left=Atom(letter='P', args=()),"
+     " right=Atom(letter='P', args=())), rule='c', premises=(1,), path=(),"
+     " index=0, pos_path=(0,), neg_path=(1,), atom='p')"),
+    (CL2Proof((CL2Step(Top(), "a"),)),
+     "CL2Proof(steps=(CL2Step(formula=Top(), rule='a', premises=(), path=(),"
+     " index=0, pos_path=(), neg_path=(), atom=''),))"),
+    (Expr("mp", children=(strategies.reg("l5"), Expr("cl2", "P -> P"))),
+     "Expr(kind='mp', payload='', children=(Expr(kind='reg', payload='l5',"
+     " children=()), Expr(kind='cl2', payload='P -> P', children=())))"),
 ]
 _NODES = [node for node, _ in _REPRS]
 
@@ -402,7 +435,9 @@ def test_classes_with_equal_fields_give_unequal_nodes():
     for group in ([ParConj(parts), ParDisj(parts), ChoiceConj(parts),
                    ChoiceDisj(parts)], [Neg(P()), Bang(P())],
                   [ChoiceAll("x", P("x")), ChoiceExists("x", P("x"))],
-                  [Top(), Bot(), Dollar()], [Var("x"), Elem("x")]):
+                  [Top(), Bot(), Dollar()], [Var("x"), Elem("x")],
+                  [Neg(Top()), CL2Proof(Top())],
+                  [Implies((), P()), Sequent((), P())]):
         assert len({_fields_of(node) for node in group}) == 1
         for a in group:
             for b in group:
@@ -447,3 +482,10 @@ def test_fewer_than_two_parts_keep_their_messages(node, name):
             node(parts)
         with pytest.raises(ValueError, match=f"^{name} needs >= 2 parts$"):
             node(parts=parts)
+
+
+def test_an_expression_built_twice_is_one_prototype():
+    first = strategies._prototype(strategies.reg("l5"))
+    size = strategies._prototype.cache_info().currsize
+    assert strategies._prototype(Expr("reg", "l5")) is first
+    assert strategies._prototype.cache_info().currsize == size

@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -14,6 +13,12 @@ from clgames.intproof import (RULES, ProofNode, _seq_vars, check_proof,
                               check_rule, compile_proof,
                               curated_theorem_corpus, proof_from_json,
                               proof_to_json)
+
+
+def replace(record, **changes):
+    """`record` rebuilt from its fields, with those in `changes` replaced."""
+    fields = dict(zip(record._fields, record[1:]))
+    return type(record)(**(fields | changes))
 
 
 def seq(text):
